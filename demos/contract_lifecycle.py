@@ -15,6 +15,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from sdnsim import PedChangeInjection
+from sdnsim.contracts import BoundTimeline
 from sdnsim.harness import run_single
 from sdnsim.scenario import load_scenario
 
@@ -42,12 +43,7 @@ def main() -> None:
               f"(strong {change.strong_ped / 1e6:.1f} / "
               f"weak {change.weak_ped / 1e6:.1f})")
 
-    def active_bound(at: int) -> int:
-        current = run.log.ped_changes[0].active_ped
-        for change in run.log.ped_changes:
-            if change.at <= at:
-                current = change.active_ped
-        return current
+    timeline = BoundTimeline(run.log.ped_changes)
 
     print("\nper-phase packet satisfaction:")
     phases = [("strong, original bound", 0, 40 * SECOND),
@@ -56,8 +52,8 @@ def main() -> None:
     for label, lo, hi in phases:
         packets = [p for p in run.log.packets
                    if p.delivered and lo <= p.delivered_at < hi]
-        ok = sum(1 for p in packets
-                 if p.actual_delay <= active_bound(p.delivered_at))
+        ok = sum(1 for p in packets if p.actual_delay
+                 <= timeline.at(*p.pair, p.delivered_at).active_ped)
         print(f"  {label:<32} {len(packets):>4} packets, "
               f"{ok / len(packets):6.1%} within the active bound")
 

@@ -7,7 +7,10 @@ contracts against link failures and runtime requirement changes with a
 configurable resilience manager.
 """
 
-from .contracts import (
+# Before the submodule imports: the report manifest and pyproject.toml read it.
+__version__ = "0.1.0"
+
+from .contracts import (  # noqa: E402
     Contract,
     ContractKind,
     ContractPair,
@@ -76,5 +79,3 @@ from .resilience import (
 from .routing import NoPathError, RouteResult, find_path
 from .runlog import RunLog
 from .scenario import Scenario, load_scenario, materialize_injections, parse_scenario
-
-__version__ = "0.1.0"

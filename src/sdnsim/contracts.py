@@ -11,15 +11,11 @@ bound.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
 from .core import SwitchId
-
-DEFAULT_ASSUMPTIONS = (
-    "stable-path-between-estimation-cycles",
-    "no-events-between-estimation-cycles",
-)
 
 # Weak requirement when a scenario states only the strong one.
 DEFAULT_WEAK_FACTOR = 2
@@ -48,7 +44,6 @@ class Contract:
     dst: SwitchId
     kind: ContractKind
     ped: int  # required end-to-end delay bound, ns
-    assumptions: tuple[str, ...] = DEFAULT_ASSUMPTIONS
     active: bool = False
 
     def __post_init__(self) -> None:
@@ -119,7 +114,6 @@ class ContractPair:
 
 def create_contract_pair(pair_id: str, src: SwitchId, dst: SwitchId,
                          strong_ped: int, weak_ped: int | None = None,
-                         assumptions: tuple[str, ...] = DEFAULT_ASSUMPTIONS,
                          ) -> ContractPair:
     """Build a linked strong/weak pair with the strong contract active.
 
@@ -135,10 +129,9 @@ def create_contract_pair(pair_id: str, src: SwitchId, dst: SwitchId,
             f"weak ped {weak_ped} below strong ped {strong_ped}")
     strong = Contract(id=f"{pair_id}-strong", pair_id=pair_id, src=src,
                       dst=dst, kind=ContractKind.STRONG, ped=strong_ped,
-                      assumptions=assumptions, active=True)
+                      active=True)
     weak = Contract(id=f"{pair_id}-weak", pair_id=pair_id, src=src, dst=dst,
-                    kind=ContractKind.WEAK, ped=weak_ped,
-                    assumptions=assumptions, active=False)
+                    kind=ContractKind.WEAK, ped=weak_ped, active=False)
     return ContractPair(id=pair_id, strong=strong, weak=weak)
 
 
@@ -229,15 +222,27 @@ class ContractStore:
         self._record(pair, now)
         return True
 
-    def active_ped_at(self, pair_id: str, when: int) -> int:
-        """Active requirement for a pair as of a given instant."""
-        current: int | None = None
-        for change in self.ped_changes:
-            if change.pair_id != pair_id:
-                continue
-            if change.at > when:
-                break
-            current = change.active_ped
-        if current is None:
-            raise ContractError(f"no contract state for {pair_id!r} at {when}")
-        return current
+
+class BoundTimeline:
+    """Which PedChange is in force for a contract's endpoints at an instant.
+
+    Built once from a run's ped-change records (typed or parsed back from
+    a serialized log); each lookup is a bisection over that pair's change
+    times.  The last change at or before the instant wins.
+    """
+
+    def __init__(self, ped_changes) -> None:
+        self._times: dict[tuple[SwitchId, SwitchId], list[int]] = {}
+        self._changes: dict[tuple[SwitchId, SwitchId], list] = {}
+        for change in sorted(ped_changes, key=lambda c: c.at):
+            key = (change.src, change.dst)
+            self._times.setdefault(key, []).append(change.at)
+            self._changes.setdefault(key, []).append(change)
+
+    def at(self, src: SwitchId, dst: SwitchId, when: int):
+        """The change in force at `when`; None before the pair's first."""
+        times = self._times.get((src, dst))
+        if times is None:
+            return None
+        index = bisect_right(times, when) - 1
+        return self._changes[(src, dst)][index] if index >= 0 else None

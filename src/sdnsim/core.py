@@ -189,7 +189,8 @@ class Flow:
 
     Packets of packet_length bits leave the source every inter_packet_gap ns
     starting at start_time, until total_volume bits have been sent or the
-    emulation ends.
+    emulation ends.  A gap of 0 is only valid for a single-packet flow; a
+    larger volume needs a positive gap.
     """
 
     id: FlowId
@@ -209,6 +210,9 @@ class Flow:
             raise ValueError(f"flow {self.id}: source equals destination")
         if self.start_time < 0 or self.inter_packet_gap < 0:
             raise ValueError(f"flow {self.id}: negative timing")
+        if self.inter_packet_gap == 0 and self.total_volume > self.packet_length:
+            raise ValueError(f"flow {self.id}: volume exceeds one packet, "
+                             "so gap must be positive")
 
 
 def validate_path(topology: Topology, path: list[SwitchId]) -> None:

@@ -92,7 +92,6 @@ class CostEntry:
     link_delay: int
     transmission_delay: int
     cost: int
-    last_updated: int
 
 
 class CostMatrix:
@@ -106,8 +105,8 @@ class CostMatrix:
         self._entries: dict[tuple[SwitchId, SwitchId], CostEntry] = {}
 
     def set_entry(self, src: SwitchId, dst: SwitchId, link_delay: int,
-                  td: int, now: int) -> CostEntry:
-        entry = CostEntry(link_delay, td, link_cost(td, link_delay), now)
+                  td: int) -> CostEntry:
+        entry = CostEntry(link_delay, td, link_cost(td, link_delay))
         self._entries[(src, dst)] = entry
         return entry
 
@@ -195,16 +194,13 @@ def run_estimation_cycle(
             rtt_near=control.echo_rtt(near),
             rtt_far=control.echo_rtt(far),
         )
-        residual = forward_travel + reverse_travel  # echo RTTs cancel exactly
-        clamped = residual < 0
         estimated = estimate_link_delay(obs, raw_mode=raw_mode)
         td = transmission_delay(probe_length_bits, link.capacity_bps)
         for src, dst in ((near, far), (far, near)):
-            entry = matrix.set_entry(src, dst, estimated, td, now)
+            entry = matrix.set_entry(src, dst, estimated, td)
             records.append(EstimationRecord(
                 cycle=cycle_index, src=src, dst=dst,
                 link_delay=entry.link_delay,
                 transmission_delay=entry.transmission_delay,
-                cost=entry.cost, at=now, noise_clamped=clamped,
-            ))
+                cost=entry.cost, at=now))
     return matrix, records

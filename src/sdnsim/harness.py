@@ -10,46 +10,26 @@ can be recomputed byte-identically from a serialized log.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import json
 import os
 from dataclasses import dataclass, field, replace
 
+from . import __version__
+from .contracts import BoundTimeline
 from .core import ControlChannel, SECOND, build_topology
 from .kernel import Kernel
 from .resilience import MechanismVariant, variant_by_name
 from .runlog import RunLog, record_to_dict
 from .scenario import Scenario, materialize_injections
 
-PACKAGE_VERSION = "0.1.0"
-
 
 # ---------------------------------------------------------------------------
-# metric computation (operates on plain dict records)
+# metric computation (reads records by attribute: typed records of a live
+# run, or the SimpleNamespace records RunLog.parse_jsonl gives back)
 
 
-def _ped_timeline(ped_changes: list[dict]) -> dict[tuple[str, str], list]:
-    """Per contract endpoints: parallel arrays of change times and bounds."""
-    timeline: dict[tuple[str, str], list] = {}
-    for change in sorted(ped_changes, key=lambda c: c["at"]):
-        key = (change["src"], change["dst"])
-        entry = timeline.setdefault(key, ([], [], []))
-        entry[0].append(change["at"])
-        entry[1].append(change["active_ped"])
-        entry[2].append(change["strong_ped"])
-    return timeline
-
-
-def _bound_at(entry, when: int, which: int) -> int | None:
-    times = entry[0]
-    index = bisect.bisect_right(times, when) - 1
-    if index < 0:
-        return None
-    return entry[which][index]
-
-
-def compute_success_rate(packets: list[dict], ped_changes: list[dict],
+def compute_success_rate(packets: list, ped_changes: list,
                          mode: str = "per_packet",
                          check_window: int = 10 * SECOND,
                          ) -> tuple[float, float]:
@@ -60,8 +40,8 @@ def compute_success_rate(packets: list[dict], ped_changes: list[dict],
     mode="per_check" scores each (pair, check_window) group as a whole,
     for comparison with coarser accounting.
     """
-    timeline = _ped_timeline(ped_changes)
-    covered = [p for p in packets if p["covered"]]
+    timeline = BoundTimeline(ped_changes)
+    covered = [p for p in packets if p.covered]
     if not covered:
         return 1.0, 1.0
     if mode == "per_packet":
@@ -76,27 +56,21 @@ def compute_success_rate(packets: list[dict], ped_changes: list[dict],
     raise ValueError(f"unknown success accounting mode {mode!r}")
 
 
-def _packet_satisfied(packet: dict, timeline) -> tuple[bool, bool]:
-    if packet["delivered_at"] is None:
+def _packet_satisfied(packet, timeline: BoundTimeline) -> tuple[bool, bool]:
+    if packet.delivered_at is None:
         return False, False
-    key = (packet["pair"][0], packet["pair"][1])
-    entry = timeline.get(key)
-    if entry is None:
+    change = timeline.at(packet.pair[0], packet.pair[1], packet.delivered_at)
+    if change is None:
         return False, False
-    when = packet["delivered_at"]
-    active = _bound_at(entry, when, 1)
-    strong = _bound_at(entry, when, 2)
-    if active is None:
-        return False, False
-    delay = packet["actual_delay"]
-    return delay <= active, delay <= strong
+    delay = packet.actual_delay
+    return delay <= change.active_ped, delay <= change.strong_ped
 
 
-def _per_check_rate(covered: list[dict], timeline,
+def _per_check_rate(covered: list, timeline: BoundTimeline,
                     window: int) -> tuple[float, float]:
-    groups: dict[tuple, list[dict]] = {}
+    groups: dict[tuple, list] = {}
     for packet in covered:
-        key = (packet["pair"][0], packet["pair"][1], packet["sent_at"] // window)
+        key = (packet.pair[0], packet.pair[1], packet.sent_at // window)
         groups.setdefault(key, []).append(packet)
     checks = ok = ok_strong = 0
     for _, group in sorted(groups.items()):
@@ -107,18 +81,18 @@ def _per_check_rate(covered: list[dict], timeline,
     return ok / checks, ok_strong / checks
 
 
-def compute_throughput(packets: list[dict], emulation_time: int) -> float:
+def compute_throughput(packets: list, emulation_time: int) -> float:
     """Delivered bits across all flows divided by the emulation time."""
     if emulation_time <= 0:
         raise ValueError("emulation time must be positive")
-    bits = sum(p["length"] for p in packets if p["delivered_at"] is not None)
+    bits = sum(p.length for p in packets if p.delivered_at is not None)
     return bits * SECOND / emulation_time
 
 
-def compute_restoration_stats(restorations: list[dict],
+def compute_restoration_stats(restorations: list,
                               ) -> tuple[float | None, list[int]]:
     """Arithmetic mean and full list of restoration totals; None if empty."""
-    totals = [r["total"] for r in restorations]
+    totals = [r.total for r in restorations]
     if not totals:
         return None, []
     return sum(totals) / len(totals), totals
@@ -152,14 +126,15 @@ class RunResult:
     log: RunLog | None = None
 
 
-def metrics_from_streams(streams: dict[str, list[dict]], variant: str,
-                         seed: int, emulation_time: int,
+def metrics_from_streams(log: RunLog, variant: str, seed: int,
+                         emulation_time: int,
                          mode: str = "per_packet") -> MetricsReport:
-    packets = streams["packets"]
-    delivered = sum(1 for p in packets if p["delivered_at"] is not None)
+    """Headline metrics from a run's log, live or from RunLog.parse_jsonl."""
+    packets = log.packets
+    delivered = sum(1 for p in packets if p.delivered_at is not None)
     success, success_strong = compute_success_rate(
-        packets, streams["ped_changes"], mode=mode)
-    mean, totals = compute_restoration_stats(streams["restorations"])
+        packets, log.ped_changes, mode=mode)
+    mean, totals = compute_restoration_stats(log.restorations)
     return MetricsReport(
         variant=variant, seed=seed,
         packets_sent=len(packets),
@@ -170,13 +145,8 @@ def metrics_from_streams(streams: dict[str, list[dict]], variant: str,
         throughput_bps=compute_throughput(packets, emulation_time),
         restoration_mean=mean,
         restoration_totals=tuple(totals),
-        warning_count=len(streams["warnings"]),
+        warning_count=len(log.warnings),
     )
-
-
-def log_streams(log: RunLog) -> dict[str, list[dict]]:
-    return {stream: [record_to_dict(r) for r in getattr(log, stream)]
-            for stream in RunLog.STREAMS}
 
 
 def verify_conservation(log: RunLog) -> None:
@@ -234,7 +204,7 @@ def run_single(scenario: Scenario, variant_name: str | None = None,
     kernel.run_until(scenario.emulation_time)
     verify_conservation(kernel.log)
     metrics = metrics_from_streams(
-        log_streams(kernel.log), variant.name, run_seed,
+        kernel.log, variant.name, run_seed,
         scenario.emulation_time, mode=success_mode)
     return RunResult(scenario_name=scenario.name, variant=variant.name,
                      seed=run_seed, metrics=metrics,
@@ -410,7 +380,7 @@ def emit_reports(result: ExperimentResult, out_dir: str) -> list[str]:
         "sweep_param": result.sweep_param,
         "sweep_values": list(result.sweep_values),
         "eq1_raw_mode": result.eq1_raw,
-        "version": PACKAGE_VERSION,
+        "version": __version__,
     }
     manifest_path = os.path.join(out_dir, "manifest.json")
     with open(manifest_path, "w", encoding="utf-8") as handle:

@@ -204,10 +204,7 @@ class Kernel:
 
     def forwarding_path(self, key: tuple[SwitchId, SwitchId],
                         now: int) -> tuple[SwitchId, ...] | None:
-        entries = self._forwarding.get(key)
-        if not entries:
-            return None
-        for active_at, path in reversed(entries):
+        for active_at, path in reversed(self._forwarding.get(key, ())):
             if active_at <= now:
                 return path
         return None
@@ -256,13 +253,11 @@ class Kernel:
         if not state.started:
             state.started = True
             self.controller.on_flow_arrival(flow, at)
-        if state.bits_sent + flow.packet_length > flow.total_volume:
-            return
         state.bits_sent += flow.packet_length
         self._send_packet(state, at)
         state.next_seq += 1
-        if (state.bits_sent + flow.packet_length <= flow.total_volume
-                and flow.inter_packet_gap > 0):
+        # Flow guarantees a positive gap whenever another packet fits.
+        if state.bits_sent + flow.packet_length <= flow.total_volume:
             self.schedule_call(at + flow.inter_packet_gap,
                                lambda t, s=state: self._flow_tick(s, t))
 

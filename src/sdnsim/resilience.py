@@ -24,6 +24,7 @@ state; rules persist as last installed.
 from __future__ import annotations
 
 import logging
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 
@@ -112,13 +113,6 @@ class RestorationOutcome(Enum):
 
 
 @dataclass(frozen=True)
-class Decision:
-    fault: FaultReport
-    action: ResponseAction
-    route: RouteResult | None  # best available path, None when unreachable
-
-
-@dataclass(frozen=True)
 class RestorationRecord:
     pair_id: str
     cause: FaultCause
@@ -192,7 +186,9 @@ class ResilienceManager:
         self.topology = topology
         self.control = control
         self.store = store
-        self.kernel = kernel
+        # The kernel owns this manager; a weak reference back avoids a cycle,
+        # so a finished run is freed without the cyclic garbage collector.
+        self.kernel = weakref.proxy(kernel)
         self.config = config
         self.log = log
         self.matrix = CostMatrix()
@@ -368,8 +364,13 @@ class ResilienceManager:
     # ------------------------------------------------------------------
     # control logic and response strategies
 
-    def control_logic(self, fault: FaultReport, now: int) -> Decision:
-        """Map a fault to a response: reroute, weaken, or warn."""
+    def control_logic(self, fault: FaultReport, now: int,
+                      ) -> tuple[ResponseAction, RouteResult | None]:
+        """Map a fault to a response: reroute, weaken, or warn.
+
+        Returns the action and the best available route (None when the
+        destination is unreachable).
+        """
         pair = self.store.pair(fault.pair_id)
         route = self._compute_route((pair.src, pair.dst), now,
                                     purpose="fault_response")
@@ -380,27 +381,26 @@ class ResilienceManager:
             action = ResponseAction.RS1_RS2
         else:
             action = ResponseAction.RS3
-        return Decision(fault=fault, action=action, route=route)
+        return action, route
 
     def _respond(self, fault: FaultReport, occurred_at: int, now: int) -> None:
-        decision = self.control_logic(fault, now)
+        action, route = self.control_logic(fault, now)
         self.log.decisions.append(DecisionRecord(
-            at=now, pair_id=fault.pair_id, action=decision.action,
-            cause=fault.cause,
-            best_ed=decision.route.ed if decision.route else None))
+            at=now, pair_id=fault.pair_id, action=action, cause=fault.cause,
+            best_ed=route.ed if route else None))
         pair = self.store.pair(fault.pair_id)
         key = (pair.src, pair.dst)
         detection = now - occurred_at
         recalculation = self.config.recalc_cost
         reassignment = 0
 
-        if decision.action is ResponseAction.RS3:
-            self.execute_rs3(fault, decision, now)
+        if action is ResponseAction.RS3:
+            self.execute_rs3(fault, route, now)
             outcome = RestorationOutcome.RS3_WARNED
         else:
-            reassignment = self.execute_rs1(key, decision.route.path, now)
+            reassignment = self.execute_rs1(key, route.path, now)
             outcome = RestorationOutcome.RS1_APPLIED
-            if decision.action is ResponseAction.RS1_RS2:
+            if action is ResponseAction.RS1_RS2:
                 self.execute_rs2(pair.id, now)
                 outcome = RestorationOutcome.RS2_APPLIED
 
@@ -430,13 +430,13 @@ class ResilienceManager:
         """Switch a pair to its weak contract; no-op when already weak."""
         self.store.switch_active(pair_id, ContractKind.WEAK, now)
 
-    def execute_rs3(self, fault: FaultReport, decision: Decision,
+    def execute_rs3(self, fault: FaultReport, route: RouteResult | None,
                     now: int) -> WarningRecord:
         """Issue a warning; forwarding state is deliberately left alone."""
         pair = self.store.pair(fault.pair_id)
         warning = WarningRecord(
             pair_id=fault.pair_id, at=now,
-            best_ed=decision.route.ed if decision.route else None,
+            best_ed=route.ed if route else None,
             required_ped=pair.active.ped)
         self.log.warnings.append(warning)
         return warning

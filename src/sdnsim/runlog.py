@@ -1,32 +1,25 @@
 """Structured run log: everything a finished simulation leaves behind.
 
-The log is the single source of truth for metric computation; metrics
-recomputed from a serialized log must equal the ones computed online.
+The log is the single source of truth for metric computation.  In memory
+it holds the typed records the kernel and controller append; on disk it is
+JSON lines.  Parsing a serialized log gives back a RunLog whose records
+carry the same attribute names, so metrics recomputed from it must equal
+the ones computed online.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from types import SimpleNamespace
 from typing import Any
 
 
 def record_to_dict(record: Any) -> dict:
-    """Dataclass record to a plain JSON-encodable dict."""
-    def convert(value):
-        if isinstance(value, Enum):
-            return value.value
-        if isinstance(value, tuple):
-            return [convert(v) for v in value]
-        if isinstance(value, list):
-            return [convert(v) for v in value]
-        if dataclasses.is_dataclass(value):
-            return {k: convert(v) for k, v in dataclasses.asdict(value).items()}
-        return value
-
-    return {k: convert(v) for k, v in dataclasses.asdict(record).items()}
+    """Flat record to a JSON-encodable dict; enums become their values."""
+    return {key: value.value if isinstance(value, Enum) else value
+            for key, value in vars(record).items()}
 
 
 @dataclass
@@ -59,12 +52,16 @@ class RunLog:
         return "\n".join(lines) + ("\n" if lines else "")
 
     @staticmethod
-    def parse_jsonl(text: str) -> dict[str, list[dict]]:
-        """Parse a serialized log back into per-stream dict records."""
-        streams: dict[str, list[dict]] = {s: [] for s in RunLog.STREAMS}
+    def parse_jsonl(text: str) -> "RunLog":
+        """Parse a serialized log back into one SimpleNamespace per line:
+        same field names, enums as their values, tuples as lists."""
+        log = RunLog()
         for line in text.splitlines():
             if not line.strip():
                 continue
             payload = json.loads(line)
-            streams[payload.pop("stream")].append(payload)
-        return streams
+            stream = payload.pop("stream")
+            if stream not in RunLog.STREAMS:
+                raise ValueError(f"unknown run-log stream {stream!r}")
+            getattr(log, stream).append(SimpleNamespace(**payload))
+        return log

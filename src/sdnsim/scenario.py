@@ -210,12 +210,25 @@ class Scenario:
 # parser
 
 
-def _parse_kv(tokens: list[str], line_no: int) -> dict[str, str]:
+_RUN_KEYS = ("emulation_time", "estimation_interval", "probe_length",
+             "recalc_cost", "queue_limit", "host_link_delay",
+             "control_latency", "seed", "variant")
+
+
+def _parse_kv(tokens: list[str], line_no: int,
+              allowed: tuple[str, ...]) -> dict[str, str]:
+    """key=value tokens to a dict; unknown and repeated keys are errors."""
     out: dict[str, str] = {}
     for token in tokens:
         if "=" not in token:
             raise ScenarioError(f"line {line_no}: expected key=value, got {token!r}")
         key, value = token.split("=", 1)
+        if key not in allowed:
+            raise ScenarioError(
+                f"line {line_no}: unknown key {key!r} (expected one of "
+                f"{', '.join(allowed)})")
+        if key in out:
+            raise ScenarioError(f"line {line_no}: duplicate key {key!r}")
         out[key] = value
     return out
 
@@ -269,7 +282,9 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
                 if len(tokens) != 2:
                     raise ScenarioError(
                         f"line {line_no}: run entries are 'key value'")
-                run[word] = tokens[1]
+                if word in run:
+                    raise ScenarioError(f"line {line_no}: duplicate key {word!r}")
+                run.update(_parse_kv([f"{word}={tokens[1]}"], line_no, _RUN_KEYS))
         except ScenarioError as exc:
             if str(exc).startswith("line "):
                 raise
@@ -301,13 +316,13 @@ def _parse_topology_line(word, tokens, switches, hosts, links, control,
     elif word == "link":
         if len(tokens) < 3:
             raise ScenarioError(f"line {line_no}: link <a> <b> key=value...")
-        kv = _parse_kv(tokens[3:], line_no)
+        kv = _parse_kv(tokens[3:], line_no, ("capacity", "propagation"))
         links.append(LinkSpec(
             a=tokens[1], b=tokens[2],
             capacity_bps=parse_rate(kv["capacity"]),
             propagation_delay=parse_time(kv.get("propagation", "0ns"))))
     elif word == "control":
-        kv = _parse_kv(tokens[2:], line_no)
+        kv = _parse_kv(tokens[2:], line_no, ("c2s", "s2c"))
         control.per_switch[tokens[1]] = (
             parse_time(kv["c2s"]), parse_time(kv["s2c"]))
     else:
@@ -318,7 +333,7 @@ def _parse_flow_line(word, tokens, line_no) -> Flow:
     if word != "flow" or len(tokens) < 4:
         raise ScenarioError(
             f"line {line_no}: flow <id> <src_host> <dst_host> key=value...")
-    kv = _parse_kv(tokens[4:], line_no)
+    kv = _parse_kv(tokens[4:], line_no, ("packet", "volume", "start", "gap"))
     return Flow(
         id=tokens[1], src_host=tokens[2], dst_host=tokens[3],
         packet_length=parse_size(kv.get("packet", "1500B")),
@@ -331,7 +346,7 @@ def _parse_contract_line(word, tokens, line_no) -> ContractSpec:
     if word != "contract" or len(tokens) < 4:
         raise ScenarioError(
             f"line {line_no}: contract <id> <src> <dst> strong=... [weak=...]")
-    kv = _parse_kv(tokens[4:], line_no)
+    kv = _parse_kv(tokens[4:], line_no, ("strong", "weak"))
     weak = kv.get("weak")
     return ContractSpec(
         pair_id=tokens[1], src=tokens[2], dst=tokens[3],
@@ -339,12 +354,19 @@ def _parse_contract_line(word, tokens, line_no) -> ContractSpec:
         weak_ped=parse_time(weak) if weak is not None else None)
 
 
-def _parse_window(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition("..")
+def _parse_count_window(kv: dict[str, str]) -> tuple[int, tuple[int, int]]:
+    """An auto spec's count and a window wide enough for its master pool."""
+    count = int(kv["count"])
+    if count < 0:
+        raise ScenarioError("count must be non-negative")
+    lo, _, hi = kv["window"].partition("..")
     window = (parse_time(lo), parse_time(hi))
-    if window[0] >= window[1]:
-        raise ScenarioError(f"empty window {text!r}")
-    return window
+    needed = max(count, MASTER_EVENT_POOL)
+    if window[1] - window[0] < needed:
+        raise ScenarioError(
+            f"window {kv['window']!r} holds fewer than {needed} distinct "
+            "event times (ns)")
+    return count, window
 
 
 def _parse_injection_line(word, tokens, line_no):
@@ -363,19 +385,22 @@ def _parse_injection_line(word, tokens, line_no):
                                       factor_ppm=parse_fraction_ppm(tokens[4]))
         raise ScenarioError(f"line {line_no}: unknown injection {action!r}")
     if word == "auto_link_failures":
-        kv = _parse_kv(tokens[1:], line_no)
-        return AutoLinkFailures(count=int(kv["count"]),
-                                window=_parse_window(kv["window"]))
+        kv = _parse_kv(tokens[1:], line_no, ("count", "window"))
+        count, window = _parse_count_window(kv)
+        return AutoLinkFailures(count=count, window=window)
     if word == "auto_ped_changes":
         flags = [t for t in tokens[1:] if "=" not in t]
-        kv = _parse_kv([t for t in tokens[1:] if "=" in t], line_no)
+        if flags not in ([], ["per_pair"]):
+            raise ScenarioError(
+                f"line {line_no}: unknown flags {flags} (only per_pair)")
+        kv = _parse_kv([t for t in tokens[1:] if "=" in t], line_no,
+                       ("count", "window", "factor"))
         lo, _, hi = kv["factor"].partition("..")
         factor = (parse_fraction_ppm(lo), parse_fraction_ppm(hi))
         if factor[0] > factor[1]:
             raise ScenarioError(f"line {line_no}: bad factor range")
-        return AutoPedChanges(count=int(kv["count"]),
-                              window=_parse_window(kv["window"]),
-                              factor_ppm=factor,
+        count, window = _parse_count_window(kv)
+        return AutoPedChanges(count=count, window=window, factor_ppm=factor,
                               per_pair="per_pair" in flags)
     raise ScenarioError(f"line {line_no}: unknown injection entry {word!r}")
 
@@ -462,6 +487,11 @@ def _idle_matrix(topology, probe_bits: int):
 
 def _sorted_times(rng: random.Random, count: int,
                   window: tuple[int, int]) -> list[int]:
+    """count distinct instants drawn from [window[0], window[1])."""
+    if count > window[1] - window[0]:
+        raise ScenarioError(
+            f"cannot draw {count} distinct event times from a "
+            f"{window[1] - window[0]} ns window")
     times: set[int] = set()
     while len(times) < count:
         times.add(rng.randrange(window[0], window[1]))

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sdnsim.contracts import (
+    BoundTimeline,
     ContractError,
     ContractKind,
     ContractStore,
@@ -148,10 +149,12 @@ class TestActivePedTimeline:
         store = store_with(create_contract_pair("C1", "S1", "S8", 5 * MS, 10 * MS))
         store.switch_active("C1", ContractKind.WEAK, 40)
         store.modify("C1", ContractKind.STRONG, 2 * MS, 60)
-        assert store.active_ped_at("C1", 0) == 5 * MS
-        assert store.active_ped_at("C1", 39) == 5 * MS
-        assert store.active_ped_at("C1", 40) == 10 * MS
-        assert store.active_ped_at("C1", 61) == 10 * MS  # weak still active
+        timeline = BoundTimeline(store.ped_changes)
+        assert timeline.at("S1", "S8", 0).active_ped == 5 * MS
+        assert timeline.at("S1", "S8", 39).active_ped == 5 * MS
+        assert timeline.at("S1", "S8", 40).active_ped == 10 * MS
+        # weak still active
+        assert timeline.at("S1", "S8", 61).active_ped == 10 * MS
 
     def test_duplicate_endpoints_rejected(self):
         store = store_with(create_contract_pair("C1", "S1", "S8", 5 * MS))

@@ -79,9 +79,9 @@ class TestLinkCost:
 class TestEstimatePathDelay:
     def test_three_link_path_sums(self):
         matrix = CostMatrix()
-        matrix.set_entry("A", "B", 1 * MS, 0, 0)
-        matrix.set_entry("B", "C", 2 * MS, 0, 0)
-        matrix.set_entry("C", "D", 3 * MS, 0, 0)
+        matrix.set_entry("A", "B", 1 * MS, 0)
+        matrix.set_entry("B", "C", 2 * MS, 0)
+        matrix.set_entry("C", "D", 3 * MS, 0)
         assert estimate_path_delay(["A", "B", "C", "D"], matrix) == 6 * MS
 
     def test_single_switch_path_is_zero(self):
@@ -89,7 +89,7 @@ class TestEstimatePathDelay:
 
     def test_missing_entry_raises(self):
         matrix = CostMatrix()
-        matrix.set_entry("A", "B", 1 * MS, 0, 0)
+        matrix.set_entry("A", "B", 1 * MS, 0)
         with pytest.raises(MissingCostError):
             estimate_path_delay(["A", "B", "C"], matrix)
 
@@ -100,7 +100,7 @@ class TestEstimatePathDelay:
         matrix = CostMatrix()
         path = [f"N{i}" for i in range(len(hops) + 1)]
         for i, (link_delay, td) in enumerate(hops):
-            matrix.set_entry(path[i], path[i + 1], link_delay, td, 0)
+            matrix.set_entry(path[i], path[i + 1], link_delay, td)
         shorter = estimate_path_delay(path[:-1], matrix)
         extension = matrix.cost(path[-2], path[-1])
         assert estimate_path_delay(path, matrix) == shorter + extension

@@ -1,19 +1,23 @@
+import gc
 import json
 import os
 
 import pytest
 
+import sdnsim
+from sdnsim.contracts import ContractKind, FaultCause, PedChange
 from sdnsim.core import MILLISECOND, SECOND
 from sdnsim.harness import (
     compute_restoration_stats,
     compute_success_rate,
     compute_throughput,
     emit_reports,
-    log_streams,
     metrics_from_streams,
     run_experiment,
     run_single,
 )
+from sdnsim.kernel import Kernel, PacketRecord
+from sdnsim.resilience import RestorationOutcome, RestorationRecord
 from sdnsim.runlog import RunLog
 from sdnsim.scenario import load_scenario
 
@@ -21,19 +25,27 @@ MS = MILLISECOND
 
 
 def ped_history(active=5 * MS, strong=5 * MS):
-    return [{"pair_id": "C1", "src": "S1", "dst": "S8", "at": 0,
-             "active_kind": "strong", "active_ped": active,
-             "strong_ped": strong, "weak_ped": 2 * active}]
+    return [PedChange(pair_id="C1", src="S1", dst="S8", at=0,
+                      active_kind=ContractKind.STRONG, active_ped=active,
+                      strong_ped=strong, weak_ped=2 * active)]
 
 
 def packet(seq, delay, sent=SECOND, covered=True, delivered=True,
            length=12_000):
     delivered_at = sent + delay if delivered else None
-    return {"flow_id": "F1", "seq": seq, "pair": ["S1", "S8"],
-            "covered": covered, "length": length, "sent_at": sent,
-            "path": None, "delivered_at": delivered_at,
-            "drop_reason": None if delivered else "link_down",
-            "actual_delay": delay if delivered else None, "queue_wait": 0}
+    return PacketRecord(
+        flow_id="F1", seq=seq, pair=("S1", "S8"), covered=covered,
+        length=length, sent_at=sent, path=None, delivered_at=delivered_at,
+        drop_reason=None if delivered else "link_down",
+        actual_delay=delay if delivered else None, queue_wait=0)
+
+
+def restoration(total):
+    return RestorationRecord(
+        pair_id="C1", cause=FaultCause.LINK_FAILURE, at=20 * SECOND,
+        detection_delay=total - 100_000, recalculation_delay=100_000,
+        reassignment_delay=0, total=total,
+        outcome=RestorationOutcome.RS1_APPLIED)
 
 
 class TestSuccessRate:
@@ -61,9 +73,9 @@ class TestSuccessRate:
 
     def test_scored_against_bound_active_at_delivery(self):
         history = ped_history() + [
-            {"pair_id": "C1", "src": "S1", "dst": "S8", "at": 10 * SECOND,
-             "active_kind": "weak", "active_ped": 9 * MS,
-             "strong_ped": 5 * MS, "weak_ped": 9 * MS}]
+            PedChange(pair_id="C1", src="S1", dst="S8", at=10 * SECOND,
+                      active_kind=ContractKind.WEAK, active_ped=9 * MS,
+                      strong_ped=5 * MS, weak_ped=9 * MS)]
         packets = [packet(0, 7 * MS, sent=SECOND),
                    packet(1, 7 * MS, sent=11 * SECOND)]
         rate, strong = compute_success_rate(packets, history)
@@ -94,13 +106,13 @@ class TestThroughput:
 
     def test_bounded_by_offered_volume(self):
         packets = [packet(i, MS) for i in range(100)]
-        offered = sum(p["length"] for p in packets)
+        offered = sum(p.length for p in packets)
         assert compute_throughput(packets, 10 * SECOND) <= offered
 
 
 class TestRestorationStats:
     def test_mean_and_list(self):
-        records = [{"total": 300_000}, {"total": 500_000}]
+        records = [restoration(300_000), restoration(500_000)]
         mean, totals = compute_restoration_stats(records)
         assert mean == 400_000.0
         assert totals == [300_000, 500_000]
@@ -136,6 +148,35 @@ class TestRunSingle:
         replayed = metrics_from_streams(
             streams, run.variant, run.seed, ring_scenario.emulation_time)
         assert replayed == online
+
+    def test_serialized_log_round_trips_byte_for_byte(self):
+        # Link failures and bound changes together: every enum-bearing
+        # stream (notifications, faults, decisions, restorations,
+        # assumption notes, ped changes, ped-change injections) is filled.
+        scenario = load_scenario("scenarios/industrial_ring_mixed.scn")
+        run = run_single(scenario.with_flow_count(2), "RM", 1)
+        for stream in RunLog.STREAMS:
+            if stream != "warnings":
+                assert getattr(run.log, stream), stream
+        assert any(change.at > 0 for change in run.log.ped_changes)
+        text = run.log.to_jsonl()
+        parsed = RunLog.parse_jsonl(text)
+        assert parsed.to_jsonl() == text
+        replayed = metrics_from_streams(
+            parsed, run.variant, run.seed, scenario.emulation_time)
+        assert replayed == run.metrics
+
+    def test_finished_run_is_freed_without_the_cyclic_collector(
+            self, ring_scenario):
+        gc.collect()
+        gc.disable()
+        try:
+            run_single(ring_scenario.with_flow_count(1), "RM", 1,
+                       keep_log=False)
+            alive = [o for o in gc.get_objects() if isinstance(o, Kernel)]
+        finally:
+            gc.enable()
+        assert alive == []
 
     def test_variant_and_seed_recorded(self, ring_scenario):
         run = run_single(ring_scenario.with_flow_count(2), "woRM", 9)
@@ -196,6 +237,7 @@ class TestEmitReports:
         assert manifest["seeds"] == [1, 2]
         assert manifest["variants"] == ["SDN-RM"]
         assert len(manifest["scenario_sha256"]) == 64
+        assert manifest["version"] == sdnsim.__version__
 
     def test_single_run_csv_has_one_value_column(self, ring_scenario, tmp_path):
         scenario = ring_scenario.with_flow_count(2)

@@ -21,7 +21,6 @@ from sdnsim.kernel import (
 )
 from sdnsim.contracts import create_contract_pair
 from sdnsim.resilience import variant_by_name
-from sdnsim.runlog import record_to_dict
 
 from conftest import GBPS, MBPS
 
@@ -224,6 +223,6 @@ class TestDeterminism:
             kernel.setup(5 * SECOND,
                          [LinkDownInjection(at=1_300 * MS, a="S2", b="S3")])
             kernel.run_until(5 * SECOND)
-            return [record_to_dict(r) for r in kernel.log.packets]
+            return kernel.log.packets
 
         assert run() == run()

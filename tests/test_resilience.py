@@ -1,6 +1,11 @@
 import pytest
 
-from sdnsim.contracts import ContractKind, FaultCause, create_contract_pair
+from sdnsim.contracts import (
+    BoundTimeline,
+    ContractKind,
+    FaultCause,
+    create_contract_pair,
+)
 from sdnsim.core import (
     ControlChannel,
     Flow,
@@ -289,8 +294,9 @@ class TestRecoveryAndReinstatement:
         assert kernel.forwarding_path(("S1", "S8"), 60 * SECOND) == ROUTE_0
         # Reinstatement trails re-adoption by one cycle: weak was still
         # active at 40 s, strong again from 50 s.
-        assert kernel.store.active_ped_at("C1", 40 * SECOND + 1) == 12 * MS
-        assert kernel.store.active_ped_at("C1", 50 * SECOND + 1) == 3_200_000
+        timeline = BoundTimeline(kernel.log.ped_changes)
+        assert timeline.at("S1", "S8", 40 * SECOND + 1).active_ped == 12 * MS
+        assert timeline.at("S1", "S8", 50 * SECOND + 1).active_ped == 3_200_000
 
     def test_parallel_reassignment_uses_slowest_switch(self):
         kernel = ring_kernel(

@@ -53,8 +53,8 @@ def triangle():
     costs = CostMatrix()
     for a, b, delay in (("A", "B", 5 * MS), ("B", "C", 5 * MS),
                         ("A", "C", 12 * MS)):
-        costs.set_entry(a, b, delay, 0, 0)
-        costs.set_entry(b, a, delay, 0, 0)
+        costs.set_entry(a, b, delay, 0)
+        costs.set_entry(b, a, delay, 0)
     return topology, costs
 
 
@@ -70,7 +70,7 @@ def random_instance(rng):
     for link in topology.links():
         for src, dst in ((link.a, link.b), (link.b, link.a)):
             costs.set_entry(src, dst, rng.randint(1, 10_000_000),
-                            rng.randint(0, 20_000), 0)
+                            rng.randint(0, 20_000))
     return topology, costs
 
 
@@ -108,9 +108,9 @@ class TestFindPath:
                              LinkSpec("A", "C", GBPS, 0)))
         topology = build_topology(spec)
         costs = CostMatrix()
-        costs.set_entry("A", "B", 5 * MS, 0, 0)
-        costs.set_entry("B", "C", 5 * MS, 0, 0)
-        costs.set_entry("A", "C", 10 * MS, 0, 0)
+        costs.set_entry("A", "B", 5 * MS, 0)
+        costs.set_entry("B", "C", 5 * MS, 0)
+        costs.set_entry("A", "C", 10 * MS, 0)
         result = find_path(topology, costs, "A", "C")
         assert result.path == ("A", "C")
 
@@ -124,8 +124,8 @@ class TestFindPath:
         topology = build_topology(spec)
         costs = CostMatrix()
         for a, b in (("A", "B"), ("B", "D"), ("A", "C"), ("C", "D")):
-            costs.set_entry(a, b, 5 * MS, 0, 0)
-            costs.set_entry(b, a, 5 * MS, 0, 0)
+            costs.set_entry(a, b, 5 * MS, 0)
+            costs.set_entry(b, a, 5 * MS, 0)
         result = find_path(topology, costs, "A", "D")
         assert result.path == ("A", "B", "D")
 

@@ -124,6 +124,100 @@ class TestParser:
             parse_scenario(text)
 
 
+def line_of(text, line):
+    return text.splitlines().index(line) + 1
+
+
+class TestStrictInput:
+    """Typos and inputs the kernel would mishandle fail at parse time."""
+
+    def test_unknown_run_key(self):
+        text = MINIMAL + "estimation_intervall 1s\n"
+        line = line_of(text, "estimation_intervall 1s")
+        with pytest.raises(ScenarioError,
+                           match=f"line {line}: unknown key "
+                                 "'estimation_intervall'"):
+            parse_scenario(text)
+
+    def test_duplicate_run_key(self):
+        text = MINIMAL + "emulation_time 40s\n"
+        line = line_of(text, "emulation_time 40s")
+        with pytest.raises(ScenarioError,
+                           match=f"line {line}: duplicate key"):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("volume=1Mb", "pakcet=9000B volume=1Mb", "pakcet"),
+        ("propagation=1ms", "propagation=1ms delay=1ms", "delay"),
+        ("host H2 S2", "host H2 S2\ncontrol S1 c2s=1ms s2c=1ms c2x=1ms",
+         "c2x"),
+    ])
+    def test_unknown_key_on_entry(self, old, new, key):
+        text = MINIMAL.replace(old, new)
+        line = line_of(text, next(l for l in text.splitlines() if key in l))
+        with pytest.raises(ScenarioError,
+                           match=f"line {line}: unknown key '{key}'"):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize("entry, key", [
+        ("contract C1 S1 S2 strong=5ms waek=9ms", "waek"),
+        ("auto_link_failures count=1 window=5s..20s cuont=2", "cuont"),
+        ("auto_ped_changes count=1 window=5s..20s factor=0.5..0.9 fator=1",
+         "fator"),
+    ])
+    def test_unknown_key_on_contract_and_auto_lines(self, entry, key):
+        section = "contracts" if entry.startswith("contract") else "injections"
+        text = (MINIMAL + "\n[contracts]\ncontract C0 S1 S2 strong=5ms\n"
+                + f"\n[{section}]\n{entry}\n")
+        with pytest.raises(ScenarioError,
+                           match=f"line {line_of(text, entry)}: unknown key "
+                                 f"'{key}'"):
+            parse_scenario(text)
+
+    def test_unknown_flag_on_auto_ped_changes(self):
+        entry = "auto_ped_changes count=1 window=5s..20s factor=0.5..0.9 perpair"
+        text = (MINIMAL + "\n[contracts]\ncontract C1 S1 S2 strong=5ms\n"
+                + f"\n[injections]\n{entry}\n")
+        with pytest.raises(ScenarioError,
+                           match=f"line {line_of(text, entry)}: unknown flags"):
+            parse_scenario(text)
+
+    def test_duplicate_key(self):
+        text = MINIMAL.replace("gap=10ms", "gap=10ms gap=20ms")
+        with pytest.raises(ScenarioError,
+                           match="line 9: duplicate key 'gap'"):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize("gap", [" gap=0s", ""])
+    def test_multi_packet_flow_needs_a_positive_gap(self, gap):
+        text = MINIMAL.replace(" gap=10ms", gap)
+        with pytest.raises(ScenarioError, match="line 9: .*gap must be"):
+            parse_scenario(text)
+
+    def test_single_packet_flow_needs_no_gap(self):
+        text = MINIMAL.replace("volume=1Mb start=1s gap=10ms",
+                               "volume=1500B start=1s")
+        assert parse_scenario(text).flows[0].inter_packet_gap == 0
+
+    def test_window_narrower_than_master_pool_rejected(self):
+        with open("scenarios/linear_chain.scn", encoding="utf-8") as handle:
+            text = handle.read()
+        entry = "auto_link_failures count=1 window=15s..15000000004ns"
+        text += f"\n[injections]\n{entry}\n"
+        with pytest.raises(ScenarioError,
+                           match=f"line {line_of(text, entry)}: window"):
+            parse_scenario(text)
+
+    def test_count_beyond_window_width_raises_instead_of_hanging(self):
+        with open("scenarios/industrial_ring_e1.scn", encoding="utf-8") as handle:
+            text = handle.read().replace("window=15s..140s",
+                                         "window=15s..15000000008ns")
+        scenario = parse_scenario(text)  # 8 ns hold the 8-event master pool
+        assert len(materialize_injections(scenario, 1)) == 4
+        with pytest.raises(ScenarioError, match="cannot draw 9"):
+            materialize_injections(scenario.with_event_count(9), 1)
+
+
 class TestSweepSlicing:
     def test_flow_count_takes_prefix(self):
         scenario = load_scenario("scenarios/industrial_ring_e1.scn")
