@@ -52,6 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="directory for CSV reports and the manifest")
     run.add_argument("--eq1-raw-mode", action="store_true",
                      help="use the undivided estimator residual")
+    run.add_argument("--debug", action="store_true",
+                     help="re-raise errors with their traceback instead of "
+                          "printing a one-line message")
     return parser
 
 
@@ -74,6 +77,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scenario = load_scenario(args.scenario)
     except (ScenarioError, ValueError) as exc:
+        if args.debug:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
     seeds = list(range(scenario.seed, scenario.seed + args.seeds))
@@ -81,6 +86,8 @@ def main(argv: list[str] | None = None) -> int:
         result = run_experiment(scenario, args.variants, seeds,
                                 sweep=args.sweep, eq1_raw=args.eq1_raw_mode)
     except Exception as exc:  # surface run failures as nonzero exit
+        if args.debug:
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:

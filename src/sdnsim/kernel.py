@@ -7,6 +7,18 @@ hop, the sender's serialization delay, FIFO waiting when the egress is
 busy, and the link's propagation delay.  A packet in flight on a link at
 the moment the link goes down is dropped, as is a packet whose egress
 backlog exceeds the configured queue limit.
+
+Hop plans.  A packet does not look its links up hop by hop: when it is
+sent, the kernel resolves its path once into a plan, one tuple per hop of
+(Link, egress (a, b), link key, transmission delay, propagation delay),
+and caches the plan per (path, packet length).  The cache stays valid for
+the whole run because a Topology changes only through set_link_state:
+capacities and propagation delays are fixed at build time, and a plan
+holds the live Link objects, so a hop still sees the link's current state.
+
+Heap entries are (time, sequence, action, argument).  The kernel schedules
+bound methods with the packet, flow or injection as their argument, so no
+closure is built per event; every event still goes through schedule_call.
 """
 
 from __future__ import annotations
@@ -14,12 +26,13 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 from .contracts import ContractKind, ContractPair, ContractStore
 from .core import (
     ControlChannel,
     Flow,
+    Link,
     LinkState,
     SimConfig,
     SwitchId,
@@ -108,11 +121,26 @@ class _FlowState:
     started: bool = False
 
 
-@dataclass
+# One hop of a plan: (link, egress (a, b), link.key, transmission delay,
+# propagation delay).
+_Hop = tuple[Link, tuple[SwitchId, SwitchId], tuple[SwitchId, SwitchId],
+             int, int]
+
+# Marks a heap entry whose action takes the event time alone.
+_NO_ARG = object()
+
+
 class _Packet:
-    record: PacketRecord
-    length: int
-    hop: int = 0
+    """A packet in flight: its record, hop plan, current hop index and the
+    time it entered that hop."""
+
+    __slots__ = ("record", "hops", "hop", "entered")
+
+    def __init__(self, record: PacketRecord, hops: tuple[_Hop, ...]) -> None:
+        self.record = record
+        self.hops = hops
+        self.hop = 0
+        self.entered = 0
 
 
 class Kernel:
@@ -127,12 +155,14 @@ class Kernel:
         self.control = control
         self.log = log if log is not None else RunLog()
         self.now = 0
-        self._queue: list[tuple[int, int, Callable[[int], None]]] = []
+        self._queue: list[tuple[int, int, Callable[..., None], Any]] = []
         self._seq = itertools.count()
         self._egress_free: dict[tuple[SwitchId, SwitchId], int] = {}
         self._last_down: dict[tuple[SwitchId, SwitchId], int] = {}
         self._forwarding: dict[tuple[SwitchId, SwitchId],
                                list[tuple[int, tuple[SwitchId, ...]]]] = {}
+        self._plans: dict[tuple[tuple[SwitchId, ...], int],
+                          tuple[_Hop, ...]] = {}
         self._flows = {flow.id: _FlowState(flow) for flow in flows}
 
         self.store = ContractStore()
@@ -155,17 +185,18 @@ class Kernel:
             self.schedule_call(t, self.controller.on_cycle_boundary)
             t += self.config.estimation_interval
         for state in self._flows.values():
-            self.schedule_call(state.flow.start_time,
-                               lambda at, s=state: self._flow_tick(s, at))
+            self.schedule_call(state.flow.start_time, self._flow_tick, state)
         self.inject_schedule(injections)
 
     # ------------------------------------------------------------------
     # scheduling
 
-    def schedule_call(self, at: int, action: Callable[[int], None]) -> None:
+    def schedule_call(self, at: int, action: Callable[..., None],
+                      arg: Any = _NO_ARG) -> None:
+        """Run action(at), or action(arg, at) when arg is given, at time at."""
         if at < self.now:
             raise ScheduleError(f"cannot schedule at {at} before now {self.now}")
-        heapq.heappush(self._queue, (at, next(self._seq), action))
+        heapq.heappush(self._queue, (at, next(self._seq), action, arg))
 
     def inject_schedule(self, injections: list[Injection]) -> None:
         """Validate and enqueue external events (E1 link toggles, E2 changes)."""
@@ -177,7 +208,7 @@ class Kernel:
             elif isinstance(inj, PedChangeInjection):
                 self.store.pair(inj.pair_id)  # raises for unknown pairs
             self.log.injections.append(inj)
-            self.schedule_call(inj.at, lambda at, i=inj: self._apply_injection(i, at))
+            self.schedule_call(inj.at, self._apply_injection, inj)
 
     # ------------------------------------------------------------------
     # main loop
@@ -189,10 +220,14 @@ class Kernel:
         closes count as dropped; the measurement window ended before they
         arrived.
         """
-        while self._queue and self._queue[0][0] <= t_end:
-            at, _, action = heapq.heappop(self._queue)
+        queue, pop = self._queue, heapq.heappop
+        while queue and queue[0][0] <= t_end:
+            at, _, action, arg = pop(queue)
             self.now = at
-            action(at)
+            if arg is _NO_ARG:
+                action(at)
+            else:
+                action(arg, at)
         self.now = t_end
         self._queue.clear()
         for record in self.log.packets:
@@ -258,8 +293,8 @@ class Kernel:
         state.next_seq += 1
         # Flow guarantees a positive gap whenever another packet fits.
         if state.bits_sent + flow.packet_length <= flow.total_volume:
-            self.schedule_call(at + flow.inter_packet_gap,
-                               lambda t, s=state: self._flow_tick(s, t))
+            self.schedule_call(at + flow.inter_packet_gap, self._flow_tick,
+                               state)
 
     def _send_packet(self, state: _FlowState, at: int) -> None:
         flow = state.flow
@@ -275,42 +310,48 @@ class Kernel:
         if path is None:
             record.drop_reason = "no_route"
             return
-        packet = _Packet(record=record, length=flow.packet_length)
+        packet = _Packet(record, self._hop_plan(path, flow.packet_length))
         ingress_at = at + self.config.host_link_delay
-        self.schedule_call(ingress_at, lambda t, p=packet: self._start_hop(p, t))
+        self.schedule_call(ingress_at, self._start_hop, packet)
+
+    def _hop_plan(self, path: tuple[SwitchId, ...],
+                  length: int) -> tuple[_Hop, ...]:
+        """The hops of path for a packet of length bits, resolved once."""
+        plan = self._plans.get((path, length))
+        if plan is None:
+            hops = []
+            for a, b in zip(path, path[1:]):
+                link = self.topology.link_between(a, b)
+                hops.append((link, (a, b), link.key,
+                             transmission_delay(length, link.capacity_bps),
+                             link.propagation_delay))
+            plan = self._plans[(path, length)] = tuple(hops)
+        return plan
 
     def _start_hop(self, packet: _Packet, at: int) -> None:
-        path = packet.record.path
-        if packet.hop >= len(path) - 1:
+        if packet.hop == len(packet.hops):
             self._deliver(packet, at)
             return
-        a, b = path[packet.hop], path[packet.hop + 1]
-        link = self.topology.link_between(a, b)
-        if not link.is_up:
+        link, egress, _, td, propagation = packet.hops[packet.hop]
+        if link.state is not LinkState.UP:
             packet.record.drop_reason = "link_down"
             return
-        td = transmission_delay(packet.length, link.capacity_bps)
-        free = self._egress_free.get((a, b), 0)
-        start = max(at, free)
+        free = self._egress_free.get(egress, 0)
+        start = at if at >= free else free
         wait = start - at
         if wait > self.config.queue_limit:
             packet.record.drop_reason = "queue_overflow"
             return
-        self._egress_free[(a, b)] = start + td
+        self._egress_free[egress] = start + td
         packet.record.queue_wait += wait
-        arrive = start + td + link.propagation_delay
-        self.schedule_call(
-            arrive,
-            lambda t, p=packet, lk=link.key, e=at: self._hop_arrival(p, lk, e, t))
+        packet.entered = at
+        self.schedule_call(start + td + propagation, self._hop_arrival, packet)
 
-    def _hop_arrival(self, packet: _Packet,
-                     link_key: tuple[SwitchId, SwitchId], entered: int,
-                     at: int) -> None:
-        went_down = self._last_down.get(link_key)
-        if went_down is not None and entered <= went_down < at:
-            packet.record.drop_reason = "link_down"
-            return
-        if not self.topology.link_between(*link_key).is_up:
+    def _hop_arrival(self, packet: _Packet, at: int) -> None:
+        link, _, key, _, _ = packet.hops[packet.hop]
+        went_down = self._last_down.get(key)
+        if (link.state is not LinkState.UP
+                or went_down is not None and packet.entered <= went_down < at):
             packet.record.drop_reason = "link_down"
             return
         packet.hop += 1

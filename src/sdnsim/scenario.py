@@ -60,6 +60,7 @@ from .core import (
     SimConfig,
     TopologySpec,
     build_topology,
+    link_key,
 )
 from .delay_estimation import run_estimation_cycle
 from .kernel import (
@@ -68,6 +69,7 @@ from .kernel import (
     LinkUpInjection,
     PedChangeInjection,
 )
+from .resilience import variant_by_name
 from .routing import NoPathError, find_path
 
 # Master schedules are generated at this length; requested counts take a
@@ -185,7 +187,12 @@ class Scenario:
         return replace(self, flows=self.flows[:count])
 
     def with_event_count(self, count: int) -> "Scenario":
-        """Scale injected events; auto schedules nest chronologically."""
+        """Scale injected events; auto schedules nest chronologically.
+
+        Without auto specs the explicit injections are cut to their first
+        count events in time, where a link_down and the link_up that ends
+        it are one event, so a cut never leaves a link down for good.
+        """
         if count < 0:
             raise ScenarioError("event count must be non-negative")
         auto_e1 = self.auto_link_failures
@@ -196,7 +203,7 @@ class Scenario:
         if auto_e2 is not None:
             auto_e2 = replace(auto_e2, count=count)
         if auto_e1 is None and auto_e2 is None:
-            explicit = tuple(explicit[:count])
+            explicit = _first_events(explicit, count)
         return replace(self, auto_link_failures=auto_e1,
                        auto_ped_changes=auto_e2,
                        explicit_injections=explicit)
@@ -206,13 +213,65 @@ class Scenario:
                                      c.weak_ped) for c in self.contracts]
 
 
+def _first_events(injections: tuple[Injection, ...],
+                  count: int) -> tuple[Injection, ...]:
+    """The injections of the chronologically first count events, in their
+    original order.  A link_up joins the event of the open link_down of
+    the same link; any other injection is an event of its own."""
+    events: list[list[int]] = []
+    open_down: dict[tuple[str, str], list[int]] = {}
+    order = sorted(range(len(injections)), key=lambda i: injections[i].at)
+    for index in order:
+        inj = injections[index]
+        if isinstance(inj, LinkUpInjection) and \
+                link_key(inj.a, inj.b) in open_down:
+            open_down.pop(link_key(inj.a, inj.b)).append(index)
+            continue
+        events.append([index])
+        if isinstance(inj, LinkDownInjection):
+            open_down.setdefault(link_key(inj.a, inj.b), events[-1])
+    kept = {index for event in events[:count] for index in event}
+    return tuple(inj for index, inj in enumerate(injections) if index in kept)
+
+
 # ---------------------------------------------------------------------------
 # parser
 
 
-_RUN_KEYS = ("emulation_time", "estimation_interval", "probe_length",
-             "recalc_cost", "queue_limit", "host_link_delay",
-             "control_latency", "seed", "variant")
+def _positive_time(text: str) -> int:
+    value = parse_time(text)
+    if value <= 0:
+        raise ScenarioError(f"time {text!r} must be positive")
+    return value
+
+
+def _variant_name(name: str) -> str:
+    variant_by_name(name)  # raises for unknown names
+    return name
+
+
+# [run] keys and the parser of each value; values are parsed on their own
+# line, so a bad value is reported with its line number.
+_RUN_PARSERS = {
+    "emulation_time": parse_time,
+    "estimation_interval": _positive_time,
+    "probe_length": parse_size,
+    "recalc_cost": parse_time,
+    "queue_limit": parse_time,
+    "host_link_delay": parse_time,
+    "control_latency": parse_time,
+    "seed": int,
+    "variant": _variant_name,
+}
+
+# [run] keys that set a SimConfig field; SimConfig holds their defaults.
+_CONFIG_FIELDS = {
+    "estimation_interval": "estimation_interval",
+    "probe_length": "probe_length_bits",
+    "recalc_cost": "recalc_cost",
+    "queue_limit": "queue_limit",
+    "host_link_delay": "host_link_delay",
+}
 
 
 def _parse_kv(tokens: list[str], line_no: int,
@@ -243,7 +302,7 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
     explicit: list[Injection] = []
     auto_e1: AutoLinkFailures | None = None
     auto_e2: AutoPedChanges | None = None
-    run: dict[str, str] = {}
+    run: dict[str, int | str] = {}
     seen_sections: set[str] = set()
 
     section = None
@@ -273,8 +332,12 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
             elif section == "injections":
                 parsed = _parse_injection_line(word, tokens, line_no)
                 if isinstance(parsed, AutoLinkFailures):
+                    if auto_e1 is not None:
+                        raise ScenarioError(f"second {word} line")
                     auto_e1 = parsed
                 elif isinstance(parsed, AutoPedChanges):
+                    if auto_e2 is not None:
+                        raise ScenarioError(f"second {word} line")
                     auto_e2 = parsed
                 else:
                     explicit.append(parsed)
@@ -284,7 +347,8 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
                         f"line {line_no}: run entries are 'key value'")
                 if word in run:
                     raise ScenarioError(f"line {line_no}: duplicate key {word!r}")
-                run.update(_parse_kv([f"{word}={tokens[1]}"], line_no, _RUN_KEYS))
+                _parse_kv([f"{word}={tokens[1]}"], line_no, tuple(_RUN_PARSERS))
+                run[word] = _RUN_PARSERS[word](tokens[1])
         except ScenarioError as exc:
             if str(exc).startswith("line "):
                 raise
@@ -295,6 +359,8 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
     for required in ("topology", "flows", "run"):
         if required not in seen_sections:
             raise ScenarioError(f"missing required section [{required}]")
+    if "emulation_time" not in run:
+        raise ScenarioError("[run] needs emulation_time")
 
     topology_spec = TopologySpec(tuple(switches), tuple(hosts), tuple(links))
     scenario = _assemble(name, text, topology_spec, control, flows, contracts,
@@ -308,7 +374,9 @@ def _parse_topology_line(word, tokens, switches, hosts, links, control,
     if word == "switches":
         switches.extend(tokens[1:])
     elif word == "switch":
-        switches.extend(tokens[1:2])
+        if len(tokens) != 2:
+            raise ScenarioError(f"line {line_no}: switch <id> (one per line)")
+        switches.append(tokens[1])
     elif word == "host":
         if len(tokens) != 3:
             raise ScenarioError(f"line {line_no}: host <id> <switch>")
@@ -371,6 +439,9 @@ def _parse_count_window(kv: dict[str, str]) -> tuple[int, tuple[int, int]]:
 
 def _parse_injection_line(word, tokens, line_no):
     if word == "at":
+        if len(tokens) != 5:
+            raise ScenarioError(
+                f"line {line_no}: at <time> <action> <arg> <arg>")
         at = parse_time(tokens[1])
         action = tokens[2]
         if action == "link_down":
@@ -407,18 +478,13 @@ def _parse_injection_line(word, tokens, line_no):
 
 def _assemble(name, text, topology_spec, control, flows, contracts, explicit,
               auto_e1, auto_e2, run) -> Scenario:
-    config = SimConfig(
-        estimation_interval=parse_time(run.get("estimation_interval", "10s")),
-        probe_length_bits=parse_size(run.get("probe_length", "1500B")),
-        recalc_cost=parse_time(run.get("recalc_cost", "0.1ms")),
-        queue_limit=parse_time(run.get("queue_limit", "5ms")),
-        host_link_delay=parse_time(run.get("host_link_delay", "0ns")),
-    )
+    config = SimConfig(**{field: run[key]
+                          for key, field in _CONFIG_FIELDS.items()
+                          if key in run})
     latency = run.get("control_latency")
     if latency is not None:
-        ns = parse_time(latency)
-        control.default_c2s = ns
-        control.default_s2c = ns
+        control.default_c2s = latency
+        control.default_s2c = latency
     return Scenario(
         name=name,
         topology_spec=topology_spec,
@@ -428,9 +494,9 @@ def _assemble(name, text, topology_spec, control, flows, contracts, explicit,
         explicit_injections=tuple(explicit),
         auto_link_failures=auto_e1,
         auto_ped_changes=auto_e2,
-        emulation_time=parse_time(run["emulation_time"]),
+        emulation_time=run["emulation_time"],
         config=config,
-        seed=int(run.get("seed", "1")),
+        seed=run.get("seed", 1),
         variant=run.get("variant", "SDN-RM"),
         source_text=text,
     )

@@ -2,7 +2,9 @@ import os
 
 import pytest
 
+from sdnsim import cli
 from sdnsim.cli import main
+from sdnsim.scenario import ScenarioError
 
 
 def test_run_with_output_directory(tmp_path, capsys):
@@ -35,6 +37,24 @@ def test_bad_scenario_is_validation_error(tmp_path, capsys):
     bad.write_text("[topology]\nswitches S1\nlink S1 S9 capacity=1Gbps\n")
     code = main(["run", str(bad)])
     assert code == 2
+
+
+@pytest.mark.parametrize("scenario, error", [
+    ("scenarios/nope.scn", ScenarioError),
+    ("scenarios/linear_chain.scn", ValueError),
+])
+def test_debug_reraises_instead_of_one_line_message(scenario, error, capsys,
+                                                     monkeypatch):
+    def fail(*args, **kwargs):
+        raise ValueError("run failed")
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    args = ["run", scenario, "--variants", "RM", "--seeds", "1"]
+    assert main(args) in (1, 2)
+    assert "error:" in capsys.readouterr().err
+    with pytest.raises(error):
+        main(args + ["--debug"])
+    assert capsys.readouterr().err == ""
 
 
 def test_unknown_variant_rejected_by_parser(capsys):

@@ -1,0 +1,141 @@
+"""Kernel invariants over random small chains and rings.
+
+Random flows cross random chains and rings while links go down and come
+back up, so packets follow hop plans across link flaps and reroutes.  The
+invariants are checked against the topology spec, not the kernel's own
+state:
+
+- every packet is delivered xor dropped, with a known drop reason;
+- a delivered packet took at least the propagation plus transmission
+  delay of every hop on its path, plus the two host access links;
+- scheduling before the current time raises ScheduleError, mid-run and
+  after the horizon, in both forms of schedule_call.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sdnsim.contracts import create_contract_pair
+from sdnsim.core import (
+    ControlChannel,
+    Flow,
+    LinkSpec,
+    MICROSECOND,
+    MILLISECOND,
+    SECOND,
+    SimConfig,
+    TopologySpec,
+    build_topology,
+    transmission_delay,
+)
+from sdnsim.kernel import (
+    Kernel,
+    LinkDownInjection,
+    LinkUpInjection,
+    ScheduleError,
+)
+from sdnsim.resilience import VARIANT_ALIASES, variant_by_name
+
+MS = MILLISECOND
+HORIZON = 3 * SECOND
+DROP_REASONS = {"no_route", "link_down", "queue_overflow", "end_of_run"}
+CAPACITIES = (1_000_000, 10_000_000, 100_000_000, 1_000_000_000)
+
+
+@st.composite
+def networks(draw):
+    """(TopologySpec, flows, contract pairs, injections, variant, config)."""
+    n = draw(st.integers(2, 6))
+    ring = n >= 3 and draw(st.booleans())
+    switches = tuple(f"S{i}" for i in range(1, n + 1))
+    ends = [(f"S{i}", f"S{i + 1}") for i in range(1, n)]
+    if ring:
+        ends.append((f"S{n}", "S1"))
+    links = tuple(LinkSpec(a, b, draw(st.sampled_from(CAPACITIES)),
+                           draw(st.integers(0, 2 * MS)))
+                  for a, b in ends)
+    hosts = tuple((f"H{i}", f"S{i}") for i in range(1, n + 1))
+
+    flows = []
+    for index in range(draw(st.integers(1, 4))):
+        src, dst = draw(st.lists(st.sampled_from([h for h, _ in hosts]),
+                                 min_size=2, max_size=2, unique=True))
+        length = draw(st.integers(1_000, 12_000))
+        count = draw(st.integers(1, 30))
+        flows.append(Flow(
+            id=f"F{index}", src_host=src, dst_host=dst, packet_length=length,
+            total_volume=count * length,
+            start_time=draw(st.integers(0, SECOND)),
+            inter_packet_gap=0 if count == 1 else draw(
+                st.integers(MICROSECOND, 50 * MS))))
+
+    first = flows[0]
+    contracts = [create_contract_pair(
+        "C1", dict(hosts)[first.src_host], dict(hosts)[first.dst_host],
+        draw(st.integers(MS, 20 * MS)))]
+
+    injections = []
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = draw(st.sampled_from(ends))
+        down = draw(st.integers(0, HORIZON))
+        injections.append(LinkDownInjection(at=down, a=a, b=b))
+        if draw(st.booleans()):
+            injections.append(LinkUpInjection(
+                at=down + draw(st.integers(0, SECOND)), a=a, b=b))
+    injections.sort(key=lambda inj: inj.at)
+
+    variant = draw(st.sampled_from(sorted(VARIANT_ALIASES)))
+    config = SimConfig(estimation_interval=SECOND,
+                       queue_limit=draw(st.integers(0, 5 * MS)),
+                       host_link_delay=draw(st.integers(0, MS)))
+    return (TopologySpec(switches, hosts, links), flows, contracts,
+            injections, variant, config)
+
+
+def path_floor(spec, path, length, host_link_delay):
+    """Smallest possible delay of a packet along path: no queueing."""
+    links = {frozenset((ls.a, ls.b)): ls for ls in spec.links}
+    floor = 2 * host_link_delay
+    for a, b in zip(path, path[1:]):
+        link = links[frozenset((a, b))]
+        floor += link.propagation_delay + transmission_delay(
+            length, link.capacity_bps)
+    return floor
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks(), st.integers(0, HORIZON))
+def test_packets_delivered_xor_dropped_no_faster_than_their_path(
+        network, probe_at):
+    spec, flows, contracts, injections, variant, config = network
+    kernel = Kernel(build_topology(spec), flows, contracts,
+                    variant_by_name(variant), config, ControlChannel())
+    kernel.setup(HORIZON, injections)
+
+    rejected = []
+
+    def schedule_into_the_past(at):
+        for extra in ((), ("arg",)):
+            with pytest.raises(ScheduleError):
+                kernel.schedule_call(at - 1, lambda *args: None, *extra)
+        rejected.append(at)
+
+    kernel.schedule_call(probe_at, schedule_into_the_past)
+    kernel.run_until(HORIZON)
+
+    assert rejected == [probe_at]
+    with pytest.raises(ScheduleError):
+        kernel.schedule_call(HORIZON - 1, lambda at: None)
+
+    lengths = {flow.id: flow.packet_length for flow in flows}
+    assert len(kernel.log.packets) > 0
+    for record in kernel.log.packets:
+        delivered = record.delivered_at is not None
+        assert delivered != (record.drop_reason is not None)
+        if not delivered:
+            assert record.drop_reason in DROP_REASONS
+            continue
+        assert record.length == lengths[record.flow_id]
+        assert record.actual_delay == record.delivered_at - record.sent_at
+        assert record.actual_delay >= path_floor(
+            spec, record.path, record.length, config.host_link_delay)

@@ -208,6 +208,48 @@ class TestStrictInput:
                            match=f"line {line_of(text, entry)}: window"):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("old, new, bad", [
+        ("host H1 S1", "host H1 S1\nswitch S11 S12", "switch S11 S12"),
+        ("emulation_time 30s",
+         "emulation_time 30s\n\n[injections]\nat 20s link_down S1 S2 S3",
+         "at 20s link_down S1 S2 S3"),
+    ])
+    def test_surplus_tokens(self, old, new, bad):
+        text = MINIMAL.replace(old, new)
+        with pytest.raises(ScenarioError, match=f"line {line_of(text, bad)}: "):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize("entry", [
+        "auto_link_failures count=2 window=20s..29s",
+        "auto_ped_changes count=2 window=20s..29s factor=0.5..0.9",
+    ])
+    def test_second_auto_line_rejected(self, entry):
+        text = (MINIMAL + "\n[contracts]\ncontract C1 S1 S2 strong=5ms\n"
+                + f"\n[injections]\n{entry.replace('count=2', 'count=1')}\n"
+                + f"{entry}\n")
+        with pytest.raises(ScenarioError,
+                           match=f"line {line_of(text, entry)}: second"):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize("old, new", [
+        ("emulation_time 30s", "emulation_time 150x"),
+        ("emulation_time 30s", "emulation_time 30s\nestimation_interval 0s"),
+        ("emulation_time 30s", "emulation_time 30s\nprobe_length 1500"),
+        ("emulation_time 30s", "emulation_time 30s\nseed one"),
+        ("emulation_time 30s", "emulation_time 30s\nvariant SDN-XX"),
+        ("emulation_time 30s", "emulation_time 30s\ncontrol_latency fast"),
+    ])
+    def test_bad_run_value_carries_its_line(self, old, new):
+        text = MINIMAL.replace(old, new)
+        bad = new.splitlines()[-1]
+        with pytest.raises(ScenarioError, match=f"line {line_of(text, bad)}: "):
+            parse_scenario(text)
+
+    def test_missing_emulation_time_rejected(self):
+        text = MINIMAL.replace("emulation_time 30s", "seed 3")
+        with pytest.raises(ScenarioError, match="needs emulation_time"):
+            parse_scenario(text)
+
     def test_count_beyond_window_width_raises_instead_of_hanging(self):
         with open("scenarios/industrial_ring_e1.scn", encoding="utf-8") as handle:
             text = handle.read().replace("window=15s..140s",
@@ -228,6 +270,24 @@ class TestSweepSlicing:
         scenario = load_scenario("scenarios/industrial_ring_e1.scn")
         with pytest.raises(ScenarioError):
             scenario.with_flow_count(11)
+
+    def test_event_count_keeps_a_link_down_with_its_link_up(self):
+        with open("scenarios/linear_chain.scn", encoding="utf-8") as handle:
+            text = handle.read() + (
+                "\n[injections]\n"
+                "at 20s link_down S4 S5\n"
+                "at 25s set_ped C1 8ms\n"
+                "at 30s link_up S4 S5\n"
+                "at 35s link_down S4 S5\n")
+        scenario = parse_scenario(text)
+        kinds = [[i.kind for i in scenario.with_event_count(count)
+                  .explicit_injections] for count in range(4)]
+        assert kinds == [
+            [],
+            ["link_down", "link_up"],
+            ["link_down", "ped_change", "link_up"],
+            ["link_down", "ped_change", "link_up", "link_down"],
+        ]
 
     def test_event_count_rewrites_auto_specs(self):
         scenario = load_scenario("scenarios/industrial_ring_mixed.scn")
