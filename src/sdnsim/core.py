@@ -87,22 +87,27 @@ class Topology:
 
     Mutable only through set_link_state; everything else is fixed at build
     time.  Iteration orders follow the declaring TopologySpec so that
-    downstream consumers stay deterministic.
+    downstream consumers stay deterministic.  version counts the link state
+    changes so far, so a caller can tell whether any link moved since it
+    last looked.
     """
 
     def __init__(self, switches: list[SwitchId], hosts: dict[HostId, SwitchId],
                  links: list[Link]):
         self.switches: list[SwitchId] = switches
         self.hosts: dict[HostId, SwitchId] = hosts
+        self.version = 0
         self._links: dict[tuple[SwitchId, SwitchId], Link] = {
             link.key: link for link in links
         }
-        self._adjacency: dict[SwitchId, list[SwitchId]] = {s: [] for s in switches}
+        adjacency: dict[SwitchId, list[tuple[SwitchId, Link]]] = {
+            s: [] for s in switches}
         for link in links:
-            self._adjacency[link.a].append(link.b)
-            self._adjacency[link.b].append(link.a)
-        for neighbors in self._adjacency.values():
-            neighbors.sort()
+            adjacency[link.a].append((link.b, link))
+            adjacency[link.b].append((link.a, link))
+        self._adjacency: dict[SwitchId, tuple[tuple[SwitchId, Link], ...]] = {
+            s: tuple(sorted(pairs, key=lambda pair: pair[0]))
+            for s, pairs in adjacency.items()}
 
     def links(self) -> list[Link]:
         return list(self._links.values())
@@ -117,7 +122,11 @@ class Topology:
         return link_key(a, b) in self._links
 
     def neighbors(self, switch: SwitchId) -> list[SwitchId]:
-        return self._adjacency.get(switch, [])
+        return [neighbor for neighbor, _ in self._adjacency.get(switch, ())]
+
+    def adjacent(self, switch: SwitchId) -> tuple[tuple[SwitchId, Link], ...]:
+        """(neighbor, Link) pairs of a switch, sorted by neighbor."""
+        return self._adjacency.get(switch, ())
 
     def has_switch(self, switch: SwitchId) -> bool:
         return switch in self._adjacency
@@ -131,7 +140,9 @@ class Topology:
     def set_link_state(self, a: SwitchId, b: SwitchId, state: LinkState) -> None:
         """Flip a link up or down.  Idempotent when already in that state."""
         link = self.link_between(a, b)
-        link.state = state
+        if link.state is not state:
+            link.state = state
+            self.version += 1
 
 
 def build_topology(spec: TopologySpec) -> Topology:

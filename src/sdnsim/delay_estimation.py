@@ -98,16 +98,20 @@ class CostMatrix:
     """Directed link costs as last refreshed by the estimation cycle.
 
     Entries exist only for links that were Up when the cycle ran; a missing
-    entry therefore means "do not route here with this matrix".
+    entry therefore means "do not route here with this matrix".  costs maps
+    each directed link (src, dst) to its entry's cost, for path finding and
+    for comparing two matrices.
     """
 
     def __init__(self) -> None:
         self._entries: dict[tuple[SwitchId, SwitchId], CostEntry] = {}
+        self.costs: dict[tuple[SwitchId, SwitchId], int] = {}
 
     def set_entry(self, src: SwitchId, dst: SwitchId, link_delay: int,
                   td: int) -> CostEntry:
         entry = CostEntry(link_delay, td, link_cost(td, link_delay))
         self._entries[(src, dst)] = entry
+        self.costs[(src, dst)] = entry.cost
         return entry
 
     def entry(self, src: SwitchId, dst: SwitchId) -> CostEntry:

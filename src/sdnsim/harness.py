@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from . import __version__
 from .contracts import BoundTimeline
 from .core import ControlChannel, SECOND, build_topology
-from .kernel import Kernel
+from .kernel import Injection, Kernel
 from .resilience import MechanismVariant, variant_by_name
 from .runlog import RunLog, record_to_dict
 from .scenario import Scenario, materialize_injections
@@ -180,8 +180,14 @@ def verify_conservation(log: RunLog) -> None:
 def run_single(scenario: Scenario, variant_name: str | None = None,
                seed: int | None = None, eq1_raw: bool = False,
                keep_log: bool = True,
-               success_mode: str = "per_packet") -> RunResult:
-    """Execute one scenario under one variant and seed."""
+               success_mode: str = "per_packet",
+               injections: list[Injection] | None = None) -> RunResult:
+    """Execute one scenario under one variant and seed.
+
+    injections are the scenario's materialized injections for that seed;
+    they are materialized here when not given.  Injections are frozen, so
+    one list can serve every variant of a seed.
+    """
     variant: MechanismVariant = variant_by_name(variant_name or scenario.variant)
     run_seed = scenario.seed if seed is None else seed
     topology = build_topology(scenario.topology_spec)
@@ -199,7 +205,8 @@ def run_single(scenario: Scenario, variant_name: str | None = None,
         variant=variant,
         config=config,
         control=control)
-    injections = materialize_injections(scenario, run_seed)
+    if injections is None:
+        injections = materialize_injections(scenario, run_seed)
     kernel.setup(scenario.emulation_time, injections)
     kernel.run_until(scenario.emulation_time)
     verify_conservation(kernel.log)
@@ -272,7 +279,11 @@ def run_experiment(scenario: Scenario, variants: list[str], seeds: list[int],
                    sweep: tuple[str, list] | None = None,
                    eq1_raw: bool = False,
                    success_mode: str = "per_packet") -> ExperimentResult:
-    """One kernel run per (variant, seed, sweep value); aggregated reports."""
+    """One kernel run per (variant, seed, sweep value); aggregated reports.
+
+    Injections depend only on the scenario and the seed, so they are
+    materialized once per (sweep value, seed) and shared by the variants.
+    """
     sweep_param, sweep_values = (None, (None,)) if sweep is None else (
         sweep[0], tuple(sweep[1]))
     full_names = tuple(variant_by_name(v).name for v in variants)
@@ -286,12 +297,15 @@ def run_experiment(scenario: Scenario, variants: list[str], seeds: list[int],
         eq1_raw=eq1_raw)
     for value in sweep_values:
         swept = _swept_scenario(scenario, sweep_param, value)
+        injections = {seed: materialize_injections(swept, seed)
+                      for seed in seeds}
         for variant in full_names:
             reports = []
             for seed in seeds:
                 keep = result.sample_log is None
                 run = run_single(swept, variant, seed, eq1_raw=eq1_raw,
-                                 keep_log=keep, success_mode=success_mode)
+                                 keep_log=keep, success_mode=success_mode,
+                                 injections=injections[seed])
                 if keep:
                     result.sample_log = run.log
                 reports.append(run.metrics)

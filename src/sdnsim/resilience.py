@@ -19,6 +19,15 @@ logic maps a reported fault to a response: reroute (RS1), additionally fall
 back to the weak contract (RS2), or issue a warning when even the weak
 requirement is out of reach (RS3).  A warning does not touch forwarding
 state; rules persist as last installed.
+
+Route memo.  find_path is a pure function of the Up links and the cost
+matrix, so the manager keeps its answer per (src, dst), "no path"
+included, and reuses it until one of the two inputs changes: a link
+changes state (Topology.version moves; set_link_state is its only
+mutator) or an estimation cycle yields costs that differ from the previous
+cycle's.  Capacities, propagation delays and the switch set are fixed at
+build time, so nothing else can change a route.  Each request still logs
+its own RouteRecord, so a run's log is the same with the memo as without.
 """
 
 from __future__ import annotations
@@ -192,6 +201,12 @@ class ResilienceManager:
         self.config = config
         self.log = log
         self.matrix = CostMatrix()
+        # Route memo: (src, dst) -> (route, its link costs), or None when
+        # unreachable; valid for self.matrix at topology version
+        # self._routes_version.
+        self._routes: dict[tuple[SwitchId, SwitchId],
+                           tuple[RouteResult, tuple[int, ...]] | None] = {}
+        self._routes_version = topology.version
         self.cycle_index = -1
         self.routed_pairs: set[tuple[SwitchId, SwitchId]] = set()
         # Events since the last cycle boundary, for detection-delay
@@ -203,13 +218,16 @@ class ResilienceManager:
 
     def on_cycle_boundary(self, now: int) -> None:
         self.cycle_index += 1
-        self.matrix, records = run_estimation_cycle(
+        matrix, records = run_estimation_cycle(
             self.topology, self.control, now,
             probe_length_bits=self.config.probe_length_bits,
             egress_wait=self.kernel.egress_wait,
             raw_mode=self.config.eq1_raw_mode,
             cycle_index=self.cycle_index,
         )
+        if matrix.costs != self.matrix.costs:
+            self._routes.clear()
+        self.matrix = matrix
         self.log.estimation.extend(records)
         if self.variant.proactive:
             self._proactive_cycle(now)
@@ -446,12 +464,24 @@ class ResilienceManager:
 
     def _compute_route(self, key: tuple[SwitchId, SwitchId], now: int,
                        purpose: str) -> RouteResult | None:
+        """Best route for a pair under the current network state, logged."""
+        if self._routes_version != self.topology.version:
+            self._routes.clear()
+            self._routes_version = self.topology.version
         try:
-            route = find_path(self.topology, self.matrix, key[0], key[1])
-        except NoPathError:
+            memo = self._routes[key]
+        except KeyError:
+            try:
+                route = find_path(self.topology, self.matrix, key[0], key[1])
+            except NoPathError:
+                memo = None
+            else:
+                memo = (route, tuple(self.matrix.cost(a, b) for a, b
+                                     in zip(route.path, route.path[1:])))
+            self._routes[key] = memo
+        if memo is None:
             return None
-        costs = tuple(self.matrix.cost(a, b)
-                      for a, b in zip(route.path, route.path[1:]))
+        route, costs = memo
         self.log.routes.append(RouteRecord(
             at=now, src=key[0], dst=key[1], path=route.path, ed=route.ed,
             link_costs=costs, purpose=purpose))

@@ -3,6 +3,8 @@
 Dijkstra on the directed cost graph, restricted to Up links.  Ties are
 broken first by hop count and then by the lexicographically smallest
 switch-id sequence, so identical inputs always yield the identical route.
+The search walks each switch's (neighbor, Link) pairs and the matrix's
+plain cost dict, so an edge costs one state test and one dict lookup.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .core import SwitchId, Topology
+from .core import LinkState, SwitchId, Topology
 from .delay_estimation import CostMatrix
 
 
@@ -42,22 +44,24 @@ def find_path(topology: Topology, costs: CostMatrix,
     # full tie-breaking order.  Graphs here are small (tens of switches).
     heap: list[tuple[int, int, tuple[SwitchId, ...]]] = [(0, 0, (src,))]
     best: dict[SwitchId, tuple[int, int, tuple[SwitchId, ...]]] = {}
+    adjacent, cost_of = topology.adjacent, costs.costs.get
+    up = LinkState.UP
 
     while heap:
-        cost, hops, path = heapq.heappop(heap)
+        entry = heapq.heappop(heap)
+        cost, hops, path = entry
         node = path[-1]
-        if node in best and best[node] <= (cost, hops, path):
+        if node in best and best[node] <= entry:
             continue
-        best[node] = (cost, hops, path)
+        best[node] = entry
         if node == dst:
             return RouteResult(path=path, ed=cost)
-        for neighbor in topology.neighbors(node):
-            if neighbor in path:
+        for neighbor, link in adjacent(node):
+            if neighbor in path or link.state is not up:
                 continue
-            link = topology.link_between(node, neighbor)
-            if not link.is_up or not costs.has(node, neighbor):
+            step = cost_of((node, neighbor))
+            if step is None:
                 continue
-            step = costs.cost(node, neighbor)
             candidate = (cost + step, hops + 1, path + (neighbor,))
             if neighbor in best and best[neighbor] <= candidate:
                 continue

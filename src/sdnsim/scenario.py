@@ -274,9 +274,10 @@ _CONFIG_FIELDS = {
 }
 
 
-def _parse_kv(tokens: list[str], line_no: int,
-              allowed: tuple[str, ...]) -> dict[str, str]:
-    """key=value tokens to a dict; unknown and repeated keys are errors."""
+def _parse_kv(tokens: list[str], line_no: int, allowed: tuple[str, ...],
+              required: tuple[str, ...] = ()) -> dict[str, str]:
+    """key=value tokens to a dict; unknown, repeated and missing required
+    keys are errors."""
     out: dict[str, str] = {}
     for token in tokens:
         if "=" not in token:
@@ -289,6 +290,9 @@ def _parse_kv(tokens: list[str], line_no: int,
         if key in out:
             raise ScenarioError(f"line {line_no}: duplicate key {key!r}")
         out[key] = value
+    for key in required:
+        if key not in out:
+            raise ScenarioError(f"line {line_no}: missing key {key!r}")
     return out
 
 
@@ -384,13 +388,18 @@ def _parse_topology_line(word, tokens, switches, hosts, links, control,
     elif word == "link":
         if len(tokens) < 3:
             raise ScenarioError(f"line {line_no}: link <a> <b> key=value...")
-        kv = _parse_kv(tokens[3:], line_no, ("capacity", "propagation"))
+        kv = _parse_kv(tokens[3:], line_no, ("capacity", "propagation"),
+                       required=("capacity",))
         links.append(LinkSpec(
             a=tokens[1], b=tokens[2],
             capacity_bps=parse_rate(kv["capacity"]),
             propagation_delay=parse_time(kv.get("propagation", "0ns"))))
     elif word == "control":
-        kv = _parse_kv(tokens[2:], line_no, ("c2s", "s2c"))
+        if len(tokens) < 2 or "=" in tokens[1]:
+            raise ScenarioError(
+                f"line {line_no}: control <switch> c2s=... s2c=...")
+        kv = _parse_kv(tokens[2:], line_no, ("c2s", "s2c"),
+                       required=("c2s", "s2c"))
         control.per_switch[tokens[1]] = (
             parse_time(kv["c2s"]), parse_time(kv["s2c"]))
     else:
@@ -401,7 +410,8 @@ def _parse_flow_line(word, tokens, line_no) -> Flow:
     if word != "flow" or len(tokens) < 4:
         raise ScenarioError(
             f"line {line_no}: flow <id> <src_host> <dst_host> key=value...")
-    kv = _parse_kv(tokens[4:], line_no, ("packet", "volume", "start", "gap"))
+    kv = _parse_kv(tokens[4:], line_no, ("packet", "volume", "start", "gap"),
+                   required=("volume",))
     return Flow(
         id=tokens[1], src_host=tokens[2], dst_host=tokens[3],
         packet_length=parse_size(kv.get("packet", "1500B")),
@@ -414,7 +424,8 @@ def _parse_contract_line(word, tokens, line_no) -> ContractSpec:
     if word != "contract" or len(tokens) < 4:
         raise ScenarioError(
             f"line {line_no}: contract <id> <src> <dst> strong=... [weak=...]")
-    kv = _parse_kv(tokens[4:], line_no, ("strong", "weak"))
+    kv = _parse_kv(tokens[4:], line_no, ("strong", "weak"),
+                   required=("strong",))
     weak = kv.get("weak")
     return ContractSpec(
         pair_id=tokens[1], src=tokens[2], dst=tokens[3],
@@ -456,7 +467,8 @@ def _parse_injection_line(word, tokens, line_no):
                                       factor_ppm=parse_fraction_ppm(tokens[4]))
         raise ScenarioError(f"line {line_no}: unknown injection {action!r}")
     if word == "auto_link_failures":
-        kv = _parse_kv(tokens[1:], line_no, ("count", "window"))
+        kv = _parse_kv(tokens[1:], line_no, ("count", "window"),
+                       required=("count", "window"))
         count, window = _parse_count_window(kv)
         return AutoLinkFailures(count=count, window=window)
     if word == "auto_ped_changes":
@@ -464,8 +476,9 @@ def _parse_injection_line(word, tokens, line_no):
         if flags not in ([], ["per_pair"]):
             raise ScenarioError(
                 f"line {line_no}: unknown flags {flags} (only per_pair)")
-        kv = _parse_kv([t for t in tokens[1:] if "=" in t], line_no,
-                       ("count", "window", "factor"))
+        keys = ("count", "window", "factor")
+        kv = _parse_kv([t for t in tokens[1:] if "=" in t], line_no, keys,
+                       required=keys)
         lo, _, hi = kv["factor"].partition("..")
         factor = (parse_fraction_ppm(lo), parse_fraction_ppm(hi))
         if factor[0] > factor[1]:
@@ -572,10 +585,8 @@ def _connected(topology, src: str, dst: str) -> bool:
         node = frontier.pop()
         if node == dst:
             return True
-        for neighbor in topology.neighbors(node):
-            if neighbor in seen:
-                continue
-            if topology.link_between(node, neighbor).is_up:
+        for neighbor, link in topology.adjacent(node):
+            if neighbor not in seen and link.state is LinkState.UP:
                 seen.add(neighbor)
                 frontier.append(neighbor)
     return src == dst
@@ -610,9 +621,11 @@ def _expected_path_diary(scenario: Scenario, rng: random.Random,
             if key not in seen:
                 seen.add(key)
                 pairs.append(key)
+    # Idle costs do not depend on which links are down, and find_path skips
+    # down links, so one matrix serves every pick.
+    matrix = _idle_matrix(topology, scenario.config.probe_length_bits)
     injections: list[LinkDownInjection] = []
     for at in times:
-        matrix = _idle_matrix(topology, scenario.config.probe_length_bits)
         candidates: list[tuple[str, str]] = []
         order = list(range(len(pairs)))
         rng.shuffle(order)

@@ -3,9 +3,12 @@
 Each case runs one bundled scenario under one variant over seeds 1-3 (the
 E1 ring is also swept over events 1..3), writes the reports with
 ``emit_reports`` and compares the SHA-256 of each of the nine files with
-the value pinned in ``DIGESTS``.  Any change to what a run computes, or to
-the bytes of a report, fails here, so a refactor or an optimization that
-claims to keep behaviour is held to it.
+the value pinned in ``DIGESTS``.  Two cases run all four variants in one
+experiment, so the variants share each seed's injections: ``mesh20_mixed``
+as written, and ``mesh20_mixed`` with a 1 s estimation interval, which puts
+the controller's route memo through many cycles.  Any change to what a run
+computes, or to the bytes of a report, fails here, so a refactor or an
+optimization that claims to keep behaviour is held to it.
 
 A change that alters the output on purpose regenerates the table with
 ``PYTHONPATH=src python tests/test_golden_digests.py`` and says why.
@@ -13,6 +16,7 @@ A change that alters the output on purpose regenerates the table with
 
 import hashlib
 import os
+import re
 import sys
 
 import pytest
@@ -28,21 +32,35 @@ VARIANTS = ("woRM", "sRM", "pRM", "RM")
 SEEDS = [1, 2, 3]
 EVENT_SWEEP = ("events", [1, 2, 3])
 
-CASES = ([(name, variant, None) for name in SCENARIOS for variant in VARIANTS]
-         + [("industrial_ring_e1", variant, EVENT_SWEEP)
-            for variant in VARIANTS])
+# (scenario, variants, sweep, estimation interval or None for the file's).
+# The 1 s case lists SDN-RM first, so its events.jsonl is the log of the
+# variant that computes the most routes.
+CASES = ([(name, (variant,), None, None)
+          for name in SCENARIOS for variant in VARIANTS]
+         + [("industrial_ring_e1", (variant,), EVENT_SWEEP, None)
+            for variant in VARIANTS]
+         + [("mesh20_mixed", VARIANTS, None, None),
+            ("mesh20_mixed", VARIANTS[::-1], None, "1s")])
 
 
-def case_id(name, variant, sweep):
-    return f"{name}-{variant}" + ("" if sweep is None else f"-{sweep[0]}")
+def case_id(name, variants, sweep, interval):
+    return (f"{name}-{'+'.join(variants)}"
+            + ("" if sweep is None else f"-{sweep[0]}")
+            + ("" if interval is None else f"-interval{interval}"))
 
 
-def report_digests(name, variant, sweep, out_dir):
+def report_digests(name, variants, sweep, interval, out_dir):
     """{file name: SHA-256} of the reports of one case, written to out_dir."""
     relative = f"scenarios/{name}.scn"
     with open(os.path.join(ROOT, relative), encoding="utf-8") as handle:
-        scenario = parse_scenario(handle.read(), name=relative)
-    result = run_experiment(scenario, [variant], SEEDS, sweep=sweep)
+        text = handle.read()
+    if interval is not None:
+        text, edits = re.subn(r"^estimation_interval .*$",
+                              f"estimation_interval {interval}", text,
+                              flags=re.MULTILINE)
+        assert edits == 1
+    scenario = parse_scenario(text, name=relative)
+    result = run_experiment(scenario, list(variants), SEEDS, sweep=sweep)
     digests = {}
     for path in emit_reports(result, out_dir):
         with open(path, "rb") as handle:
@@ -51,11 +69,9 @@ def report_digests(name, variant, sweep, out_dir):
     return digests
 
 
-@pytest.mark.parametrize("name,variant,sweep", CASES,
-                         ids=[case_id(*case) for case in CASES])
-def test_report_bytes_match_golden_digests(name, variant, sweep, tmp_path):
-    assert report_digests(name, variant, sweep, str(tmp_path)) == \
-        DIGESTS[case_id(name, variant, sweep)]
+@pytest.mark.parametrize("case", CASES, ids=[case_id(*case) for case in CASES])
+def test_report_bytes_match_golden_digests(case, tmp_path):
+    assert report_digests(*case, str(tmp_path)) == DIGESTS[case_id(*case)]
 
 
 DIGESTS = {
@@ -698,6 +714,46 @@ DIGESTS = {
             '9995ded6dd731ecc56b285341657f9ac5374d4aa3def2ff19cf2023915ee0617',
         'warnings.csv':
             '7607f67b9b51c96312f9ca250c80527758f191e54512c7766e3652be1869ee57',
+    },
+    'mesh20_mixed-woRM+sRM+pRM+RM': {
+        'events.jsonl':
+            'd5ea5713eaa44070e5d5c1569e2acbf9ad090c9faf3d45fe4f1b5c2483449067',
+        'llde_cycles.csv':
+            '56a9fa487cca7efd99ea1ab807f9572182c63b800fb40c325904c188f1669359',
+        'manifest.json':
+            'fd5b00591dcd6744137bcd998df2fb358e62f7a1eb76f6b5b2ccb56e28b487e9',
+        'restoration_ms.csv':
+            'c397761c9e70a58985e53964e26cc002462e9ffca5998170b1500213c4f0d4e1',
+        'success_rate.csv':
+            '3250c9240c1fb1f7634491b8f7c9c0624eebbd388bcb5a5fc634dd0150195953',
+        'success_rate_strong.csv':
+            'd5df23285b770fb2d941561423498bb79254e860d751405f9275dc307bccf292',
+        'summary.json':
+            '4dd8284653e4fd9bc8f7d503e757da50bb06f72d03e753678d5037bad72beffa',
+        'throughput_mbps.csv':
+            'aa3a8edc30f6fdcee8f72ec8d2ff02cf00ba1db28cc64b33f315014f91c611ac',
+        'warnings.csv':
+            '16f3465223489da139d37e9932eea9956a0c0ea654c3a5992dacda1594e3153f',
+    },
+    'mesh20_mixed-RM+pRM+sRM+woRM-interval1s': {
+        'events.jsonl':
+            '0b54d0319c6ccbeb4b9ee9691f59f0f84c9325e92e6770bcde275c6a5bed4179',
+        'llde_cycles.csv':
+            '8f48b535f1437e52e755b510c64c247452805560ddf945ff4541e2bc61de0dae',
+        'manifest.json':
+            '492ecb71d7bd476d425b0c664e5084e63976046dd000c61d1e2000a6555c7333',
+        'restoration_ms.csv':
+            '2c36334f3bac66254de008c2dd5e293e9676f940e9257cd074636c8d9d438688',
+        'success_rate.csv':
+            '7ffeb3e90b5250be73eb9e23c7eb58800cdabc9332f7098eca7642234198c7a5',
+        'success_rate_strong.csv':
+            '4990a8985ef8077df6b820e5349b0843651099fef7d2009ca999b93153211690',
+        'summary.json':
+            '65f6b1c3d72021edccebabcca830fc0368a4028d28b53dfe571c18a232fe1b24',
+        'throughput_mbps.csv':
+            'd3aaf7d0fa0aa5f366be24396cb089fc878fb2b44f5d57dc97a482df1ae82a1d',
+        'warnings.csv':
+            '85f9cd99a22c7952467f93371eeb211b7b2023c3d9f6ee3695d56bf101325ddc',
     },
 }
 

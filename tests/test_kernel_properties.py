@@ -9,7 +9,10 @@ state:
 - a delivered packet took at least the propagation plus transmission
   delay of every hop on its path, plus the two host access links;
 - scheduling before the current time raises ScheduleError, mid-run and
-  after the horizon, in both forms of schedule_call.
+  after the horizon, in both forms of schedule_call;
+- each egress link's busy-until time never decreases;
+- every route the controller hands out, memoized or not, equals a fresh
+  find_path over the topology and cost matrix of that moment.
 """
 
 import pytest
@@ -20,6 +23,7 @@ from sdnsim.core import (
     ControlChannel,
     Flow,
     LinkSpec,
+    LinkState,
     MICROSECOND,
     MILLISECOND,
     SECOND,
@@ -35,6 +39,7 @@ from sdnsim.kernel import (
     ScheduleError,
 )
 from sdnsim.resilience import VARIANT_ALIASES, variant_by_name
+from sdnsim.routing import NoPathError, find_path
 
 MS = MILLISECOND
 HORIZON = 3 * SECOND
@@ -139,3 +144,62 @@ def test_packets_delivered_xor_dropped_no_faster_than_their_path(
         assert record.actual_delay == record.delivered_at - record.sent_at
         assert record.actual_delay >= path_floor(
             spec, record.path, record.length, config.host_link_delay)
+
+
+def network_kernel(network):
+    spec, flows, contracts, injections, variant, config = network
+    kernel = Kernel(build_topology(spec), flows, contracts,
+                    variant_by_name(variant), config, ControlChannel())
+    kernel.setup(HORIZON, injections)
+    return kernel
+
+
+class MonotoneEgress(dict):
+    """Busy-until times that fail the run if one ever moves back."""
+
+    def __setitem__(self, egress, free):
+        assert free >= self.get(egress, 0), (egress, self.get(egress), free)
+        super().__setitem__(egress, free)
+
+
+@settings(max_examples=40, deadline=None)
+@given(networks())
+def test_egress_busy_until_never_decreases(network):
+    kernel = network_kernel(network)
+    kernel._egress_free = MonotoneEgress()
+    kernel.run_until(HORIZON)
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks(), st.data())
+def test_every_route_equals_a_fresh_find_path(network, data):
+    """Requests for every pair between random link flaps and estimation
+    cycles, some with data queued on the egresses so that costs change."""
+    spec = network[0]
+    kernel = network_kernel(network)
+    controller, topology = kernel.controller, kernel.topology
+    pairs = [(a, b) for a in spec.switches for b in spec.switches]
+    now = 0
+    for _ in range(data.draw(st.integers(1, 30))):
+        step = data.draw(st.sampled_from(("flap", "cycle", "route")))
+        if step == "flap":
+            link = data.draw(st.sampled_from(spec.links))
+            state = topology.link_between(link.a, link.b).state
+            topology.set_link_state(link.a, link.b, LinkState.DOWN
+                                    if state is LinkState.UP else LinkState.UP)
+        elif step == "cycle":
+            now += SECOND
+            if data.draw(st.booleans()):
+                for link in spec.links:
+                    for egress in ((link.a, link.b), (link.b, link.a)):
+                        kernel._egress_free[egress] = now + data.draw(
+                            st.sampled_from((0, MS)))
+            controller.on_cycle_boundary(now)
+        else:
+            for key in pairs:
+                route = controller._compute_route(key, now, "check")
+                try:
+                    fresh = find_path(topology, controller.matrix, *key)
+                except NoPathError:
+                    fresh = None
+                assert route == fresh

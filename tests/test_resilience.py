@@ -1,5 +1,6 @@
 import pytest
 
+from sdnsim import resilience
 from sdnsim.contracts import (
     BoundTimeline,
     ContractKind,
@@ -9,6 +10,7 @@ from sdnsim.contracts import (
 from sdnsim.core import (
     ControlChannel,
     Flow,
+    LinkState,
     MICROSECOND,
     MILLISECOND,
     SECOND,
@@ -335,3 +337,74 @@ class TestPhaseSum:
                 assert record.total == (record.detection_delay
                                         + record.recalculation_delay
                                         + record.reassignment_delay)
+
+
+class TestRouteMemo:
+    """A pair's route is computed once per link states and cycle costs."""
+
+    PAIR = ("S1", "S8")
+
+    @pytest.fixture
+    def memo(self, monkeypatch):
+        """An idle ring kernel after cycle 0, and the find_path calls made."""
+        kernel = Kernel(
+            topology=build_topology(ring_with_chords_spec()), flows=[],
+            contract_pairs=[], variant=variant_by_name("SDN-RM"),
+            config=SimConfig(), control=ControlChannel())
+        calls = []
+        real = resilience.find_path
+
+        def counting(topology, costs, src, dst):
+            calls.append((src, dst))
+            return real(topology, costs, src, dst)
+
+        monkeypatch.setattr(resilience, "find_path", counting)
+        kernel.controller.on_cycle_boundary(0)
+        return kernel, calls
+
+    def route(self, kernel, now=0):
+        return kernel.controller._compute_route(self.PAIR, now, "test")
+
+    def test_repeat_request_reuses_the_route_and_still_logs_it(self, memo):
+        kernel, calls = memo
+        assert self.route(kernel).path == ROUTE_0
+        assert self.route(kernel).path == ROUTE_0
+        assert len(calls) == 1
+        assert len(kernel.log.routes) == 2
+        assert kernel.log.routes[0] == kernel.log.routes[1]
+
+    def test_no_path_is_remembered_too(self, memo):
+        kernel, calls = memo
+        for a in ("S9", "S3", "S7"):  # every link into S8
+            kernel.topology.set_link_state(a, "S8", LinkState.DOWN)
+        assert self.route(kernel) is None
+        assert self.route(kernel) is None
+        assert len(calls) == 1
+        assert kernel.log.routes == []
+
+    def test_link_down_and_link_up_each_clear_the_memo(self, memo):
+        kernel, calls = memo
+        self.route(kernel)
+        kernel.topology.set_link_state("S9", "S10", LinkState.DOWN)
+        assert self.route(kernel).path == ROUTE_1
+        assert len(calls) == 2
+        kernel.topology.set_link_state("S9", "S10", LinkState.UP)
+        assert self.route(kernel).path == ROUTE_0
+        assert len(calls) == 3
+
+    def test_equal_cycle_costs_keep_the_memo(self, memo):
+        kernel, calls = memo
+        self.route(kernel)
+        kernel.controller.on_cycle_boundary(10 * SECOND)
+        assert self.route(kernel, 10 * SECOND).path == ROUTE_0
+        assert len(calls) == 1
+
+    def test_changed_cycle_costs_clear_the_memo(self, memo):
+        kernel, calls = memo
+        self.route(kernel)
+        # Data queued on S1->S10 at the next boundary delays its probe, so
+        # that cycle estimates S1-S10 slower and ROUTE_1 becomes cheapest.
+        kernel._egress_free[("S1", "S10")] = 10 * SECOND + MS
+        kernel.controller.on_cycle_boundary(10 * SECOND)
+        assert self.route(kernel, 10 * SECOND).path == ROUTE_1
+        assert len(calls) == 2

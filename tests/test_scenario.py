@@ -250,6 +250,35 @@ class TestStrictInput:
         with pytest.raises(ScenarioError, match="needs emulation_time"):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("section, entry, key", [
+        ("topology", "link S2 S3 propagation=1ms", "capacity"),
+        ("topology", "control S1 c2s=1ms", "s2c"),
+        ("topology", "control S1 s2c=1ms", "c2s"),
+        ("flows", "flow F2 H1 H2 packet=1500B start=1s", "volume"),
+        ("contracts", "contract C1 S1 S2 weak=9ms", "strong"),
+        ("injections", "auto_link_failures window=5s..20s", "count"),
+        ("injections", "auto_link_failures count=1", "window"),
+        ("injections", "auto_ped_changes count=1 window=5s..20s", "factor"),
+        ("injections", "auto_ped_changes count=1 factor=0.5..0.9 per_pair",
+         "window"),
+    ])
+    def test_missing_required_key(self, section, entry, key):
+        text = (MINIMAL.replace("switches S1 S2", "switches S1 S2 S3")
+                + "\n[contracts]\ncontract C0 S1 S2 strong=5ms\n"
+                + f"\n[{section}]\n{entry}\n")
+        with pytest.raises(ScenarioError,
+                           match=f"^line {line_of(text, entry)}: missing key "
+                                 f"'{key}'$"):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize("entry", ["control c2s=1ms s2c=1ms", "control"])
+    def test_control_needs_its_switch_first(self, entry):
+        text = MINIMAL.replace("host H2 S2", f"host H2 S2\n{entry}")
+        with pytest.raises(ScenarioError,
+                           match=f"^line {line_of(text, entry)}: control "
+                                 "<switch>"):
+            parse_scenario(text)
+
     def test_count_beyond_window_width_raises_instead_of_hanging(self):
         with open("scenarios/industrial_ring_e1.scn", encoding="utf-8") as handle:
             text = handle.read().replace("window=15s..140s",
