@@ -44,6 +44,7 @@ from .delay_estimation import (
     EstimationRecord,
     MissingCostError,
     ProbeObservation,
+    ProbePlan,
     estimate_link_delay,
     estimate_path_delay,
     link_cost,

@@ -9,6 +9,19 @@ delay, so halving the residual recovers it without any clock on the switches.
 Per-link cost adds the sending switch's serialization delay for a reference
 packet, and a path's estimated end-to-end delay is the sum of its directed
 link costs.
+
+Probe plans.  Everything a probe measures except the egress waits is fixed
+for a run: a Topology changes only through set_link_state, so each link's
+endpoints, propagation delay and capacity stay as built, and the control
+channel never changes.  A ProbePlan therefore resolves, once per run, each
+link's control latencies, echo RTTs and probe transmission delay, and holds
+the live Link so a cycle still sees its current state.  The send time
+cancels out of every difference the estimator takes, so an estimate is a
+pure function of (near, far, forward wait, reverse wait); the plan keeps
+the CostEntry of each such input and builds the ProbeObservation and calls
+estimate_link_delay only for an input it has not seen.  A negative-residual
+warning would thus be logged once per distinct input, not once per cycle;
+none arises here, since every term of the residual is non-negative.
 """
 
 from __future__ import annotations
@@ -19,6 +32,8 @@ from typing import Callable
 
 from .core import (
     ControlChannel,
+    Link,
+    LinkState,
     SwitchId,
     Topology,
     transmission_delay,
@@ -145,9 +160,14 @@ def estimate_path_delay(path: list[SwitchId], costs: CostMatrix) -> int:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EstimationRecord:
-    """One refreshed directed-link entry, for the structured run log."""
+    """One refreshed directed-link entry, for the structured run log.
+
+    A cycle logs two per Up link, so __init__ is written out: it fills the
+    instance dict directly instead of going through object.__setattr__
+    once per field, as a frozen dataclass's generated __init__ does.
+    """
 
     cycle: int
     src: SwitchId
@@ -157,6 +177,76 @@ class EstimationRecord:
     cost: int
     at: int
     noise_clamped: bool = False
+
+    def __init__(self, cycle: int, src: SwitchId, dst: SwitchId,
+                 link_delay: int, transmission_delay: int, cost: int,
+                 at: int, noise_clamped: bool = False) -> None:
+        fields = self.__dict__
+        fields["cycle"] = cycle
+        fields["src"] = src
+        fields["dst"] = dst
+        fields["link_delay"] = link_delay
+        fields["transmission_delay"] = transmission_delay
+        fields["cost"] = cost
+        fields["at"] = at
+        fields["noise_clamped"] = noise_clamped
+
+
+# One link's probe inputs: (link, (near, far), (far, near), (c2s(near),
+# s2c(far), c2s(far), s2c(near), echo RTT of near, echo RTT of far, probe
+# transmission delay)).
+_Probe = tuple[Link, tuple[SwitchId, SwitchId], tuple[SwitchId, SwitchId],
+               tuple[int, int, int, int, int, int, int]]
+
+
+class ProbePlan:
+    """Every link's fixed probe inputs, and the estimates seen so far.
+
+    probes follows topology.links() order.  The estimates are keyed by
+    (near, far, forward wait, reverse wait); see "Probe plans" above.
+    """
+
+    def __init__(self, topology: Topology, control: ControlChannel,
+                 probe_length_bits: int = 12_000,
+                 raw_mode: bool = False) -> None:
+        self.topology = topology
+        self.control = control
+        self.probe_length_bits = probe_length_bits
+        self.raw_mode = raw_mode
+        probes = []
+        for link in topology.links():
+            near, far = link.key
+            probes.append((link, (near, far), (far, near), (
+                control.c2s(near), control.s2c(far),
+                control.c2s(far), control.s2c(near),
+                control.echo_rtt(near), control.echo_rtt(far),
+                transmission_delay(probe_length_bits, link.capacity_bps))))
+        self.probes: tuple[_Probe, ...] = tuple(probes)
+        self.estimates: dict[tuple[SwitchId, SwitchId, int, int],
+                             CostEntry] = {}
+
+    def estimate(self, probe: _Probe, forward_wait: int, reverse_wait: int,
+                 now: int) -> CostEntry:
+        """Estimate one link from probes sent at now behind the given
+        egress waits, and remember the entry for those waits."""
+        link, (near, far), _, inputs = probe
+        c2s_near, s2c_far, c2s_far, s2c_near, rtt_near, rtt_far, td = inputs
+        forward_travel = forward_wait + link.propagation_delay
+        reverse_travel = reverse_wait + link.propagation_delay
+        obs = ProbeObservation(
+            near=near,
+            far=far,
+            lldp_send_time=now,
+            lldp_return_time=now + c2s_near + forward_travel + s2c_far,
+            reverse_lldp_send_time=now,
+            reverse_lldp_return_time=now + c2s_far + reverse_travel + s2c_near,
+            rtt_near=rtt_near,
+            rtt_far=rtt_far,
+        )
+        estimated = estimate_link_delay(obs, raw_mode=self.raw_mode)
+        entry = CostEntry(estimated, td, link_cost(td, estimated))
+        self.estimates[(near, far, forward_wait, reverse_wait)] = entry
+        return entry
 
 
 def run_estimation_cycle(
@@ -168,6 +258,7 @@ def run_estimation_cycle(
     egress_wait: Callable[[SwitchId, SwitchId, int], int] | None = None,
     raw_mode: bool = False,
     cycle_index: int = 0,
+    plan: ProbePlan | None = None,
 ) -> tuple[CostMatrix, list[EstimationRecord]]:
     """Probe every Up link and return a freshly built cost matrix.
 
@@ -176,35 +267,38 @@ def run_estimation_cycle(
     one propagation delay, so on an idle network the estimate equals the
     configured link delay exactly.  Down links get no entry.  The sender
     transmission delay uses the probe reference length over the egress link
-    capacity.
+    capacity.  plan, when given, must have been built for the same
+    topology, control channel, probe length and raw_mode; a caller that
+    runs many cycles passes one plan to all of them.
     """
+    if plan is None:
+        plan = ProbePlan(topology, control, probe_length_bits, raw_mode)
+    elif (plan.topology is not topology or plan.control is not control
+            or plan.probe_length_bits != probe_length_bits
+            or plan.raw_mode != raw_mode):
+        raise ValueError("probe plan was built for other estimation inputs")
     matrix = CostMatrix()
     records: list[EstimationRecord] = []
     wait = egress_wait or (lambda a, b, t: 0)
+    estimates = plan.estimates
+    entries, costs = matrix._entries, matrix.costs
 
-    for link in topology.links():
-        if not link.is_up:
+    for probe in plan.probes:
+        link, forward, reverse, _ = probe
+        if link.state is not LinkState.UP:
             continue
-        near, far = link.key
-        forward_travel = wait(near, far, now) + link.propagation_delay
-        reverse_travel = wait(far, near, now) + link.propagation_delay
-        obs = ProbeObservation(
-            near=near,
-            far=far,
-            lldp_send_time=now,
-            lldp_return_time=now + control.c2s(near) + forward_travel + control.s2c(far),
-            reverse_lldp_send_time=now,
-            reverse_lldp_return_time=now + control.c2s(far) + reverse_travel + control.s2c(near),
-            rtt_near=control.echo_rtt(near),
-            rtt_far=control.echo_rtt(far),
-        )
-        estimated = estimate_link_delay(obs, raw_mode=raw_mode)
-        td = transmission_delay(probe_length_bits, link.capacity_bps)
-        for src, dst in ((near, far), (far, near)):
-            entry = matrix.set_entry(src, dst, estimated, td)
-            records.append(EstimationRecord(
-                cycle=cycle_index, src=src, dst=dst,
-                link_delay=entry.link_delay,
-                transmission_delay=entry.transmission_delay,
-                cost=entry.cost, at=now))
+        near, far = forward
+        forward_wait = wait(near, far, now)
+        reverse_wait = wait(far, near, now)
+        entry = estimates.get((near, far, forward_wait, reverse_wait))
+        if entry is None:
+            entry = plan.estimate(probe, forward_wait, reverse_wait, now)
+        entries[forward] = entries[reverse] = entry
+        costs[forward] = costs[reverse] = entry.cost
+        link_delay, td, cost = (entry.link_delay, entry.transmission_delay,
+                                entry.cost)
+        records.append(EstimationRecord(
+            cycle_index, near, far, link_delay, td, cost, now))
+        records.append(EstimationRecord(
+            cycle_index, far, near, link_delay, td, cost, now))
     return matrix, records

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from . import __version__
 from .contracts import BoundTimeline
 from .core import ControlChannel, SECOND, build_topology
-from .kernel import Injection, Kernel
+from .kernel import DROP_REASONS, Injection, Kernel
 from .resilience import MechanismVariant, variant_by_name
 from .runlog import RunLog, record_to_dict
 from .scenario import Scenario, materialize_injections
@@ -153,12 +153,17 @@ def verify_conservation(log: RunLog) -> None:
     """Re-derive cost sums from logged components; raise on any mismatch.
 
     Every cost-matrix entry must equal its transmission plus link delay,
-    and every logged route's delay must equal the sum of its link costs.
+    with a non-negative link delay and a positive transmission delay, and
+    every logged route's delay must equal the sum of its link costs.  A
+    packet is delivered or dropped, not both: a delivered one's delay is
+    its non-negative transit time, a dropped one has a known reason.
     Runs call this unconditionally, keeping the arithmetic honest.
     """
     for record in log.estimation:
         if record.cost != record.transmission_delay + record.link_delay:
             raise AssertionError(f"cost entry violates additivity: {record}")
+        if record.link_delay < 0 or record.transmission_delay <= 0:
+            raise AssertionError(f"cost entry out of range: {record}")
     for route in log.routes:
         if route.ed != sum(route.link_costs):
             raise AssertionError(f"route delay is not the cost sum: {route}")
@@ -171,6 +176,13 @@ def verify_conservation(log: RunLog) -> None:
         delivered = packet.delivered_at is not None
         if delivered == (packet.drop_reason is not None):
             raise AssertionError(f"packet neither delivered nor dropped: {packet}")
+        if delivered:
+            if (packet.actual_delay != packet.delivered_at - packet.sent_at
+                    or packet.actual_delay < 0):
+                raise AssertionError(f"packet delay is not its transit time: "
+                                     f"{packet}")
+        elif packet.drop_reason not in DROP_REASONS:
+            raise AssertionError(f"unknown drop reason: {packet}")
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,13 @@ Injection = LinkDownInjection | LinkUpInjection | PedChangeInjection
 # packet bookkeeping
 
 
+# Why a packet was dropped: no forwarding path when it was sent, its link
+# was or went down, its egress backlog exceeded the queue limit, or the run
+# ended before it arrived.
+DROP_REASONS = frozenset({"no_route", "link_down", "queue_overflow",
+                          "end_of_run"})
+
+
 @dataclass
 class PacketRecord:
     flow_id: str
@@ -116,6 +123,8 @@ class PacketRecord:
 @dataclass
 class _FlowState:
     flow: Flow
+    pair: tuple[SwitchId, SwitchId]  # (ingress switch, egress switch)
+    covered: bool                    # pair is governed by a contract pair
     bits_sent: int = 0
     next_seq: int = 0
     started: bool = False
@@ -163,14 +172,18 @@ class Kernel:
                                list[tuple[int, tuple[SwitchId, ...]]]] = {}
         self._plans: dict[tuple[tuple[SwitchId, ...], int],
                           tuple[_Hop, ...]] = {}
-        self._flows = {flow.id: _FlowState(flow) for flow in flows}
 
         self.store = ContractStore()
         for pair in contract_pairs:
             self.store.add(pair, now=0)
         self.log.ped_changes = self.store.ped_changes
 
-        self._covered_pairs = {(p.src, p.dst) for p in self.store.pairs()}
+        covered = {(p.src, p.dst) for p in self.store.pairs()}
+        self._flows: dict[str, _FlowState] = {}
+        for flow in flows:
+            key = (topology.attachment(flow.src_host),
+                   topology.attachment(flow.dst_host))
+            self._flows[flow.id] = _FlowState(flow, key, key in covered)
         self.controller = ResilienceManager(
             variant, topology, control, self.store, self, config, self.log)
 
@@ -298,13 +311,11 @@ class Kernel:
 
     def _send_packet(self, state: _FlowState, at: int) -> None:
         flow = state.flow
-        src = self.topology.attachment(flow.src_host)
-        dst = self.topology.attachment(flow.dst_host)
-        key = (src, dst)
+        key = state.pair
         path = self.forwarding_path(key, at)
         record = PacketRecord(
             flow_id=flow.id, seq=state.next_seq, pair=key,
-            covered=key in self._covered_pairs, length=flow.packet_length,
+            covered=state.covered, length=flow.packet_length,
             sent_at=at, path=path)
         self.log.packets.append(record)
         if path is None:

@@ -55,6 +55,7 @@ from .core import (
 from .delay_estimation import (
     CostMatrix,
     MissingCostError,
+    ProbePlan,
     estimate_path_delay,
     run_estimation_cycle,
 )
@@ -201,6 +202,9 @@ class ResilienceManager:
         self.config = config
         self.log = log
         self.matrix = CostMatrix()
+        self._probe_plan = ProbePlan(topology, control,
+                                     config.probe_length_bits,
+                                     config.eq1_raw_mode)
         # Route memo: (src, dst) -> (route, its link costs), or None when
         # unreachable; valid for self.matrix at topology version
         # self._routes_version.
@@ -224,6 +228,7 @@ class ResilienceManager:
             egress_wait=self.kernel.egress_wait,
             raw_mode=self.config.eq1_raw_mode,
             cycle_index=self.cycle_index,
+            plan=self._probe_plan,
         )
         if matrix.costs != self.matrix.costs:
             self._routes.clear()
@@ -243,7 +248,7 @@ class ResilienceManager:
             pair = self.store.pair_for(*key)
             ed = self._current_ed(key, now)
             if pair is None:
-                self._maybe_adopt(key, now, required_ped=None)
+                self._maybe_adopt(key, now, ed, required_ped=None)
                 continue
             if (self.variant.weak_contracts
                     and pair.active_kind is ContractKind.WEAK
@@ -256,7 +261,7 @@ class ResilienceManager:
                 occurred = self._attribute(key, now)
                 self._respond(fault, occurred_at=occurred, now=now)
             else:
-                self._maybe_adopt(key, now, required_ped=pair.active.ped)
+                self._maybe_adopt(key, now, ed, required_ped=pair.active.ped)
 
     def _current_ed(self, key: tuple[SwitchId, SwitchId], now: int) -> int:
         path = self.kernel.forwarding_path(key, now)
@@ -271,14 +276,14 @@ class ResilienceManager:
             return UNBOUNDED_DELAY
 
     def _maybe_adopt(self, key: tuple[SwitchId, SwitchId], now: int,
-                     required_ped: int | None) -> None:
+                     current_ed: int, required_ped: int | None) -> None:
         """Adopt a better path for on-going flows, outside fault handling.
 
-        A replacement is only adopted when it improves on the current path
+        current_ed is the current path's estimated delay at now.  A
+        replacement is only adopted when it improves on the current path
         and, for contract-covered pairs, satisfies the active requirement;
         installing a still-violating path would churn rules for nothing.
         """
-        current_ed = self._current_ed(key, now)
         route = self._compute_route(key, now, purpose="reoptimize")
         if route is None:
             return

@@ -61,6 +61,7 @@ from .core import (
     TopologySpec,
     build_topology,
     link_key,
+    transmission_delay,
 )
 from .delay_estimation import run_estimation_cycle
 from .kernel import (
@@ -245,6 +246,13 @@ def _positive_time(text: str) -> int:
     return value
 
 
+def _positive_size(text: str) -> int:
+    value = parse_size(text)
+    if value <= 0:
+        raise ScenarioError(f"size {text!r} must be positive")
+    return value
+
+
 def _variant_name(name: str) -> str:
     variant_by_name(name)  # raises for unknown names
     return name
@@ -255,7 +263,7 @@ def _variant_name(name: str) -> str:
 _RUN_PARSERS = {
     "emulation_time": parse_time,
     "estimation_interval": _positive_time,
-    "probe_length": parse_size,
+    "probe_length": _positive_size,
     "recalc_cost": parse_time,
     "queue_limit": parse_time,
     "host_link_delay": parse_time,
@@ -527,6 +535,13 @@ def load_scenario(path) -> Scenario:
 def validate_scenario(scenario: Scenario) -> None:
     """Cross-reference checks beyond per-line syntax."""
     topology = build_topology(scenario.topology_spec)
+    probe_bits = scenario.config.probe_length_bits
+    for link in topology.links():
+        # A cost entry needs a positive probe transmission delay.
+        if transmission_delay(probe_bits, link.capacity_bps) == 0:
+            raise ScenarioError(
+                f"link {link.a}-{link.b}: a {probe_bits}-bit probe crosses "
+                "it in under 1 ns; lower its capacity or raise probe_length")
     for flow in scenario.flows:
         topology.attachment(flow.src_host)
         topology.attachment(flow.dst_host)

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import random
 
@@ -10,14 +11,17 @@ from sdnsim.core import (
     LinkState,
     MICROSECOND,
     MILLISECOND,
+    SECOND,
     TopologySpec,
     build_topology,
     transmission_delay,
 )
 from sdnsim.delay_estimation import (
     CostMatrix,
+    EstimationRecord,
     MissingCostError,
     ProbeObservation,
+    ProbePlan,
     estimate_link_delay,
     estimate_path_delay,
     link_cost,
@@ -189,3 +193,75 @@ class TestEstimationCycle:
             assert record.cost == entry.cost == \
                 record.transmission_delay + record.link_delay
             assert record.cycle == 3
+
+
+class TestProbePlan:
+    def test_equal_waits_reuse_the_same_entry(self, chain10, symmetric_control):
+        plan = ProbePlan(chain10, symmetric_control)
+        first, _ = run_estimation_cycle(chain10, symmetric_control, 0,
+                                        plan=plan)
+        second, records = run_estimation_cycle(
+            chain10, symmetric_control, 7 * MS, plan=plan, cycle_index=1)
+        assert len(plan.estimates) == 9  # one per link
+        for (src, dst), entry in second.items():
+            assert entry is first.entry(src, dst)
+            assert entry is second.entry(dst, src)
+        assert {record.at for record in records} == {7 * MS}
+        assert {record.cycle for record in records} == {1}
+
+    def test_changed_wait_re_estimates(self, chain10, symmetric_control):
+        plan = ProbePlan(chain10, symmetric_control)
+        idle, _ = run_estimation_cycle(chain10, symmetric_control, 0,
+                                       plan=plan)
+        waits = {("S2", "S1"): 300 * MICROSECOND}
+        queued, _ = run_estimation_cycle(
+            chain10, symmetric_control, SECOND, plan=plan,
+            egress_wait=lambda a, b, t: waits.get((a, b), 0))
+        assert len(plan.estimates) == 10
+        assert queued.entry("S1", "S2").link_delay == \
+            MILLISECOND + 150 * MICROSECOND
+        assert queued.entry("S1", "S2") is not idle.entry("S1", "S2")
+        assert queued.entry("S2", "S3") is idle.entry("S2", "S3")
+
+    def test_down_link_gets_no_entry(self, chain10, symmetric_control):
+        plan = ProbePlan(chain10, symmetric_control)
+        run_estimation_cycle(chain10, symmetric_control, 0, plan=plan)
+        chain10.set_link_state("S3", "S4", LinkState.DOWN)
+        matrix, records = run_estimation_cycle(chain10, symmetric_control,
+                                               SECOND, plan=plan)
+        assert not matrix.has("S3", "S4") and not matrix.has("S4", "S3")
+        assert len(matrix) == len(records) == 16
+        chain10.set_link_state("S3", "S4", LinkState.UP)
+        matrix, _ = run_estimation_cycle(chain10, symmetric_control,
+                                         2 * SECOND, plan=plan)
+        assert matrix.entry("S3", "S4").link_delay == MILLISECOND
+
+    def test_plan_built_for_other_inputs_rejected(self, chain10,
+                                                  symmetric_control):
+        plan = ProbePlan(chain10, symmetric_control)
+        with pytest.raises(ValueError, match="probe plan"):
+            run_estimation_cycle(chain10, symmetric_control, 0, plan=plan,
+                                 raw_mode=True)
+        with pytest.raises(ValueError, match="probe plan"):
+            run_estimation_cycle(chain10, ControlChannel(), 0, plan=plan)
+
+
+class TestEstimationRecord:
+    def test_frozen(self):
+        record = EstimationRecord(2, "S1", "S2", 5, 12, 17, 9)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.cost = 0
+
+    def test_equals_its_field_by_field_twin(self):
+        record = EstimationRecord(2, "S1", "S2", 5, 12, 17, 9)
+        twin = EstimationRecord(cycle=2, src="S1", dst="S2", link_delay=5,
+                                transmission_delay=12, cost=17, at=9,
+                                noise_clamped=False)
+        assert record == twin and hash(record) == hash(twin)
+        assert repr(record) == repr(twin)
+        assert vars(record) == {
+            field.name: getattr(twin, field.name)
+            for field in dataclasses.fields(EstimationRecord)}
+        assert list(vars(record)) == [
+            field.name for field in dataclasses.fields(EstimationRecord)]
+        assert dataclasses.replace(record, cost=18) != record

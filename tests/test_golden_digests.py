@@ -6,7 +6,10 @@ E1 ring is also swept over events 1..3), writes the reports with
 the value pinned in ``DIGESTS``.  Two cases run all four variants in one
 experiment, so the variants share each seed's injections: ``mesh20_mixed``
 as written, and ``mesh20_mixed`` with a 1 s estimation interval, which puts
-the controller's route memo through many cycles.  Any change to what a run
+the controller's route memo through many cycles.  A third runs
+``linear_chain`` with a second, near line-rate flow, so some estimation
+probes wait behind queued data and the estimator sees nonzero egress
+waits, which no bundled scenario produces.  Any change to what a run
 computes, or to the bytes of a report, fails here, so a refactor or an
 optimization that claims to keep behaviour is held to it.
 
@@ -32,7 +35,15 @@ VARIANTS = ("woRM", "sRM", "pRM", "RM")
 SEEDS = [1, 2, 3]
 EVENT_SWEEP = ("events", [1, 2, 3])
 
-# (scenario, variants, sweep, estimation interval or None for the file's).
+# A text edit applied to a scenario file before parsing: (label for the
+# case id, a pattern matching exactly one line, its replacement).
+INTERVAL_1S = ("interval1s", r"^estimation_interval .*$",
+               "estimation_interval 1s")
+QUEUED_PROBES = ("queued-probes", r"^(flow F1 .*)$",
+                 r"\1\nflow F2 H1 H10 packet=1500B volume=24Mb start=9990ms"
+                 r" gap=13500ns")
+
+# (scenario, variants, sweep, text edit or None for the file as written).
 # The 1 s case lists SDN-RM first, so its events.jsonl is the log of the
 # variant that computes the most routes.
 CASES = ([(name, (variant,), None, None)
@@ -40,24 +51,24 @@ CASES = ([(name, (variant,), None, None)
          + [("industrial_ring_e1", (variant,), EVENT_SWEEP, None)
             for variant in VARIANTS]
          + [("mesh20_mixed", VARIANTS, None, None),
-            ("mesh20_mixed", VARIANTS[::-1], None, "1s")])
+            ("mesh20_mixed", VARIANTS[::-1], None, INTERVAL_1S),
+            ("linear_chain", VARIANTS, None, QUEUED_PROBES)])
 
 
-def case_id(name, variants, sweep, interval):
+def case_id(name, variants, sweep, edit):
     return (f"{name}-{'+'.join(variants)}"
             + ("" if sweep is None else f"-{sweep[0]}")
-            + ("" if interval is None else f"-interval{interval}"))
+            + ("" if edit is None else f"-{edit[0]}"))
 
 
-def report_digests(name, variants, sweep, interval, out_dir):
+def report_digests(name, variants, sweep, edit, out_dir):
     """{file name: SHA-256} of the reports of one case, written to out_dir."""
     relative = f"scenarios/{name}.scn"
     with open(os.path.join(ROOT, relative), encoding="utf-8") as handle:
         text = handle.read()
-    if interval is not None:
-        text, edits = re.subn(r"^estimation_interval .*$",
-                              f"estimation_interval {interval}", text,
-                              flags=re.MULTILINE)
+    if edit is not None:
+        _, pattern, replacement = edit
+        text, edits = re.subn(pattern, replacement, text, flags=re.MULTILINE)
         assert edits == 1
     scenario = parse_scenario(text, name=relative)
     result = run_experiment(scenario, list(variants), SEEDS, sweep=sweep)
@@ -754,6 +765,26 @@ DIGESTS = {
             'd3aaf7d0fa0aa5f366be24396cb089fc878fb2b44f5d57dc97a482df1ae82a1d',
         'warnings.csv':
             '85f9cd99a22c7952467f93371eeb211b7b2023c3d9f6ee3695d56bf101325ddc',
+    },
+    'linear_chain-woRM+sRM+pRM+RM-queued-probes': {
+        'events.jsonl':
+            '0f95b7f146c0a446de8ba1b073c901a762ae4509598e3513fdf6a17a53c77718',
+        'llde_cycles.csv':
+            'cf79845038bb7c0c2479a77f16853ff7a3c30c0097f21a75ac4cccbb7e382aa3',
+        'manifest.json':
+            '80092617a793e3b7aa7e43049320595253e13176f63086bc8c09b1bd9371cdf5',
+        'restoration_ms.csv':
+            'a684a30d214eafcc61309348e809a645713c53977bd2e8dd554336b24b971e9d',
+        'success_rate.csv':
+            '190247d0517ed647a16bc07cbab1549830130b03116eeb1f8de248c7c9bfde55',
+        'success_rate_strong.csv':
+            '190247d0517ed647a16bc07cbab1549830130b03116eeb1f8de248c7c9bfde55',
+        'summary.json':
+            '38ff7f4ee278c16665507aedd42999c612299f032bb473d20b1e8daef54057c9',
+        'throughput_mbps.csv':
+            '6c6445acf832d13407eb92d770358013548f1556c03224773f19a45b346a6372',
+        'warnings.csv':
+            'a036547e094b625a0adef54fe4aad46df9a35d8b0361de6e4bc71a8809dcd0f8',
     },
 }
 

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import os
@@ -15,6 +16,7 @@ from sdnsim.harness import (
     metrics_from_streams,
     run_experiment,
     run_single,
+    verify_conservation,
 )
 from sdnsim.kernel import Kernel, PacketRecord
 from sdnsim.resilience import RestorationOutcome, RestorationRecord
@@ -182,6 +184,51 @@ class TestRunSingle:
         run = run_single(ring_scenario.with_flow_count(2), "woRM", 9)
         assert run.metrics.variant == "SDN-woRM"
         assert run.metrics.seed == 9
+
+
+class TestVerifyConservation:
+    """A run's own log passes; one doctored record makes it fail."""
+
+    @pytest.fixture
+    def log(self, ring_scenario):
+        log = run_single(ring_scenario.with_flow_count(2), "RM", 1).log
+        verify_conservation(log)
+        return log
+
+    @staticmethod
+    def delivered(log):
+        return next(p for p in log.packets if p.delivered_at is not None)
+
+    def test_delivered_delay_is_the_transit_time(self, log):
+        self.delivered(log).actual_delay += 1
+        with pytest.raises(AssertionError, match="transit time"):
+            verify_conservation(log)
+
+    def test_delivered_delay_is_not_negative(self, log):
+        packet = self.delivered(log)
+        packet.delivered_at = packet.sent_at - 1
+        packet.actual_delay = -1
+        with pytest.raises(AssertionError, match="transit time"):
+            verify_conservation(log)
+
+    def test_drop_reason_is_known(self, log):
+        packet = self.delivered(log)
+        packet.delivered_at = packet.actual_delay = None
+        packet.drop_reason = "lost"
+        with pytest.raises(AssertionError, match="unknown drop reason"):
+            verify_conservation(log)
+
+    @pytest.mark.parametrize("link_delay, transmission_delay",
+                             [(-1, 12_000), (1_000_000, 0)])
+    def test_estimation_record_in_range(self, log, link_delay,
+                                        transmission_delay):
+        # The doctored cost stays their sum, so only the range check fires.
+        log.estimation[3] = dataclasses.replace(
+            log.estimation[3], link_delay=link_delay,
+            transmission_delay=transmission_delay,
+            cost=link_delay + transmission_delay)
+        with pytest.raises(AssertionError, match="out of range"):
+            verify_conservation(log)
 
 
 class TestRunExperiment:

@@ -12,12 +12,15 @@ state:
   after the horizon, in both forms of schedule_call;
 - each egress link's busy-until time never decreases;
 - every route the controller hands out, memoized or not, equals a fresh
-  find_path over the topology and cost matrix of that moment.
+  find_path over the topology and cost matrix of that moment;
+- every estimation cycle, run with the run's probe plan, yields the costs
+  and records of a cycle with a fresh plan at the same instant and waits.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
+from sdnsim import resilience
 from sdnsim.contracts import create_contract_pair
 from sdnsim.core import (
     ControlChannel,
@@ -48,7 +51,7 @@ CAPACITIES = (1_000_000, 10_000_000, 100_000_000, 1_000_000_000)
 
 
 @st.composite
-def networks(draw):
+def networks(draw, max_packets=30, max_gap=50 * MS, interval=SECOND):
     """(TopologySpec, flows, contract pairs, injections, variant, config)."""
     n = draw(st.integers(2, 6))
     ring = n >= 3 and draw(st.booleans())
@@ -66,13 +69,13 @@ def networks(draw):
         src, dst = draw(st.lists(st.sampled_from([h for h, _ in hosts]),
                                  min_size=2, max_size=2, unique=True))
         length = draw(st.integers(1_000, 12_000))
-        count = draw(st.integers(1, 30))
+        count = draw(st.integers(1, max_packets))
         flows.append(Flow(
             id=f"F{index}", src_host=src, dst_host=dst, packet_length=length,
             total_volume=count * length,
             start_time=draw(st.integers(0, SECOND)),
             inter_packet_gap=0 if count == 1 else draw(
-                st.integers(MICROSECOND, 50 * MS))))
+                st.integers(MICROSECOND, max_gap))))
 
     first = flows[0]
     contracts = [create_contract_pair(
@@ -90,7 +93,7 @@ def networks(draw):
     injections.sort(key=lambda inj: inj.at)
 
     variant = draw(st.sampled_from(sorted(VARIANT_ALIASES)))
-    config = SimConfig(estimation_interval=SECOND,
+    config = SimConfig(estimation_interval=interval,
                        queue_limit=draw(st.integers(0, 5 * MS)),
                        host_link_delay=draw(st.integers(0, MS)))
     return (TopologySpec(switches, hosts, links), flows, contracts,
@@ -203,3 +206,31 @@ def test_every_route_equals_a_fresh_find_path(network, data):
                 except NoPathError:
                     fresh = None
                 assert route == fresh
+
+
+@settings(max_examples=40, deadline=None)
+@given(networks(max_packets=400, max_gap=5 * MS, interval=10 * MS))
+def test_every_cycle_equals_a_cycle_with_a_fresh_plan(network):
+    """Dense flows and a 10 ms cycle leave egresses queued at many cycle
+    boundaries while links flap, so the plan's estimates are reused,
+    re-estimated and skipped."""
+    kernel = network_kernel(network)
+    planned = resilience.run_estimation_cycle
+    queued = []
+
+    def compared(topology, control, now, **kwargs):
+        assert kwargs["plan"] is not None
+        matrix, records = planned(topology, control, now, **kwargs)
+        fresh_matrix, fresh_records = planned(
+            topology, control, now, **{**kwargs, "plan": None})
+        assert matrix.costs == fresh_matrix.costs
+        assert dict(matrix.items()) == dict(fresh_matrix.items())
+        assert records == fresh_records
+        queued.extend(key for key in kernel._egress_free
+                      if kernel.egress_wait(*key, now))
+        return matrix, records
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(resilience, "run_estimation_cycle", compared)
+        kernel.run_until(HORIZON)
+    event("queued egress at a cycle" if queued else "idle cycles only")

@@ -123,6 +123,11 @@ class TestParser:
         with pytest.raises(ScenarioError, match="C9"):
             parse_scenario(text)
 
+    def test_probe_must_take_a_nanosecond_on_every_link(self):
+        bad = MINIMAL.replace("capacity=1Gbps", "capacity=30000Gbps")
+        with pytest.raises(ScenarioError, match="link S1-S2: a 12000-bit"):
+            parse_scenario(bad)
+
 
 def line_of(text, line):
     return text.splitlines().index(line) + 1
@@ -235,6 +240,7 @@ class TestStrictInput:
         ("emulation_time 30s", "emulation_time 150x"),
         ("emulation_time 30s", "emulation_time 30s\nestimation_interval 0s"),
         ("emulation_time 30s", "emulation_time 30s\nprobe_length 1500"),
+        ("emulation_time 30s", "emulation_time 30s\nprobe_length 0B"),
         ("emulation_time 30s", "emulation_time 30s\nseed one"),
         ("emulation_time 30s", "emulation_time 30s\nvariant SDN-XX"),
         ("emulation_time 30s", "emulation_time 30s\ncontrol_latency fast"),
