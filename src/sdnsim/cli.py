@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .harness import ExperimentResult, emit_reports, run_experiment
 from .resilience import VARIANT_ALIASES, variant_by_name
@@ -81,10 +82,13 @@ def main(argv: list[str] | None = None) -> int:
             raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.eq1_raw_mode:
+        scenario = replace(scenario, config=replace(scenario.config,
+                                                    eq1_raw_mode=True))
     seeds = list(range(scenario.seed, scenario.seed + args.seeds))
     try:
         result = run_experiment(scenario, args.variants, seeds,
-                                sweep=args.sweep, eq1_raw=args.eq1_raw_mode)
+                                sweep=args.sweep)
     except Exception as exc:  # surface run failures as nonzero exit
         if args.debug:
             raise

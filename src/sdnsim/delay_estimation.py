@@ -15,13 +15,15 @@ for a run: a Topology changes only through set_link_state, so each link's
 endpoints, propagation delay and capacity stay as built, and the control
 channel never changes.  A ProbePlan therefore resolves, once per run, each
 link's control latencies, echo RTTs and probe transmission delay, and holds
-the live Link so a cycle still sees its current state.  The send time
-cancels out of every difference the estimator takes, so an estimate is a
-pure function of (near, far, forward wait, reverse wait); the plan keeps
-the CostEntry of each such input and builds the ProbeObservation and calls
-estimate_link_delay only for an input it has not seen.  A negative-residual
-warning would thus be logged once per distinct input, not once per cycle;
-none arises here, since every term of the residual is non-negative.
+the live Link so a cycle still sees its current state; the plan, with its
+probe length and raw mode, is a cycle's only source of fixed inputs.  The
+send time cancels out of every difference the estimator takes, so an
+estimate is a pure function of (near, far, forward wait, reverse wait);
+the plan keeps the CostEntry of each such input and builds the
+ProbeObservation and calls estimate_link_delay only for an input it has
+not seen.  A negative-residual warning would thus be logged once per
+distinct input, not once per cycle; none arises here, since every term of
+the residual is non-negative.
 """
 
 from __future__ import annotations
@@ -209,9 +211,6 @@ class ProbePlan:
     def __init__(self, topology: Topology, control: ControlChannel,
                  probe_length_bits: int = 12_000,
                  raw_mode: bool = False) -> None:
-        self.topology = topology
-        self.control = control
-        self.probe_length_bits = probe_length_bits
         self.raw_mode = raw_mode
         probes = []
         for link in topology.links():
@@ -250,33 +249,22 @@ class ProbePlan:
 
 
 def run_estimation_cycle(
-    topology: Topology,
-    control: ControlChannel,
+    plan: ProbePlan,
     now: int,
     *,
-    probe_length_bits: int = 12_000,
     egress_wait: Callable[[SwitchId, SwitchId, int], int] | None = None,
-    raw_mode: bool = False,
     cycle_index: int = 0,
-    plan: ProbePlan | None = None,
 ) -> tuple[CostMatrix, list[EstimationRecord]]:
-    """Probe every Up link and return a freshly built cost matrix.
+    """Probe every Up link of the plan's topology; return a fresh cost matrix.
 
     Probes ride the links as zero-size control frames: they wait behind any
     queued data traffic on the egress (egress_wait, in ns) and then cross in
     one propagation delay, so on an idle network the estimate equals the
     configured link delay exactly.  Down links get no entry.  The sender
-    transmission delay uses the probe reference length over the egress link
-    capacity.  plan, when given, must have been built for the same
-    topology, control channel, probe length and raw_mode; a caller that
-    runs many cycles passes one plan to all of them.
+    transmission delay uses the plan's probe length over the egress link
+    capacity.  A caller that runs many cycles passes one plan to all of
+    them.
     """
-    if plan is None:
-        plan = ProbePlan(topology, control, probe_length_bits, raw_mode)
-    elif (plan.topology is not topology or plan.control is not control
-            or plan.probe_length_bits != probe_length_bits
-            or plan.raw_mode != raw_mode):
-        raise ValueError("probe plan was built for other estimation inputs")
     matrix = CostMatrix()
     records: list[EstimationRecord] = []
     wait = egress_wait or (lambda a, b, t: 0)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import __version__
 from .contracts import BoundTimeline
@@ -29,31 +29,23 @@ from .scenario import Scenario, materialize_injections
 # run, or the SimpleNamespace records RunLog.parse_jsonl gives back)
 
 
-def compute_success_rate(packets: list, ped_changes: list,
-                         mode: str = "per_packet",
-                         check_window: int = 10 * SECOND,
-                         ) -> tuple[float, float]:
-    """Fraction of contract-covered traffic meeting the active requirement.
+def compute_success_rate(packets: list,
+                         ped_changes: list) -> tuple[float, float]:
+    """Fraction of contract-covered packets meeting the active requirement.
 
     Returns (rate vs active bound, rate vs strong bound).  Dropped packets
-    count as unsatisfied.  mode="per_packet" scores each packet;
-    mode="per_check" scores each (pair, check_window) group as a whole,
-    for comparison with coarser accounting.
+    count as unsatisfied.
     """
     timeline = BoundTimeline(ped_changes)
     covered = [p for p in packets if p.covered]
     if not covered:
         return 1.0, 1.0
-    if mode == "per_packet":
-        hits = strong_hits = 0
-        for packet in covered:
-            ok, ok_strong = _packet_satisfied(packet, timeline)
-            hits += ok
-            strong_hits += ok_strong
-        return hits / len(covered), strong_hits / len(covered)
-    if mode == "per_check":
-        return _per_check_rate(covered, timeline, check_window)
-    raise ValueError(f"unknown success accounting mode {mode!r}")
+    hits = strong_hits = 0
+    for packet in covered:
+        ok, ok_strong = _packet_satisfied(packet, timeline)
+        hits += ok
+        strong_hits += ok_strong
+    return hits / len(covered), strong_hits / len(covered)
 
 
 def _packet_satisfied(packet, timeline: BoundTimeline) -> tuple[bool, bool]:
@@ -64,21 +56,6 @@ def _packet_satisfied(packet, timeline: BoundTimeline) -> tuple[bool, bool]:
         return False, False
     delay = packet.actual_delay
     return delay <= change.active_ped, delay <= change.strong_ped
-
-
-def _per_check_rate(covered: list, timeline: BoundTimeline,
-                    window: int) -> tuple[float, float]:
-    groups: dict[tuple, list] = {}
-    for packet in covered:
-        key = (packet.pair[0], packet.pair[1], packet.sent_at // window)
-        groups.setdefault(key, []).append(packet)
-    checks = ok = ok_strong = 0
-    for _, group in sorted(groups.items()):
-        checks += 1
-        results = [_packet_satisfied(p, timeline) for p in group]
-        ok += all(r[0] for r in results)
-        ok_strong += all(r[1] for r in results)
-    return ok / checks, ok_strong / checks
 
 
 def compute_throughput(packets: list, emulation_time: int) -> float:
@@ -127,13 +104,11 @@ class RunResult:
 
 
 def metrics_from_streams(log: RunLog, variant: str, seed: int,
-                         emulation_time: int,
-                         mode: str = "per_packet") -> MetricsReport:
+                         emulation_time: int) -> MetricsReport:
     """Headline metrics from a run's log, live or from RunLog.parse_jsonl."""
     packets = log.packets
     delivered = sum(1 for p in packets if p.delivered_at is not None)
-    success, success_strong = compute_success_rate(
-        packets, log.ped_changes, mode=mode)
+    success, success_strong = compute_success_rate(packets, log.ped_changes)
     mean, totals = compute_restoration_stats(log.restorations)
     return MetricsReport(
         variant=variant, seed=seed,
@@ -190,9 +165,7 @@ def verify_conservation(log: RunLog) -> None:
 
 
 def run_single(scenario: Scenario, variant_name: str | None = None,
-               seed: int | None = None, eq1_raw: bool = False,
-               keep_log: bool = True,
-               success_mode: str = "per_packet",
+               seed: int | None = None, keep_log: bool = True,
                injections: list[Injection] | None = None) -> RunResult:
     """Execute one scenario under one variant and seed.
 
@@ -207,15 +180,12 @@ def run_single(scenario: Scenario, variant_name: str | None = None,
         default_c2s=scenario.control.default_c2s,
         default_s2c=scenario.control.default_s2c,
         per_switch=dict(scenario.control.per_switch))
-    config = scenario.config
-    if eq1_raw:
-        config = replace(config, eq1_raw_mode=True)
     kernel = Kernel(
         topology=topology,
         flows=list(scenario.flows),
         contract_pairs=scenario.contract_pairs(),
         variant=variant,
-        config=config,
+        config=scenario.config,
         control=control)
     if injections is None:
         injections = materialize_injections(scenario, run_seed)
@@ -223,8 +193,7 @@ def run_single(scenario: Scenario, variant_name: str | None = None,
     kernel.run_until(scenario.emulation_time)
     verify_conservation(kernel.log)
     metrics = metrics_from_streams(
-        kernel.log, variant.name, run_seed,
-        scenario.emulation_time, mode=success_mode)
+        kernel.log, variant.name, run_seed, scenario.emulation_time)
     return RunResult(scenario_name=scenario.name, variant=variant.name,
                      seed=run_seed, metrics=metrics,
                      log=kernel.log if keep_log else None)
@@ -238,7 +207,7 @@ class ExperimentResult:
     sweep_values: tuple
     variants: tuple[str, ...]
     seeds: tuple[int, ...]
-    eq1_raw: bool
+    eq1_raw_mode: bool
     cells: dict = field(default_factory=dict)  # (variant, value) -> [MetricsReport]
     sample_log: RunLog | None = None  # first run's full log, for artifacts
 
@@ -288,9 +257,7 @@ def _swept_scenario(scenario: Scenario, sweep_param: str | None, value):
 
 
 def run_experiment(scenario: Scenario, variants: list[str], seeds: list[int],
-                   sweep: tuple[str, list] | None = None,
-                   eq1_raw: bool = False,
-                   success_mode: str = "per_packet") -> ExperimentResult:
+                   sweep: tuple[str, list] | None = None) -> ExperimentResult:
     """One kernel run per (variant, seed, sweep value); aggregated reports.
 
     Injections depend only on the scenario and the seed, so they are
@@ -306,7 +273,7 @@ def run_experiment(scenario: Scenario, variants: list[str], seeds: list[int],
         sweep_values=sweep_values,
         variants=full_names,
         seeds=tuple(seeds),
-        eq1_raw=eq1_raw)
+        eq1_raw_mode=scenario.config.eq1_raw_mode)
     for value in sweep_values:
         swept = _swept_scenario(scenario, sweep_param, value)
         injections = {seed: materialize_injections(swept, seed)
@@ -315,8 +282,7 @@ def run_experiment(scenario: Scenario, variants: list[str], seeds: list[int],
             reports = []
             for seed in seeds:
                 keep = result.sample_log is None
-                run = run_single(swept, variant, seed, eq1_raw=eq1_raw,
-                                 keep_log=keep, success_mode=success_mode,
+                run = run_single(swept, variant, seed, keep_log=keep,
                                  injections=injections[seed])
                 if keep:
                     result.sample_log = run.log
@@ -405,7 +371,7 @@ def emit_reports(result: ExperimentResult, out_dir: str) -> list[str]:
         "seeds": list(result.seeds),
         "sweep_param": result.sweep_param,
         "sweep_values": list(result.sweep_values),
-        "eq1_raw_mode": result.eq1_raw,
+        "eq1_raw_mode": result.eq1_raw_mode,
         "version": __version__,
     }
     manifest_path = os.path.join(out_dir, "manifest.json")

@@ -158,11 +158,11 @@ class Kernel:
     def __init__(self, topology: Topology, flows: list[Flow],
                  contract_pairs: list[ContractPair],
                  variant: MechanismVariant, config: SimConfig,
-                 control: ControlChannel, log: RunLog | None = None) -> None:
+                 control: ControlChannel) -> None:
         self.topology = topology
         self.config = config
         self.control = control
-        self.log = log if log is not None else RunLog()
+        self.log = RunLog()
         self.now = 0
         self._queue: list[tuple[int, int, Callable[..., None], Any]] = []
         self._seq = itertools.count()

@@ -223,12 +223,9 @@ class ResilienceManager:
     def on_cycle_boundary(self, now: int) -> None:
         self.cycle_index += 1
         matrix, records = run_estimation_cycle(
-            self.topology, self.control, now,
-            probe_length_bits=self.config.probe_length_bits,
+            self._probe_plan, now,
             egress_wait=self.kernel.egress_wait,
-            raw_mode=self.config.eq1_raw_mode,
             cycle_index=self.cycle_index,
-            plan=self._probe_plan,
         )
         if matrix.costs != self.matrix.costs:
             self._routes.clear()
@@ -289,13 +286,8 @@ class ResilienceManager:
             return
         if required_ped is not None and route.ed > required_ped:
             return
-        current = self.kernel.forwarding_path(key, now)
-        if current is not None and tuple(current) == route.path:
-            return
-        if route.ed >= current_ed:
-            return
-        reassignment = self._reassignment_delay(route.path)
-        self.kernel.set_forwarding(key, route.path, active_at=now + reassignment)
+        if route.ed < current_ed:
+            self.execute_rs1(key, route.path, now)
 
     # ------------------------------------------------------------------
     # monitors

@@ -36,13 +36,16 @@ rather than code::
 Times accept ns/us/ms/s suffixes, rates bps/Kbps/Mbps/Gbps, sizes b/Kb/Mb/Gb
 (bits) or B/KB/MB (bytes); decimal values are parsed exactly.
 
-Auto-generated injections are seeded and nested: a run asking for k events
-uses the chronologically first k of a fixed per-seed master schedule, so
-sweeping the event count only ever adds later events.  Generated link
-failures follow the path a well-managed controller would be using at that
-moment (computed on an idle copy of the topology, independent of any
-mechanism variant), which is what makes an injected failure actually
-exercise fault handling.
+Auto-generated injections are seeded: a run asking for k events uses the
+chronologically first k of a per-seed master schedule of max(k, 8) events.
+Event counts nest (sweeping the count only adds later events) only for
+counts up to MASTER_EVENT_POOL and only without per_pair: a larger count
+draws a longer master schedule, and per_pair draws each contract's times
+after the previous contract's count factors.  Generated link failures
+follow the path a well-managed controller would be using at that moment
+(computed on an idle copy of the topology, independent of any mechanism
+variant), which is what makes an injected failure actually exercise fault
+handling.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from .core import (
     link_key,
     transmission_delay,
 )
-from .delay_estimation import run_estimation_cycle
+from .delay_estimation import ProbePlan, run_estimation_cycle
 from .kernel import (
     Injection,
     LinkDownInjection,
@@ -73,8 +76,9 @@ from .kernel import (
 from .resilience import variant_by_name
 from .routing import NoPathError, find_path
 
-# Master schedules are generated at this length; requested counts take a
-# chronological prefix.  Event-count sweeps therefore nest.
+# Master schedules are generated at this length (or the count, if larger);
+# counts take a chronological prefix, so event counts up to this length
+# nest, unless per_pair interleaves contracts' times with earlier factors.
 MASTER_EVENT_POOL = 8
 
 
@@ -188,7 +192,7 @@ class Scenario:
         return replace(self, flows=self.flows[:count])
 
     def with_event_count(self, count: int) -> "Scenario":
-        """Scale injected events; auto schedules nest chronologically.
+        """Scale injected events; auto schedules take a chronological prefix.
 
         Without auto specs the explicit injections are cut to their first
         count events in time, where a link_down and the link_up that ends
@@ -574,8 +578,8 @@ def validate_scenario(scenario: Scenario) -> None:
 
 
 def _idle_matrix(topology, probe_bits: int):
-    matrix, _ = run_estimation_cycle(topology, ControlChannel(), 0,
-                                     probe_length_bits=probe_bits)
+    matrix, _ = run_estimation_cycle(
+        ProbePlan(topology, ControlChannel(), probe_bits), 0)
     return matrix
 
 
@@ -670,9 +674,12 @@ def _expected_path_diary(scenario: Scenario, rng: random.Random,
 def materialize_injections(scenario: Scenario, seed: int) -> list[Injection]:
     """Expand auto specs into concrete injections for one seeded run.
 
-    Counts take a chronological prefix of a MASTER_EVENT_POOL-long master
-    schedule, so different counts under the same seed share their earliest
-    events.
+    Counts take a chronological prefix of a master schedule of
+    max(count, MASTER_EVENT_POOL) events.  Without per_pair, counts up to
+    MASTER_EVENT_POOL under the same seed therefore share their earliest
+    events.  A larger count re-draws the master schedule, and per_pair
+    draws each contract's times after the previous contract's count
+    factors, so neither nests.
     """
     injections: list[Injection] = list(scenario.explicit_injections)
 

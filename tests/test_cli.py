@@ -1,3 +1,5 @@
+import csv
+import json
 import os
 
 import pytest
@@ -17,6 +19,26 @@ def test_run_with_output_directory(tmp_path, capsys):
         "events.jsonl", "llde_cycles.csv", "manifest.json",
         "restoration_ms.csv", "success_rate.csv", "success_rate_strong.csv",
         "summary.json", "throughput_mbps.csv", "warnings.csv"]
+
+
+def test_eq1_raw_mode_flag_doubles_logged_link_delays(tmp_path, capsys):
+    args = ["run", "scenarios/linear_chain.scn", "--variants", "RM",
+            "--seeds", "1"]
+    assert main(args + ["--out", str(tmp_path / "halved")]) == 0
+    assert main(args + ["--eq1-raw-mode", "--out", str(tmp_path / "raw")]) == 0
+    halved, raw = (json.loads((tmp_path / d / "manifest.json").read_text())
+                   for d in ("halved", "raw"))
+    assert halved["eq1_raw_mode"] is False and raw["eq1_raw_mode"] is True
+    assert {**raw, "eq1_raw_mode": False} == halved
+    with open(tmp_path / "halved" / "llde_cycles.csv") as handle:
+        halved_rows = list(csv.DictReader(handle))
+    with open(tmp_path / "raw" / "llde_cycles.csv") as handle:
+        raw_rows = list(csv.DictReader(handle))
+    assert len(raw_rows) == len(halved_rows) > 0
+    for h, r in zip(halved_rows, raw_rows):
+        assert (r["cycle"], r["src"], r["dst"]) == \
+            (h["cycle"], h["src"], h["dst"])
+        assert int(r["link_delay_ns"]) == 2 * int(h["link_delay_ns"]) > 0
 
 
 def test_run_prints_table_without_out(capsys):

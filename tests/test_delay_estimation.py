@@ -113,7 +113,7 @@ class TestEstimatePathDelay:
 class TestEstimationCycle:
     def test_idle_network_estimates_configured_delay_exactly(
             self, chain10, symmetric_control):
-        matrix, records = run_estimation_cycle(chain10, symmetric_control, 0)
+        matrix, records = run_estimation_cycle(ProbePlan(chain10, symmetric_control), 0)
         assert len(matrix) == 18  # 9 links, both directions
         for (src, dst), entry in matrix.items():
             assert entry.link_delay == MILLISECOND
@@ -132,7 +132,7 @@ class TestEstimationCycle:
                 "S1": (rng.randrange(0, MS),) * 2,
                 "S2": (rng.randrange(0, MS),) * 2,
             })
-            matrix, _ = run_estimation_cycle(topology, control, 0)
+            matrix, _ = run_estimation_cycle(ProbePlan(topology, control), 0)
             assert matrix.entry("S1", "S2").link_delay == propagation
 
     def test_asymmetric_control_channel_cancels_exactly(self):
@@ -146,12 +146,12 @@ class TestEstimationCycle:
             "S1": (100 * MICROSECOND, 900 * MICROSECOND),
             "S2": (50 * MICROSECOND, 450 * MICROSECOND),
         })
-        matrix, _ = run_estimation_cycle(topology, control, 0)
+        matrix, _ = run_estimation_cycle(ProbePlan(topology, control), 0)
         assert matrix.entry("S1", "S2").link_delay == 7 * MS
 
     def test_down_link_has_no_entry(self, chain10, symmetric_control):
         chain10.set_link_state("S3", "S4", LinkState.DOWN)
-        matrix, _ = run_estimation_cycle(chain10, symmetric_control, 0)
+        matrix, _ = run_estimation_cycle(ProbePlan(chain10, symmetric_control), 0)
         assert len(matrix) == 16
         assert not matrix.has("S3", "S4")
         assert not matrix.has("S4", "S3")
@@ -161,8 +161,10 @@ class TestEstimationCycle:
         # cost matrix must reflect the three-orders-of-magnitude shift.
         slow = build_topology(linear_chain_spec(capacity=MBPS))
         fast = build_topology(linear_chain_spec(capacity=GBPS))
-        slow_matrix, _ = run_estimation_cycle(slow, symmetric_control, 0)
-        fast_matrix, _ = run_estimation_cycle(fast, symmetric_control, 0)
+        slow_matrix, _ = run_estimation_cycle(
+            ProbePlan(slow, symmetric_control), 0)
+        fast_matrix, _ = run_estimation_cycle(
+            ProbePlan(fast, symmetric_control), 0)
         assert slow_matrix.entry("S1", "S2").transmission_delay == 12 * MS
         assert fast_matrix.entry("S1", "S2").transmission_delay == 12 * MICROSECOND
         assert slow_matrix.entry("S1", "S2").transmission_delay > \
@@ -173,20 +175,20 @@ class TestEstimationCycle:
     def test_queued_egress_inflates_estimate(self, chain10, symmetric_control):
         waits = {("S1", "S2"): 300 * MICROSECOND}
         matrix, _ = run_estimation_cycle(
-            chain10, symmetric_control, 0,
+            ProbePlan(chain10, symmetric_control), 0,
             egress_wait=lambda a, b, t: waits.get((a, b), 0))
         # The probe averages the two directions' waits.
         assert matrix.entry("S1", "S2").link_delay == MILLISECOND + 150 * MICROSECOND
         assert matrix.entry("S2", "S3").link_delay == MILLISECOND
 
     def test_raw_mode_doubles_symmetric_estimate(self, chain10, symmetric_control):
-        matrix, _ = run_estimation_cycle(chain10, symmetric_control, 0,
-                                         raw_mode=True)
+        matrix, _ = run_estimation_cycle(
+            ProbePlan(chain10, symmetric_control, raw_mode=True), 0)
         assert matrix.entry("S1", "S2").link_delay == 2 * MILLISECOND
 
     def test_records_match_matrix(self, chain10, symmetric_control):
-        matrix, records = run_estimation_cycle(chain10, symmetric_control, 0,
-                                               cycle_index=3)
+        matrix, records = run_estimation_cycle(
+            ProbePlan(chain10, symmetric_control), 0, cycle_index=3)
         assert len(records) == len(matrix)
         for record in records:
             entry = matrix.entry(record.src, record.dst)
@@ -198,10 +200,8 @@ class TestEstimationCycle:
 class TestProbePlan:
     def test_equal_waits_reuse_the_same_entry(self, chain10, symmetric_control):
         plan = ProbePlan(chain10, symmetric_control)
-        first, _ = run_estimation_cycle(chain10, symmetric_control, 0,
-                                        plan=plan)
-        second, records = run_estimation_cycle(
-            chain10, symmetric_control, 7 * MS, plan=plan, cycle_index=1)
+        first, _ = run_estimation_cycle(plan, 0)
+        second, records = run_estimation_cycle(plan, 7 * MS, cycle_index=1)
         assert len(plan.estimates) == 9  # one per link
         for (src, dst), entry in second.items():
             assert entry is first.entry(src, dst)
@@ -211,12 +211,10 @@ class TestProbePlan:
 
     def test_changed_wait_re_estimates(self, chain10, symmetric_control):
         plan = ProbePlan(chain10, symmetric_control)
-        idle, _ = run_estimation_cycle(chain10, symmetric_control, 0,
-                                       plan=plan)
+        idle, _ = run_estimation_cycle(plan, 0)
         waits = {("S2", "S1"): 300 * MICROSECOND}
         queued, _ = run_estimation_cycle(
-            chain10, symmetric_control, SECOND, plan=plan,
-            egress_wait=lambda a, b, t: waits.get((a, b), 0))
+            plan, SECOND, egress_wait=lambda a, b, t: waits.get((a, b), 0))
         assert len(plan.estimates) == 10
         assert queued.entry("S1", "S2").link_delay == \
             MILLISECOND + 150 * MICROSECOND
@@ -225,25 +223,14 @@ class TestProbePlan:
 
     def test_down_link_gets_no_entry(self, chain10, symmetric_control):
         plan = ProbePlan(chain10, symmetric_control)
-        run_estimation_cycle(chain10, symmetric_control, 0, plan=plan)
+        run_estimation_cycle(plan, 0)
         chain10.set_link_state("S3", "S4", LinkState.DOWN)
-        matrix, records = run_estimation_cycle(chain10, symmetric_control,
-                                               SECOND, plan=plan)
+        matrix, records = run_estimation_cycle(plan, SECOND)
         assert not matrix.has("S3", "S4") and not matrix.has("S4", "S3")
         assert len(matrix) == len(records) == 16
         chain10.set_link_state("S3", "S4", LinkState.UP)
-        matrix, _ = run_estimation_cycle(chain10, symmetric_control,
-                                         2 * SECOND, plan=plan)
+        matrix, _ = run_estimation_cycle(plan, 2 * SECOND)
         assert matrix.entry("S3", "S4").link_delay == MILLISECOND
-
-    def test_plan_built_for_other_inputs_rejected(self, chain10,
-                                                  symmetric_control):
-        plan = ProbePlan(chain10, symmetric_control)
-        with pytest.raises(ValueError, match="probe plan"):
-            run_estimation_cycle(chain10, symmetric_control, 0, plan=plan,
-                                 raw_mode=True)
-        with pytest.raises(ValueError, match="probe plan"):
-            run_estimation_cycle(chain10, ControlChannel(), 0, plan=plan)
 
 
 class TestEstimationRecord:

@@ -84,14 +84,6 @@ class TestSuccessRate:
         assert rate == 0.5       # second packet allowed by the weak bound
         assert strong == 0.0     # neither meets the strong bound
 
-    def test_per_check_mode_groups_windows(self):
-        packets = [packet(0, 3 * MS, sent=SECOND),
-                   packet(1, 6 * MS, sent=2 * SECOND),
-                   packet(2, 3 * MS, sent=11 * SECOND)]
-        rate, _ = compute_success_rate(packets, ped_history(),
-                                       mode="per_check")
-        assert rate == 0.5  # first window spoiled by one late packet
-
     def test_no_covered_packets_is_vacuously_one(self):
         rate, strong = compute_success_rate([], ped_history())
         assert rate == 1.0 and strong == 1.0
@@ -306,7 +298,8 @@ class TestEmitReports:
     def test_eq1_raw_mode_doubles_link_delay_estimates(self, ring_scenario):
         scenario = ring_scenario.with_flow_count(2)
         normal = run_single(scenario, "RM", 1)
-        raw = run_single(scenario, "RM", 1, eq1_raw=True)
+        config = dataclasses.replace(scenario.config, eq1_raw_mode=True)
+        raw = run_single(dataclasses.replace(scenario, config=config), "RM", 1)
         entry = normal.log.estimation[0]
         raw_entry = raw.log.estimation[0]
         assert (entry.src, entry.dst) == (raw_entry.src, raw_entry.dst)

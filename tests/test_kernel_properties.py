@@ -35,6 +35,7 @@ from sdnsim.core import (
     build_topology,
     transmission_delay,
 )
+from sdnsim.delay_estimation import ProbePlan
 from sdnsim.kernel import (
     Kernel,
     LinkDownInjection,
@@ -218,11 +219,13 @@ def test_every_cycle_equals_a_cycle_with_a_fresh_plan(network):
     planned = resilience.run_estimation_cycle
     queued = []
 
-    def compared(topology, control, now, **kwargs):
-        assert kwargs["plan"] is not None
-        matrix, records = planned(topology, control, now, **kwargs)
-        fresh_matrix, fresh_records = planned(
-            topology, control, now, **{**kwargs, "plan": None})
+    def compared(plan, now, **kwargs):
+        assert plan is kernel.controller._probe_plan
+        matrix, records = planned(plan, now, **kwargs)
+        fresh = ProbePlan(kernel.topology, kernel.control,
+                          kernel.config.probe_length_bits,
+                          kernel.config.eq1_raw_mode)
+        fresh_matrix, fresh_records = planned(fresh, now, **kwargs)
         assert matrix.costs == fresh_matrix.costs
         assert dict(matrix.items()) == dict(fresh_matrix.items())
         assert records == fresh_records

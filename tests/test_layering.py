@@ -1,0 +1,52 @@
+"""Imports inside the package flow one way, from lower layers to higher."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sdnsim"
+
+# Each module may import only modules listed before it.
+LAYERS = ("core", "runlog", "contracts", "delay_estimation", "routing",
+          "resilience", "kernel", "scenario", "harness", "cli")
+
+
+def _imported_modules(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, module) of every sdnsim module the source imports; the
+    package's own __version__ is not a module and is left out."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module is None:
+                names = [a.name for a in node.names if a.name != "__version__"]
+            elif node.level == 1:
+                names = [node.module.split(".")[0]]
+            elif node.module == "sdnsim":
+                names = [a.name for a in node.names]
+            elif node.module and node.module.startswith("sdnsim."):
+                names = [node.module.split(".")[1]]
+            else:
+                continue
+        elif isinstance(node, ast.Import):
+            names = [a.name.split(".")[1] for a in node.names
+                     if a.name.startswith("sdnsim.")]
+        else:
+            continue
+        found.extend((node.lineno, name) for name in names)
+    return found
+
+
+def test_every_module_has_a_layer():
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    assert modules == set(LAYERS)
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_imports_point_only_to_earlier_layers(module):
+    path = PACKAGE / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    allowed = set(LAYERS[:LAYERS.index(module)])
+    wrong = [(line, name) for line, name in _imported_modules(tree)
+             if name not in allowed]
+    assert wrong == [], f"{module} imports a later layer: {wrong}"

@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import pytest
 
 from sdnsim.core import MICROSECOND, MILLISECOND, SECOND
 from sdnsim.kernel import LinkDownInjection, PedChangeInjection
 from sdnsim.scenario import (
+    MASTER_EVENT_POOL,
     ScenarioError,
     load_scenario,
     materialize_injections,
@@ -12,6 +15,22 @@ from sdnsim.scenario import (
     parse_size,
     parse_time,
 )
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def _auto_scenarios_without_per_pair() -> list[str]:
+    """Bundled scenarios whose auto schedules nest across event counts."""
+    names = []
+    for path in sorted(SCENARIO_DIR.glob("*.scn")):
+        scenario = load_scenario(path)
+        auto_e2 = scenario.auto_ped_changes
+        if auto_e2 is not None and auto_e2.per_pair:
+            continue
+        if scenario.auto_link_failures is not None or auto_e2 is not None:
+            names.append(path.stem)
+    return names
+
 
 MINIMAL = """
 [topology]
@@ -348,6 +367,22 @@ class TestMaterialization:
             large_of_kind = [i for i in larger if isinstance(i, kind)]
             assert large_of_kind[:len(small_of_kind)] == small_of_kind
             assert len(large_of_kind) == len(small_of_kind) + 2
+
+    @pytest.mark.parametrize("name", _auto_scenarios_without_per_pair())
+    def test_event_counts_up_to_master_pool_nest(self, name):
+        # Each count's injections of a kind are a prefix of the next
+        # count's.  This holds only without per_pair and only up to
+        # MASTER_EVENT_POOL events; see materialize_injections.
+        scenario = load_scenario(SCENARIO_DIR / f"{name}.scn")
+        for seed in range(1, 11):
+            runs = [materialize_injections(scenario.with_event_count(count),
+                                           seed)
+                    for count in range(1, MASTER_EVENT_POOL + 1)]
+            for smaller, larger in zip(runs, runs[1:]):
+                for kind in (LinkDownInjection, PedChangeInjection):
+                    small_of_kind = [i for i in smaller if isinstance(i, kind)]
+                    large_of_kind = [i for i in larger if isinstance(i, kind)]
+                    assert large_of_kind[:len(small_of_kind)] == small_of_kind
 
     def test_first_failure_lands_on_expected_path(self):
         scenario = load_scenario("scenarios/industrial_ring_e1.scn")
