@@ -13,12 +13,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import __version__
 from .contracts import BoundTimeline
 from .core import ControlChannel, SECOND, build_topology
-from .kernel import DROP_REASONS, Injection, Kernel
+from .kernel import DROP_REASONS, Injection, Kernel, left_out
 from .resilience import MechanismVariant, variant_by_name
 from .runlog import RunLog, record_to_dict
 from .scenario import Scenario, materialize_injections
@@ -164,32 +164,47 @@ def verify_conservation(log: RunLog) -> None:
 # runs and experiments
 
 
-def run_single(scenario: Scenario, variant_name: str | None = None,
-               seed: int | None = None, keep_log: bool = True,
-               injections: list[Injection] | None = None) -> RunResult:
-    """Execute one scenario under one variant and seed.
-
-    injections are the scenario's materialized injections for that seed;
-    they are materialized here when not given.  Injections are frozen, so
-    one list can serve every variant of a seed.
-    """
-    variant: MechanismVariant = variant_by_name(variant_name or scenario.variant)
-    run_seed = scenario.seed if seed is None else seed
-    topology = build_topology(scenario.topology_spec)
+def _start_kernel(scenario: Scenario, variant: MechanismVariant,
+                  injections: list[Injection]) -> Kernel:
+    """A kernel for scenario under variant, set up but not yet run."""
     control = ControlChannel(
         default_c2s=scenario.control.default_c2s,
         default_s2c=scenario.control.default_s2c,
         per_switch=dict(scenario.control.per_switch))
     kernel = Kernel(
-        topology=topology,
+        topology=build_topology(scenario.topology_spec),
         flows=list(scenario.flows),
         contract_pairs=scenario.contract_pairs(),
         variant=variant,
         config=scenario.config,
         control=control)
+    kernel.setup(scenario.emulation_time, injections)
+    return kernel
+
+
+def run_single(scenario: Scenario, variant_name: str | None = None,
+               seed: int | None = None, keep_log: bool = True,
+               injections: list[Injection] | None = None,
+               kernel: Kernel | None = None) -> RunResult:
+    """Execute one scenario under one variant and seed.
+
+    injections are the scenario's materialized injections for that seed;
+    they are materialized here when not given.  Injections are frozen, so
+    one list can serve every variant of a seed.  kernel, when given, is
+    this run's kernel already set up and possibly part-way or all the way
+    through the run (a branch, or a finished kernel with the same
+    injections); it must hold these injections and this variant.
+    """
+    variant: MechanismVariant = variant_by_name(variant_name or scenario.variant)
+    run_seed = scenario.seed if seed is None else seed
     if injections is None:
         injections = materialize_injections(scenario, run_seed)
-    kernel.setup(scenario.emulation_time, injections)
+    if kernel is None:
+        kernel = _start_kernel(scenario, variant, injections)
+    elif (kernel.log.injections != injections
+            or kernel.controller.variant != variant):
+        raise ValueError("kernel was set up for other injections or "
+                         "another variant than this run")
     kernel.run_until(scenario.emulation_time)
     verify_conservation(kernel.log)
     metrics = metrics_from_streams(
@@ -256,12 +271,25 @@ def _swept_scenario(scenario: Scenario, sweep_param: str | None, value):
     raise ValueError(f"unknown sweep parameter {sweep_param!r}")
 
 
+def _without_injections(scenario: Scenario) -> Scenario:
+    return replace(scenario, explicit_injections=(), auto_link_failures=None,
+                   auto_ped_changes=None)
+
+
 def run_experiment(scenario: Scenario, variants: list[str], seeds: list[int],
                    sweep: tuple[str, list] | None = None) -> ExperimentResult:
-    """One kernel run per (variant, seed, sweep value); aggregated reports.
+    """One run per (variant, seed, sweep value); aggregated reports.
 
     Injections depend only on the scenario and the seed, so they are
     materialized once per (sweep value, seed) and shared by the variants.
+    A kernel's history up to t depends only on the scenario without its
+    injections, the variant and the injections before t, so one variant's
+    cells that agree on the rest of the scenario share kernel work: the
+    cell with the longest injection list is computed as a trunk, a cell
+    whose list is a subsequence of the trunk's branches off it just before
+    the first injection it lacks, and a cell with an equal list reuses the
+    finished trunk.  Cells that share nothing with the trunk form the next
+    group.  Each run's output is the same as a fresh run_single's.
     """
     sweep_param, sweep_values = (None, (None,)) if sweep is None else (
         sweep[0], tuple(sweep[1]))
@@ -274,20 +302,62 @@ def run_experiment(scenario: Scenario, variants: list[str], seeds: list[int],
         variants=full_names,
         seeds=tuple(seeds),
         eq1_raw_mode=scenario.config.eq1_raw_mode)
+    swept = {value: _swept_scenario(scenario, sweep_param, value)
+             for value in sweep_values}
+    injections = {(value, seed): materialize_injections(swept[value], seed)
+                  for value in sweep_values for seed in seeds}
+    groups: list[tuple[Scenario, list]] = []
+    for cell in injections:
+        base = _without_injections(swept[cell[0]])
+        for other, cells in groups:
+            if other == base:
+                cells.append(cell)
+                break
+        else:
+            groups.append((base, [cell]))
+
+    first = (sweep_values[0], full_names[0], seeds[0])
+    reports: dict[tuple, MetricsReport] = {}
+
+    def run(cell, variant: str, kernel: Kernel) -> None:
+        value, seed = cell
+        keep = (value, variant, seed) == first
+        done = run_single(swept[value], variant, seed, keep_log=keep,
+                          injections=injections[cell], kernel=kernel)
+        if keep:
+            result.sample_log = done.log
+        reports[(value, variant, seed)] = done.metrics
+
+    for variant in full_names:
+        for base, pending in groups:
+            horizon = base.emulation_time + 1
+            while pending:
+                trunk = max(pending, key=lambda cell: len(injections[cell]))
+                branches, reuses, rest = [], [], []
+                for cell in pending:
+                    missing = left_out(injections[trunk], injections[cell])
+                    if missing is None:
+                        rest.append(cell)
+                    elif missing:
+                        at = min(injections[trunk][i].at for i in missing)
+                        branches.append((min(at, horizon), cell))
+                    else:
+                        reuses.append(cell)
+                kernel = _start_kernel(swept[trunk[0]],
+                                       variant_by_name(variant),
+                                       injections[trunk])
+                branches.sort(key=lambda item: item[0])
+                for at, cell in branches:
+                    kernel.advance(at)
+                    run(cell, variant, kernel.branch(injections[cell]))
+                for cell in reuses:  # the trunk comes first
+                    run(cell, variant, kernel)
+                pending = rest
+
     for value in sweep_values:
-        swept = _swept_scenario(scenario, sweep_param, value)
-        injections = {seed: materialize_injections(swept, seed)
-                      for seed in seeds}
         for variant in full_names:
-            reports = []
-            for seed in seeds:
-                keep = result.sample_log is None
-                run = run_single(swept, variant, seed, keep_log=keep,
-                                 injections=injections[seed])
-                if keep:
-                    result.sample_log = run.log
-                reports.append(run.metrics)
-            result.cells[(variant, value)] = reports
+            result.cells[(variant, value)] = [
+                reports[(value, variant, seed)] for seed in seeds]
     return result
 
 

@@ -16,15 +16,32 @@ the whole run because a Topology changes only through set_link_state:
 capacities and propagation delays are fixed at build time, and a plan
 holds the live Link objects, so a hop still sees the link's current state.
 
-Heap entries are (time, sequence, action, argument).  The kernel schedules
-bound methods with the packet, flow or injection as their argument, so no
-closure is built per event; every event still goes through schedule_call.
+Heap entries are (time, sequence, action, argument).  The kernel and the
+controller schedule bound methods with the packet, flow, injection or an
+argument tuple as their argument, so no closure is built per event; every
+event still goes through schedule_call.
+
+Branching.  setup schedules cycle boundaries, flow starts and injections
+before any event runs, so they hold the lowest sequence numbers and every
+event scheduled later numbers above them.  A kernel's state at time t is
+therefore a pure function of its scenario without injections, its variant
+and the injections due before t: leaving out injections that are still
+pending only shifts later sequence numbers uniformly, which keeps every
+(time, sequence) tie-break.  branch copies a kernel part-way through a run
+and drops pending injections, so runs whose injection lists agree up to t
+compute their common history once.  A branch shares what can no longer
+change (finished packet records, every record of the other log streams,
+the injections) and copies the live state: the heap, in-flight packets
+with their records, topology, forwarding and egress state, contracts and
+the controller with its memos.
 """
 
 from __future__ import annotations
 
+import copy
 import heapq
 import itertools
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -88,6 +105,22 @@ class PedChangeInjection:
 
 
 Injection = LinkDownInjection | LinkUpInjection | PedChangeInjection
+
+
+def left_out(injections: list[Injection],
+             kept: list[Injection]) -> list[int] | None:
+    """Positions in injections that kept leaves out, matching kept as a
+    subsequence of injections earliest first; None when it is not one."""
+    missing: list[int] = []
+    index = 0
+    for inj in kept:
+        while index < len(injections) and injections[index] != inj:
+            missing.append(index)
+            index += 1
+        if index == len(injections):
+            return None
+        index += 1
+    return missing + list(range(index, len(injections)))
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +259,17 @@ class Kernel:
     # ------------------------------------------------------------------
     # main loop
 
+    def advance(self, t: int) -> None:
+        """Process every event with time < t."""
+        queue, pop = self._queue, heapq.heappop
+        while queue and queue[0][0] < t:
+            at, _, action, arg = pop(queue)
+            self.now = at
+            if arg is _NO_ARG:
+                action(at)
+            else:
+                action(arg, at)
+
     def run_until(self, t_end: int) -> None:
         """Process every event with time <= t_end, then settle leftovers.
 
@@ -233,19 +277,67 @@ class Kernel:
         closes count as dropped; the measurement window ended before they
         arrived.
         """
-        queue, pop = self._queue, heapq.heappop
-        while queue and queue[0][0] <= t_end:
-            at, _, action, arg = pop(queue)
-            self.now = at
-            if arg is _NO_ARG:
-                action(at)
-            else:
-                action(arg, at)
+        self.advance(t_end + 1)
         self.now = t_end
         self._queue.clear()
         for record in self.log.packets:
             if record.delivered_at is None and record.drop_reason is None:
                 record.drop_reason = "end_of_run"
+
+    def branch(self, injections: list[Injection]) -> "Kernel":
+        """A copy of this kernel that goes on with injections alone.
+
+        injections must be a subsequence of log.injections, and each one
+        they leave out must still be pending; the copy then continues as a
+        fresh run with injections would from this point (see "Branching").
+        """
+        own = self.log.injections
+        missing = left_out(own, injections)
+        if missing is None:
+            raise ValueError("branch injections are not a subsequence of "
+                             "the kernel's injections")
+        # Map each pending injection entry to its position in own: its
+        # argument is that list entry, and where one object fills several
+        # positions, the earlier ones were applied first.
+        positions: dict[int, list[int]] = {}
+        for index, inj in enumerate(own):
+            positions.setdefault(id(inj), []).append(index)
+        pending = sorted(entry for entry in self._queue
+                         if entry[2] == self._apply_injection)
+        seq_at = {positions[id(entry[3])].pop(): entry[1]
+                  for entry in reversed(pending)}
+        if any(index not in seq_at for index in missing):
+            raise ValueError("a left-out injection has already been applied")
+        dropped = {seq_at[index] for index in missing}
+
+        # Shared with the copy: the sentinel (compared by identity), the
+        # injections and every record but the in-flight packets'.  The weak
+        # proxy is re-pointed after copying; both kernels number on from seq.
+        memo: dict[int, Any] = {id(_NO_ARG): _NO_ARG,
+                                id(self.controller.kernel): None}
+        for inj in own:
+            memo[id(inj)] = inj
+        for _, _, _, arg in self._queue:
+            if type(arg) is _Packet:
+                memo[id(arg.record)] = copy.copy(arg.record)
+        log = RunLog(**{stream: list(getattr(self.log, stream))
+                        for stream in RunLog.STREAMS})
+        log.packets = [memo.get(id(record), record)
+                       for record in self.log.packets]
+        log.injections = list(injections)
+        for stream in RunLog.STREAMS:
+            memo[id(getattr(self.log, stream))] = getattr(log, stream)
+        memo[id(self.log)] = log
+        seq = next(self._seq)
+        self._seq = itertools.count(seq)
+        memo[id(self._seq)] = itertools.count(seq)
+
+        twin = copy.deepcopy(self, memo)
+        twin.controller.kernel = weakref.proxy(twin)
+        twin._queue = [entry for entry in twin._queue
+                       if entry[1] not in dropped]
+        heapq.heapify(twin._queue)
+        return twin
 
     # ------------------------------------------------------------------
     # controller-facing services

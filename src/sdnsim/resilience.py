@@ -305,16 +305,17 @@ class ResilienceManager:
         self.log.notifications.append(notification)
         self._note_assumption_window(notification)
         if self.variant.reactive:
-            self.kernel.schedule_call(
-                notification.delivered_at,
-                lambda at: self._on_e1_delivered(a, b, now, at))
+            self.kernel.schedule_call(notification.delivered_at,
+                                      self._on_e1_delivered, (a, b, now))
         elif self.variant.proactive:
             # Deferred to the next cycle; remembered for detection-delay
             # attribution there.
             self._pending.append((now, EventKind.E1_LINK_FAILURE, (a, b)))
 
-    def _on_e1_delivered(self, a: SwitchId, b: SwitchId, occurred_at: int,
+    def _on_e1_delivered(self, failure: tuple[SwitchId, SwitchId, int],
                          now: int) -> None:
+        """A link failure (a, b, occurred_at) reaches the controller."""
+        a, b, occurred_at = failure
         link = self.topology.link_between(a, b)
         if link.is_up:
             return  # already recovered; topology is healthy

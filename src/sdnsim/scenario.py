@@ -596,26 +596,30 @@ def _sorted_times(rng: random.Random, count: int,
     return sorted(times)
 
 
-def _connected(topology, src: str, dst: str) -> bool:
-    """Reachability over Up links only."""
-    frontier = [src]
-    seen = {src}
-    while frontier:
-        node = frontier.pop()
-        if node == dst:
-            return True
-        for neighbor, link in topology.adjacent(node):
-            if neighbor not in seen and link.state is LinkState.UP:
-                seen.add(neighbor)
-                frontier.append(neighbor)
-    return src == dst
+def _components(topology) -> dict[str, str]:
+    """Each switch's connected component over Up links, labelled by the
+    component's first switch."""
+    label: dict[str, str] = {}
+    for root in topology.switches:
+        if root in label:
+            continue
+        label[root] = root
+        frontier = [root]
+        while frontier:
+            for neighbor, link in topology.adjacent(frontier.pop()):
+                if neighbor not in label and link.state is LinkState.UP:
+                    label[neighbor] = root
+                    frontier.append(neighbor)
+    return label
 
 
 def _severable(topology, pairs, a: str, b: str) -> bool:
     """True when taking link a-b down leaves every pair connected."""
     topology.set_link_state(a, b, LinkState.DOWN)
     try:
-        return all(_connected(topology, src, dst) for src, dst in pairs)
+        label = _components(topology)
+        return all(label.get(src, src) == label.get(dst, dst)
+                   for src, dst in pairs)
     finally:
         topology.set_link_state(a, b, LinkState.UP)
 

@@ -1,5 +1,6 @@
 import pytest
 
+from sdnsim import harness
 from sdnsim.core import (
     ControlChannel,
     LinkSpec,
@@ -51,3 +52,29 @@ def ring10():
 def symmetric_control():
     return ControlChannel(default_c2s=250 * MICROSECOND,
                           default_s2c=250 * MICROSECOND)
+
+
+def experiment_runs(scenario, variants, seeds, sweep=None):
+    """(swept scenario, variant, seed, RunResult with its log) of every run
+    that run_experiment makes, in the order it makes them."""
+    run_single = harness.run_single
+    runs = []
+
+    def recorded(swept, variant, seed, **kwargs):
+        kwargs["keep_log"] = True
+        done = run_single(swept, variant, seed, **kwargs)
+        runs.append((swept, variant, seed, done))
+        return done
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "run_single", recorded)
+        harness.run_experiment(scenario, variants, seeds, sweep=sweep)
+    return runs
+
+
+def assert_runs_match_fresh_runs(runs):
+    """Each recorded run's log and metrics equal a fresh run_single's."""
+    for swept, variant, seed, done in runs:
+        fresh = harness.run_single(swept, variant, seed)
+        assert done.log.to_jsonl() == fresh.log.to_jsonl(), (variant, seed)
+        assert done.metrics == fresh.metrics, (variant, seed)

@@ -9,9 +9,15 @@ as written, and ``mesh20_mixed`` with a 1 s estimation interval, which puts
 the controller's route memo through many cycles.  A third runs
 ``linear_chain`` with a second, near line-rate flow, so some estimation
 probes wait behind queued data and the estimator sees nonzero egress
-waits, which no bundled scenario produces.  Any change to what a run
-computes, or to the bytes of a report, fails here, so a refactor or an
-optimization that claims to keep behaviour is held to it.
+waits, which no bundled scenario produces.  Two more sweep all four
+variants over events 1..3: on ``industrial_ring_mixed`` the smaller event
+counts' injection lists are subsequences of the larger ones' (E1 and E2
+interleaved), so those runs branch off a shared kernel; on ``mesh20_e2``
+the ``per_pair`` lists do not nest, so every run computes its own kernel.
+The ``linear_chain`` cases have no injections, so their seeds reuse one
+finished kernel.  Any change to what a run computes, or to the bytes of a
+report, fails here, so a refactor or an optimization that claims to keep
+behaviour is held to it.
 
 A change that alters the output on purpose regenerates the table with
 ``PYTHONPATH=src python tests/test_golden_digests.py`` and says why.
@@ -52,7 +58,9 @@ CASES = ([(name, (variant,), None, None)
             for variant in VARIANTS]
          + [("mesh20_mixed", VARIANTS, None, None),
             ("mesh20_mixed", VARIANTS[::-1], None, INTERVAL_1S),
-            ("linear_chain", VARIANTS, None, QUEUED_PROBES)])
+            ("linear_chain", VARIANTS, None, QUEUED_PROBES),
+            ("industrial_ring_mixed", VARIANTS, EVENT_SWEEP, None),
+            ("mesh20_e2", VARIANTS, EVENT_SWEEP, None)])
 
 
 def case_id(name, variants, sweep, edit):
@@ -785,6 +793,46 @@ DIGESTS = {
             '6c6445acf832d13407eb92d770358013548f1556c03224773f19a45b346a6372',
         'warnings.csv':
             'a036547e094b625a0adef54fe4aad46df9a35d8b0361de6e4bc71a8809dcd0f8',
+    },
+    'industrial_ring_mixed-woRM+sRM+pRM+RM-events': {
+        'events.jsonl':
+            '9b8671ec8dc721b43fbc48d8fe3dc7771c0616c93f130c277323fd7c80606e13',
+        'llde_cycles.csv':
+            '6b4a249a5a56c0e18e066f485acd565c1098cb7baff618328b5d440b11fbab4a',
+        'manifest.json':
+            '7885cd9a19209438b04779fba68ff08e4514ae03e0934ff01879afa2ac71a61f',
+        'restoration_ms.csv':
+            '93c065fe1c052791534e40f416521e004f8a0d85951cf37230eb748e519f1dcc',
+        'success_rate.csv':
+            '41fc692f0ee0dae8bb16cc0579ad2d419928bcaf70d77b2ea8ff9a50c3c71221',
+        'success_rate_strong.csv':
+            'ea58be87510397f4b9a0a2a50f2dbd8ac4230f3b83cebea62db86602f597a2fa',
+        'summary.json':
+            'aca27d1218b266bd91b265f3a86f61cbd5d4afec96ef51dc5ab3936cabbefc24',
+        'throughput_mbps.csv':
+            'afe207a33f5b6619a24ddee82506c3bf72c84d889dc6f063c3eec17704360fc8',
+        'warnings.csv':
+            'f2f0165563cd9ffcc630ecd200d034927aeda2694d1044250e18fc0b84936ff7',
+    },
+    'mesh20_e2-woRM+sRM+pRM+RM-events': {
+        'events.jsonl':
+            '7285c50384dfc6359382e8f491f383e6435b4a56e9326fb3441321af47776bec',
+        'llde_cycles.csv':
+            'd5b490d69a2f49d5996ede52313082393ad6760df14f1aa94d11bc504e0d8374',
+        'manifest.json':
+            '4d309247ca1e8d7d47d671731ab5a879482730022c2b3d9a12a8d19b19647cb6',
+        'restoration_ms.csv':
+            '3e5f10289eaf9f41105c69139e7460336ea28485eb07bb6368eb850e7c6c12a0',
+        'success_rate.csv':
+            '3fe56436259a9f983a40e59ee02e5a6d494e7213970717d11175c996f9b34f64',
+        'success_rate_strong.csv':
+            '772fc86e7e4f3386eaa99019eeac849f8bfd7fd0c657999303d3a750c1dad3de',
+        'summary.json':
+            '9f7970d73adc6ca6fe4a62d8014cc17e52dd3fe83b32e61862215f050c27a582',
+        'throughput_mbps.csv':
+            '6d1fe9c14a1c062ad88c256badb2e1f2c55bf2e6f76fdf55d6c1d56a6bf77e49',
+        'warnings.csv':
+            '96810af64718e0a89751a03638a738e28e738115fb081925f042e3369a3634fd',
     },
 }
 

@@ -6,6 +6,7 @@ import os
 import pytest
 
 import sdnsim
+from sdnsim import harness
 from sdnsim.contracts import ContractKind, FaultCause, PedChange
 from sdnsim.core import MILLISECOND, SECOND
 from sdnsim.harness import (
@@ -19,9 +20,19 @@ from sdnsim.harness import (
     verify_conservation,
 )
 from sdnsim.kernel import Kernel, PacketRecord
-from sdnsim.resilience import RestorationOutcome, RestorationRecord
+from sdnsim.resilience import (
+    RestorationOutcome,
+    RestorationRecord,
+    variant_by_name,
+)
 from sdnsim.runlog import RunLog
-from sdnsim.scenario import load_scenario
+from sdnsim.scenario import (
+    load_scenario,
+    materialize_injections,
+    parse_scenario,
+)
+
+from conftest import assert_runs_match_fresh_runs, experiment_runs
 
 MS = MILLISECOND
 
@@ -237,6 +248,49 @@ class TestRunExperiment:
         scenario = ring_scenario.with_flow_count(2)
         result = run_experiment(scenario, ["woRM"], [1])
         assert result.mean("SDN-woRM", None, "restoration_mean") is None
+
+
+class TestSharedKernels:
+    """run_experiment computes each kernel history once; every run must
+    still equal a fresh run_single."""
+
+    def test_branch_inside_the_e1_control_latency_equals_fresh_runs(self):
+        # The S1-S10 failure hits the route S1 S10 S9 S8; events=1 branches
+        # off at the second failure, 0.1 ms later, while the first one's
+        # notification is still on its way to the controller.
+        with open("scenarios/industrial_ring_e1.scn",
+                  encoding="utf-8") as handle:
+            text = handle.read()
+        text = text.replace(
+            "auto_link_failures count=4 window=15s..140s",
+            "at 20s link_down S1 S10\nat 20000100000ns link_down S1 S2")
+        scenario = parse_scenario(text)
+        runs = experiment_runs(scenario, ["woRM", "sRM", "pRM", "RM"], [1],
+                               ("events", [1, 2]))
+        assert len(runs) == 8
+        first = runs[0][3].log
+        assert any(route.path == ("S1", "S10", "S9", "S8")
+                   and route.at < 20 * SECOND for route in first.routes)
+        assert_runs_match_fresh_runs(runs)
+
+    def test_seeds_without_injections_reuse_one_kernel(self, ring_scenario):
+        scenario = ring_scenario.with_event_count(0).with_flow_count(2)
+        runs = experiment_runs(scenario, ["RM"], [1, 2, 3])
+        assert [seed for _, _, seed, _ in runs] == [1, 2, 3]
+        assert runs[0][3].log is runs[2][3].log
+        assert [done.metrics.seed for _, _, _, done in runs] == [1, 2, 3]
+        assert_runs_match_fresh_runs(runs)
+
+    def test_run_single_rejects_a_kernel_of_another_run(self, ring_scenario):
+        scenario = ring_scenario.with_flow_count(1)
+        kernel = harness._start_kernel(
+            scenario, variant_by_name("RM"), materialize_injections(scenario, 1))
+        with pytest.raises(ValueError, match="other injections"):
+            run_single(scenario, "RM", 2, kernel=kernel)
+        with pytest.raises(ValueError, match="another variant"):
+            run_single(scenario, "woRM", 1, kernel=kernel)
+        assert run_single(scenario, "RM", 1, kernel=kernel).metrics == \
+            run_single(scenario, "RM", 1).metrics
 
 
 class TestEmitReports:

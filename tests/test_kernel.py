@@ -226,3 +226,42 @@ class TestDeterminism:
             return kernel.log.packets
 
         assert run() == run()
+
+
+class TestBranch:
+    def branching_kernel(self, injections):
+        flow = Flow(id="F1", src_host="H1", dst_host="H3",
+                    packet_length=12_000, total_volume=40 * 12_000,
+                    start_time=SECOND, inter_packet_gap=50 * MS)
+        pair = create_contract_pair("C1", "S1", "S3", 3 * MS)
+        kernel = make_kernel(two_hop_spec(GBPS), [flow], [pair],
+                             variant="SDN-RM")
+        kernel.setup(5 * SECOND, injections)
+        return kernel
+
+    def test_branch_logs_its_own_injections_and_runs_as_a_fresh_run(self):
+        down = LinkDownInjection(at=1_300 * MS, a="S2", b="S3")
+        up = LinkUpInjection(at=2 * SECOND, a="S2", b="S3")
+        trunk = self.branching_kernel([down, up])
+        trunk.advance(2 * SECOND)
+        kept = [LinkDownInjection(at=1_300 * MS, a="S2", b="S3")]
+        twin = trunk.branch(kept)
+        assert twin.log.injections == kept
+        assert twin.log.injections is not kept
+        assert trunk.log.injections == [down, up]
+        twin.run_until(5 * SECOND)
+        trunk.run_until(5 * SECOND)
+        fresh = self.branching_kernel(kept)
+        fresh.run_until(5 * SECOND)
+        assert twin.log == fresh.log
+        assert trunk.log != fresh.log
+
+    def test_branch_rejects_injections_it_cannot_leave_out(self):
+        down = LinkDownInjection(at=1_300 * MS, a="S2", b="S3")
+        up = LinkUpInjection(at=2 * SECOND, a="S2", b="S3")
+        trunk = self.branching_kernel([down, up])
+        with pytest.raises(ValueError, match="not a subsequence"):
+            trunk.branch([up, down])
+        trunk.advance(1_500 * MS)
+        with pytest.raises(ValueError, match="already been applied"):
+            trunk.branch([up])

@@ -14,7 +14,9 @@ state:
 - every route the controller hands out, memoized or not, equals a fresh
   find_path over the topology and cost matrix of that moment;
 - every estimation cycle, run with the run's probe plan, yields the costs
-  and records of a cycle with a fresh plan at the same instant and waits.
+  and records of a cycle with a fresh plan at the same instant and waits;
+- every run of an experiment, whose runs share kernel work, equals a
+  fresh run_single, log and metrics alike.
 """
 
 import pytest
@@ -40,10 +42,19 @@ from sdnsim.kernel import (
     Kernel,
     LinkDownInjection,
     LinkUpInjection,
+    PedChangeInjection,
     ScheduleError,
 )
 from sdnsim.resilience import VARIANT_ALIASES, variant_by_name
 from sdnsim.routing import NoPathError, find_path
+from sdnsim.scenario import (
+    AutoLinkFailures,
+    AutoPedChanges,
+    ContractSpec,
+    Scenario,
+)
+
+from conftest import assert_runs_match_fresh_runs, experiment_runs
 
 MS = MILLISECOND
 HORIZON = 3 * SECOND
@@ -237,3 +248,91 @@ def test_every_cycle_equals_a_cycle_with_a_fresh_plan(network):
         patch.setattr(resilience, "run_estimation_cycle", compared)
         kernel.run_until(HORIZON)
     event("queued egress at a cycle" if queued else "idle cycles only")
+
+
+@st.composite
+def scenarios(draw):
+    """A Scenario around networks(), with dense flows and explicit
+    injections that put branch points where sharing is delicate: down/up
+    pairs, equal-time injections, requirement changes, and failures within
+    the control latency of each other.  Some also carry auto specs, so
+    that seeds draw different lists."""
+    spec, flows, contracts, injections, _, config = draw(
+        networks(max_packets=60, max_gap=5 * MS))
+    latency = draw(st.sampled_from((100 * MICROSECOND, 250 * MICROSECOND,
+                                    MS)))
+    ends = [(link.a, link.b) for link in spec.links]
+    extra = []
+    for _ in range(draw(st.integers(1, 4))):
+        # Often while a flow sends, so that egresses may be queued.
+        flow = draw(st.sampled_from(flows))
+        sending = flow.total_volume // flow.packet_length * \
+            flow.inter_packet_gap
+        at = draw(st.one_of(st.integers(0, HORIZON), st.integers(
+            flow.start_time, flow.start_time + sending)))
+        kind = draw(st.sampled_from(("burst", "ped", "same_time")))
+        if kind == "burst":
+            for _ in range(2):
+                a, b = draw(st.sampled_from(ends))
+                extra.append(LinkDownInjection(at=at, a=a, b=b))
+                at += draw(st.integers(0, latency))
+        elif kind == "ped":
+            if draw(st.booleans()):
+                change = {"new_ped": draw(st.integers(MS, 20 * MS))}
+            else:
+                change = {"factor_ppm": draw(st.integers(300_000, 1_500_000))}
+            extra.append(PedChangeInjection(at=at, pair_id="C1", **change))
+        elif injections or extra:
+            other = draw(st.sampled_from(injections + extra))
+            toggle = draw(st.sampled_from((LinkDownInjection, LinkUpInjection)))
+            a, b = draw(st.sampled_from(ends))
+            extra.append(toggle(at=other.at, a=a, b=b))
+    explicit = injections + extra
+    if draw(st.booleans()):
+        explicit.sort(key=lambda inj: inj.at)
+    window = (0, HORIZON)
+    auto_e1 = auto_e2 = None
+    if draw(st.booleans()):
+        auto_e1 = AutoLinkFailures(count=draw(st.integers(0, 3)),
+                                   window=window)
+    if draw(st.booleans()):
+        auto_e2 = AutoPedChanges(count=draw(st.integers(0, 3)),
+                                 window=window,
+                                 factor_ppm=(500_000, 900_000),
+                                 per_pair=draw(st.booleans()))
+    pair = contracts[0]
+    return Scenario(
+        name="random", topology_spec=spec,
+        control=ControlChannel(default_c2s=latency, default_s2c=latency),
+        flows=tuple(flows),
+        contracts=(ContractSpec(pair.id, pair.src, pair.dst,
+                                pair.strong.ped, None),),
+        explicit_injections=tuple(explicit), auto_link_failures=auto_e1,
+        auto_ped_changes=auto_e2, emulation_time=HORIZON, config=config)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenarios(), st.data())
+def test_every_shared_run_equals_a_fresh_run(scenario, data):
+    variants = data.draw(st.lists(st.sampled_from(sorted(VARIANT_ALIASES)),
+                                  min_size=1, max_size=4, unique=True))
+    counts = sorted(data.draw(st.sets(st.integers(0, 5), min_size=2,
+                                      max_size=4)))
+    queued = []
+    branch = Kernel.branch
+
+    def observed(kernel, injections):
+        queued.append(any(kernel.egress_wait(*egress, kernel.now)
+                          for egress in kernel._egress_free))
+        return branch(kernel, injections)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Kernel, "branch", observed)
+        sweep_runs = experiment_runs(scenario, variants, [1, 2],
+                                     ("events", counts))
+        seed_runs = experiment_runs(scenario, variants, [1, 2, 3])
+    assert len(sweep_runs) == len(counts) * len(variants) * 2
+    assert len(seed_runs) == len(variants) * 3
+    assert_runs_match_fresh_runs(sweep_runs + seed_runs)
+    event("queued egress at a branch" if any(queued)
+          else "branches, idle egresses" if queued else "no branch")
