@@ -37,7 +37,6 @@ from .core import (
     UNBOUNDED_DELAY,
     build_topology,
     transmission_delay,
-    validate_path,
 )
 from .delay_estimation import (
     CostMatrix,
@@ -61,14 +60,14 @@ from .harness import (
     run_experiment,
     run_single,
 )
-from .kernel import (
+from .injections import (
     Injection,
-    Kernel,
     LinkDownInjection,
     LinkUpInjection,
-    PacketRecord,
     PedChangeInjection,
+    materialize_injections,
 )
+from .kernel import Kernel, PacketRecord
 from .resilience import (
     MechanismVariant,
     ResilienceManager,
@@ -79,4 +78,4 @@ from .resilience import (
 )
 from .routing import NoPathError, RouteResult, find_path
 from .runlog import RunLog
-from .scenario import Scenario, load_scenario, materialize_injections, parse_scenario
+from .scenario import Scenario, load_scenario, parse_scenario

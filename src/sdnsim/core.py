@@ -121,9 +121,6 @@ class Topology:
     def has_link(self, a: SwitchId, b: SwitchId) -> bool:
         return link_key(a, b) in self._links
 
-    def neighbors(self, switch: SwitchId) -> list[SwitchId]:
-        return [neighbor for neighbor, _ in self._adjacency.get(switch, ())]
-
     def adjacent(self, switch: SwitchId) -> tuple[tuple[SwitchId, Link], ...]:
         """(neighbor, Link) pairs of a switch, sorted by neighbor."""
         return self._adjacency.get(switch, ())
@@ -224,16 +221,6 @@ class Flow:
         if self.inter_packet_gap == 0 and self.total_volume > self.packet_length:
             raise ValueError(f"flow {self.id}: volume exceeds one packet, "
                              "so gap must be positive")
-
-
-def validate_path(topology: Topology, path: list[SwitchId]) -> None:
-    """Check that a path is simple and every consecutive hop is an Up link."""
-    if len(path) != len(set(path)):
-        raise TopologyError(f"path repeats a switch: {path}")
-    for a, b in zip(path, path[1:]):
-        link = topology.link_between(a, b)
-        if not link.is_up:
-            raise TopologyError(f"path crosses a down link {a}-{b}")
 
 
 @dataclass

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable
 
 from .core import (
     ControlChannel,
@@ -111,43 +110,11 @@ class CostEntry:
     cost: int
 
 
-class CostMatrix:
-    """Directed link costs as last refreshed by the estimation cycle.
-
-    Entries exist only for links that were Up when the cycle ran; a missing
-    entry therefore means "do not route here with this matrix".  costs maps
-    each directed link (src, dst) to its entry's cost, for path finding and
-    for comparing two matrices.
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[tuple[SwitchId, SwitchId], CostEntry] = {}
-        self.costs: dict[tuple[SwitchId, SwitchId], int] = {}
-
-    def set_entry(self, src: SwitchId, dst: SwitchId, link_delay: int,
-                  td: int) -> CostEntry:
-        entry = CostEntry(link_delay, td, link_cost(td, link_delay))
-        self._entries[(src, dst)] = entry
-        self.costs[(src, dst)] = entry.cost
-        return entry
-
-    def entry(self, src: SwitchId, dst: SwitchId) -> CostEntry:
-        try:
-            return self._entries[(src, dst)]
-        except KeyError:
-            raise MissingCostError(f"no cost entry for {src}->{dst}") from None
-
-    def has(self, src: SwitchId, dst: SwitchId) -> bool:
-        return (src, dst) in self._entries
-
-    def cost(self, src: SwitchId, dst: SwitchId) -> int:
-        return self.entry(src, dst).cost
-
-    def items(self):
-        return self._entries.items()
-
-    def __len__(self) -> int:
-        return len(self._entries)
+# Directed link costs (src, dst) -> cost, as last refreshed by the
+# estimation cycle.  Entries exist only for links that were Up when the
+# cycle ran; a missing entry therefore means "do not route here with this
+# matrix".
+CostMatrix = dict[tuple[SwitchId, SwitchId], int]
 
 
 def estimate_path_delay(path: list[SwitchId], costs: CostMatrix) -> int:
@@ -158,7 +125,10 @@ def estimate_path_delay(path: list[SwitchId], costs: CostMatrix) -> int:
     """
     total = 0
     for a, b in zip(path, path[1:]):
-        total += costs.entry(a, b).cost
+        try:
+            total += costs[(a, b)]
+        except KeyError:
+            raise MissingCostError(f"no cost entry for {a}->{b}") from None
     return total
 
 
@@ -252,37 +222,35 @@ def run_estimation_cycle(
     plan: ProbePlan,
     now: int,
     *,
-    egress_wait: Callable[[SwitchId, SwitchId, int], int] | None = None,
+    egress_free: dict[tuple[SwitchId, SwitchId], int] | None = None,
     cycle_index: int = 0,
 ) -> tuple[CostMatrix, list[EstimationRecord]]:
     """Probe every Up link of the plan's topology; return a fresh cost matrix.
 
     Probes ride the links as zero-size control frames: they wait behind any
-    queued data traffic on the egress (egress_wait, in ns) and then cross in
-    one propagation delay, so on an idle network the estimate equals the
-    configured link delay exactly.  Down links get no entry.  The sender
-    transmission delay uses the plan's probe length over the egress link
-    capacity.  A caller that runs many cycles passes one plan to all of
-    them.
+    queued data traffic on the egress (until its busy-until time in
+    egress_free, in ns) and then cross in one propagation delay, so on an
+    idle network the estimate equals the configured link delay exactly.
+    Down links get no entry.  The sender transmission delay uses the
+    plan's probe length over the egress link capacity.  A caller that runs
+    many cycles passes one plan to all of them.
     """
-    matrix = CostMatrix()
+    matrix: CostMatrix = {}
     records: list[EstimationRecord] = []
-    wait = egress_wait or (lambda a, b, t: 0)
+    busy_until = (egress_free or {}).get
     estimates = plan.estimates
-    entries, costs = matrix._entries, matrix.costs
 
     for probe in plan.probes:
         link, forward, reverse, _ = probe
         if link.state is not LinkState.UP:
             continue
         near, far = forward
-        forward_wait = wait(near, far, now)
-        reverse_wait = wait(far, near, now)
+        forward_wait = max(0, busy_until(forward, 0) - now)
+        reverse_wait = max(0, busy_until(reverse, 0) - now)
         entry = estimates.get((near, far, forward_wait, reverse_wait))
         if entry is None:
             entry = plan.estimate(probe, forward_wait, reverse_wait, now)
-        entries[forward] = entries[reverse] = entry
-        costs[forward] = costs[reverse] = entry.cost
+        matrix[forward] = matrix[reverse] = entry.cost
         link_delay, td, cost = (entry.link_delay, entry.transmission_delay,
                                 entry.cost)
         records.append(EstimationRecord(

@@ -18,10 +18,11 @@ from dataclasses import dataclass, field, replace
 from . import __version__
 from .contracts import BoundTimeline
 from .core import ControlChannel, SECOND, build_topology
-from .kernel import DROP_REASONS, Injection, Kernel, left_out
+from .injections import Injection, left_out, materialize_injections
+from .kernel import DROP_REASONS, Kernel
 from .resilience import MechanismVariant, variant_by_name
 from .runlog import RunLog, record_to_dict
-from .scenario import Scenario, materialize_injections
+from .scenario import Scenario
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,13 @@ from .core import (
     Topology,
     transmission_delay,
 )
+from .injections import (
+    Injection,
+    LinkDownInjection,
+    LinkUpInjection,
+    PedChangeInjection,
+    left_out,
+)
 from .resilience import MechanismVariant, ResilienceManager
 from .runlog import RunLog
 
@@ -66,61 +73,6 @@ class ScheduleError(ValueError):
 
 class InjectionError(ValueError):
     """An injection references an unknown link or contract."""
-
-
-# ---------------------------------------------------------------------------
-# injections
-
-
-@dataclass(frozen=True)
-class LinkDownInjection:
-    at: int
-    a: SwitchId
-    b: SwitchId
-    kind: str = "link_down"
-
-
-@dataclass(frozen=True)
-class LinkUpInjection:
-    at: int
-    a: SwitchId
-    b: SwitchId
-    kind: str = "link_up"
-
-
-@dataclass(frozen=True)
-class PedChangeInjection:
-    """Runtime change of a delay requirement.
-
-    Either an absolute new bound (new_ped) or a multiplicative factor in
-    parts per million (factor_ppm) applied to the current bound.
-    """
-
-    at: int
-    pair_id: str
-    new_ped: int | None = None
-    factor_ppm: int | None = None
-    contract_kind: ContractKind = ContractKind.STRONG
-    kind: str = "ped_change"
-
-
-Injection = LinkDownInjection | LinkUpInjection | PedChangeInjection
-
-
-def left_out(injections: list[Injection],
-             kept: list[Injection]) -> list[int] | None:
-    """Positions in injections that kept leaves out, matching kept as a
-    subsequence of injections earliest first; None when it is not one."""
-    missing: list[int] = []
-    index = 0
-    for inj in kept:
-        while index < len(injections) and injections[index] != inj:
-            missing.append(index)
-            index += 1
-        if index == len(injections):
-            return None
-        index += 1
-    return missing + list(range(index, len(injections)))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +151,8 @@ class Kernel:
         self.now = 0
         self._queue: list[tuple[int, int, Callable[..., None], Any]] = []
         self._seq = itertools.count()
-        self._egress_free: dict[tuple[SwitchId, SwitchId], int] = {}
+        # Busy-until time of each egress (a, b); probes wait behind it too.
+        self.egress_free: dict[tuple[SwitchId, SwitchId], int] = {}
         self._last_down: dict[tuple[SwitchId, SwitchId], int] = {}
         self._forwarding: dict[tuple[SwitchId, SwitchId],
                                list[tuple[int, tuple[SwitchId, ...]]]] = {}
@@ -353,9 +306,6 @@ class Kernel:
                        path: tuple[SwitchId, ...], active_at: int) -> None:
         self._forwarding.setdefault(key, []).append((active_at, tuple(path)))
 
-    def egress_wait(self, a: SwitchId, b: SwitchId, now: int) -> int:
-        return max(0, self._egress_free.get((a, b), 0) - now)
-
     # ------------------------------------------------------------------
     # injections
 
@@ -439,13 +389,13 @@ class Kernel:
         if link.state is not LinkState.UP:
             packet.record.drop_reason = "link_down"
             return
-        free = self._egress_free.get(egress, 0)
+        free = self.egress_free.get(egress, 0)
         start = at if at >= free else free
         wait = start - at
         if wait > self.config.queue_limit:
             packet.record.drop_reason = "queue_overflow"
             return
-        self._egress_free[egress] = start + td
+        self.egress_free[egress] = start + td
         packet.record.queue_wait += wait
         packet.entered = at
         self.schedule_call(start + td + propagation, self._hop_arrival, packet)

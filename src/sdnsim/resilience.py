@@ -201,7 +201,7 @@ class ResilienceManager:
         self.kernel = weakref.proxy(kernel)
         self.config = config
         self.log = log
-        self.matrix = CostMatrix()
+        self.matrix: CostMatrix = {}
         self._probe_plan = ProbePlan(topology, control,
                                      config.probe_length_bits,
                                      config.eq1_raw_mode)
@@ -224,10 +224,10 @@ class ResilienceManager:
         self.cycle_index += 1
         matrix, records = run_estimation_cycle(
             self._probe_plan, now,
-            egress_wait=self.kernel.egress_wait,
+            egress_free=self.kernel.egress_free,
             cycle_index=self.cycle_index,
         )
-        if matrix.costs != self.matrix.costs:
+        if matrix != self.matrix:
             self._routes.clear()
         self.matrix = matrix
         self.log.estimation.extend(records)
@@ -474,7 +474,7 @@ class ResilienceManager:
             except NoPathError:
                 memo = None
             else:
-                memo = (route, tuple(self.matrix.cost(a, b) for a, b
+                memo = (route, tuple(self.matrix[(a, b)] for a, b
                                      in zip(route.path, route.path[1:])))
             self._routes[key] = memo
         if memo is None:

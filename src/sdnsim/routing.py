@@ -3,8 +3,9 @@
 Dijkstra on the directed cost graph, restricted to Up links.  Ties are
 broken first by hop count and then by the lexicographically smallest
 switch-id sequence, so identical inputs always yield the identical route.
-The search walks each switch's (neighbor, Link) pairs and the matrix's
-plain cost dict, so an edge costs one state test and one dict lookup.
+The search walks each switch's (neighbor, Link) pairs and looks costs up
+in the matrix, a plain dict, so an edge costs one state test and one dict
+lookup.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def find_path(topology: Topology, costs: CostMatrix,
     # full tie-breaking order.  Graphs here are small (tens of switches).
     heap: list[tuple[int, int, tuple[SwitchId, ...]]] = [(0, 0, (src,))]
     best: dict[SwitchId, tuple[int, int, tuple[SwitchId, ...]]] = {}
-    adjacent, cost_of = topology.adjacent, costs.costs.get
+    adjacent, cost_of = topology.adjacent, costs.get
     up = LinkState.UP
 
     while heap:

@@ -34,23 +34,13 @@ rather than code::
     variant SDN-RM
 
 Times accept ns/us/ms/s suffixes, rates bps/Kbps/Mbps/Gbps, sizes b/Kb/Mb/Gb
-(bits) or B/KB/MB (bytes); decimal values are parsed exactly.
-
-Auto-generated injections are seeded: a run asking for k events uses the
-chronologically first k of a per-seed master schedule of max(k, 8) events.
-Event counts nest (sweeping the count only adds later events) only for
-counts up to MASTER_EVENT_POOL and only without per_pair: a larger count
-draws a longer master schedule, and per_pair draws each contract's times
-after the previous contract's count factors.  Generated link failures
-follow the path a well-managed controller would be using at that moment
-(computed on an idle copy of the topology, independent of any mechanism
-variant), which is what makes an injected failure actually exercise fault
-handling.
+(bits) or B/KB/MB (bytes); decimal values are parsed exactly.  The
+injection types, and how auto_* lines expand into injections for a seed,
+live in the injections module.
 """
 
 from __future__ import annotations
 
-import random
 import re
 from dataclasses import dataclass, replace
 
@@ -59,27 +49,20 @@ from .core import (
     ControlChannel,
     Flow,
     LinkSpec,
-    LinkState,
     SimConfig,
     TopologySpec,
     build_topology,
-    link_key,
     transmission_delay,
 )
-from .delay_estimation import ProbePlan, run_estimation_cycle
-from .kernel import (
+from .injections import (
+    MASTER_EVENT_POOL,
     Injection,
     LinkDownInjection,
     LinkUpInjection,
     PedChangeInjection,
+    first_events,
 )
 from .resilience import variant_by_name
-from .routing import NoPathError, find_path
-
-# Master schedules are generated at this length (or the count, if larger);
-# counts take a chronological prefix, so event counts up to this length
-# nest, unless per_pair interleaves contracts' times with earlier factors.
-MASTER_EVENT_POOL = 8
 
 
 class ScenarioError(ValueError):
@@ -155,10 +138,25 @@ class ContractSpec:
     weak_ped: int | None  # None means the default weak factor applies
 
 
+def _check_auto_count(count: int, window: tuple[int, int]) -> None:
+    """An auto spec's count is non-negative, and its window [lo, hi) holds
+    a distinct nanosecond for every event of its master schedule."""
+    if count < 0:
+        raise ScenarioError("count must be non-negative")
+    needed = max(count, MASTER_EVENT_POOL)
+    if window[1] - window[0] < needed:
+        raise ScenarioError(
+            f"window {window[0]}..{window[1]} ns cannot draw {needed} "
+            "distinct event times")
+
+
 @dataclass(frozen=True)
 class AutoLinkFailures:
     count: int
     window: tuple[int, int]
+
+    def __post_init__(self) -> None:
+        _check_auto_count(self.count, self.window)
 
 
 @dataclass(frozen=True)
@@ -167,6 +165,9 @@ class AutoPedChanges:
     window: tuple[int, int]
     factor_ppm: tuple[int, int]  # tightening range, applied to strong peds
     per_pair: bool = False
+
+    def __post_init__(self) -> None:
+        _check_auto_count(self.count, self.window)
 
 
 @dataclass(frozen=True)
@@ -208,7 +209,7 @@ class Scenario:
         if auto_e2 is not None:
             auto_e2 = replace(auto_e2, count=count)
         if auto_e1 is None and auto_e2 is None:
-            explicit = _first_events(explicit, count)
+            explicit = first_events(explicit, count)
         return replace(self, auto_link_failures=auto_e1,
                        auto_ped_changes=auto_e2,
                        explicit_injections=explicit)
@@ -216,27 +217,6 @@ class Scenario:
     def contract_pairs(self) -> list[ContractPair]:
         return [create_contract_pair(c.pair_id, c.src, c.dst, c.strong_ped,
                                      c.weak_ped) for c in self.contracts]
-
-
-def _first_events(injections: tuple[Injection, ...],
-                  count: int) -> tuple[Injection, ...]:
-    """The injections of the chronologically first count events, in their
-    original order.  A link_up joins the event of the open link_down of
-    the same link; any other injection is an event of its own."""
-    events: list[list[int]] = []
-    open_down: dict[tuple[str, str], list[int]] = {}
-    order = sorted(range(len(injections)), key=lambda i: injections[i].at)
-    for index in order:
-        inj = injections[index]
-        if isinstance(inj, LinkUpInjection) and \
-                link_key(inj.a, inj.b) in open_down:
-            open_down.pop(link_key(inj.a, inj.b)).append(index)
-            continue
-        events.append([index])
-        if isinstance(inj, LinkDownInjection):
-            open_down.setdefault(link_key(inj.a, inj.b), events[-1])
-    kept = {index for event in events[:count] for index in event}
-    return tuple(inj for index, inj in enumerate(injections) if index in kept)
 
 
 # ---------------------------------------------------------------------------
@@ -286,25 +266,25 @@ _CONFIG_FIELDS = {
 }
 
 
-def _parse_kv(tokens: list[str], line_no: int, allowed: tuple[str, ...],
+def _parse_kv(tokens: list[str], allowed: tuple[str, ...],
               required: tuple[str, ...] = ()) -> dict[str, str]:
     """key=value tokens to a dict; unknown, repeated and missing required
     keys are errors."""
     out: dict[str, str] = {}
     for token in tokens:
         if "=" not in token:
-            raise ScenarioError(f"line {line_no}: expected key=value, got {token!r}")
+            raise ScenarioError(f"expected key=value, got {token!r}")
         key, value = token.split("=", 1)
         if key not in allowed:
             raise ScenarioError(
-                f"line {line_no}: unknown key {key!r} (expected one of "
+                f"unknown key {key!r} (expected one of "
                 f"{', '.join(allowed)})")
         if key in out:
-            raise ScenarioError(f"line {line_no}: duplicate key {key!r}")
+            raise ScenarioError(f"duplicate key {key!r}")
         out[key] = value
     for key in required:
         if key not in out:
-            raise ScenarioError(f"line {line_no}: missing key {key!r}")
+            raise ScenarioError(f"missing key {key!r}")
     return out
 
 
@@ -340,13 +320,13 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
         try:
             if section == "topology":
                 _parse_topology_line(word, tokens, switches, hosts, links,
-                                     control, line_no)
+                                     control)
             elif section == "flows":
-                flows.append(_parse_flow_line(word, tokens, line_no))
+                flows.append(_parse_flow_line(word, tokens))
             elif section == "contracts":
-                contracts.append(_parse_contract_line(word, tokens, line_no))
+                contracts.append(_parse_contract_line(word, tokens))
             elif section == "injections":
-                parsed = _parse_injection_line(word, tokens, line_no)
+                parsed = _parse_injection_line(word, tokens)
                 if isinstance(parsed, AutoLinkFailures):
                     if auto_e1 is not None:
                         raise ScenarioError(f"second {word} line")
@@ -359,16 +339,11 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
                     explicit.append(parsed)
             elif section == "run":
                 if len(tokens) != 2:
-                    raise ScenarioError(
-                        f"line {line_no}: run entries are 'key value'")
+                    raise ScenarioError("run entries are 'key value'")
                 if word in run:
-                    raise ScenarioError(f"line {line_no}: duplicate key {word!r}")
-                _parse_kv([f"{word}={tokens[1]}"], line_no, tuple(_RUN_PARSERS))
+                    raise ScenarioError(f"duplicate key {word!r}")
+                _parse_kv([f"{word}={tokens[1]}"], tuple(_RUN_PARSERS))
                 run[word] = _RUN_PARSERS[word](tokens[1])
-        except ScenarioError as exc:
-            if str(exc).startswith("line "):
-                raise
-            raise ScenarioError(f"line {line_no}: {exc}") from exc
         except (ValueError, KeyError, IndexError) as exc:
             raise ScenarioError(f"line {line_no}: {exc}") from exc
 
@@ -385,22 +360,22 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
     return scenario
 
 
-def _parse_topology_line(word, tokens, switches, hosts, links, control,
-                         line_no) -> None:
+def _parse_topology_line(word, tokens, switches, hosts, links,
+                         control) -> None:
     if word == "switches":
         switches.extend(tokens[1:])
     elif word == "switch":
         if len(tokens) != 2:
-            raise ScenarioError(f"line {line_no}: switch <id> (one per line)")
+            raise ScenarioError("switch <id> (one per line)")
         switches.append(tokens[1])
     elif word == "host":
         if len(tokens) != 3:
-            raise ScenarioError(f"line {line_no}: host <id> <switch>")
+            raise ScenarioError("host <id> <switch>")
         hosts.append((tokens[1], tokens[2]))
     elif word == "link":
         if len(tokens) < 3:
-            raise ScenarioError(f"line {line_no}: link <a> <b> key=value...")
-        kv = _parse_kv(tokens[3:], line_no, ("capacity", "propagation"),
+            raise ScenarioError("link <a> <b> key=value...")
+        kv = _parse_kv(tokens[3:], ("capacity", "propagation"),
                        required=("capacity",))
         links.append(LinkSpec(
             a=tokens[1], b=tokens[2],
@@ -408,21 +383,19 @@ def _parse_topology_line(word, tokens, switches, hosts, links, control,
             propagation_delay=parse_time(kv.get("propagation", "0ns"))))
     elif word == "control":
         if len(tokens) < 2 or "=" in tokens[1]:
-            raise ScenarioError(
-                f"line {line_no}: control <switch> c2s=... s2c=...")
-        kv = _parse_kv(tokens[2:], line_no, ("c2s", "s2c"),
+            raise ScenarioError("control <switch> c2s=... s2c=...")
+        kv = _parse_kv(tokens[2:], ("c2s", "s2c"),
                        required=("c2s", "s2c"))
         control.per_switch[tokens[1]] = (
             parse_time(kv["c2s"]), parse_time(kv["s2c"]))
     else:
-        raise ScenarioError(f"line {line_no}: unknown topology entry {word!r}")
+        raise ScenarioError(f"unknown topology entry {word!r}")
 
 
-def _parse_flow_line(word, tokens, line_no) -> Flow:
+def _parse_flow_line(word, tokens) -> Flow:
     if word != "flow" or len(tokens) < 4:
-        raise ScenarioError(
-            f"line {line_no}: flow <id> <src_host> <dst_host> key=value...")
-    kv = _parse_kv(tokens[4:], line_no, ("packet", "volume", "start", "gap"),
+        raise ScenarioError("flow <id> <src_host> <dst_host> key=value...")
+    kv = _parse_kv(tokens[4:], ("packet", "volume", "start", "gap"),
                    required=("volume",))
     return Flow(
         id=tokens[1], src_host=tokens[2], dst_host=tokens[3],
@@ -432,11 +405,10 @@ def _parse_flow_line(word, tokens, line_no) -> Flow:
         inter_packet_gap=parse_time(kv.get("gap", "0s")))
 
 
-def _parse_contract_line(word, tokens, line_no) -> ContractSpec:
+def _parse_contract_line(word, tokens) -> ContractSpec:
     if word != "contract" or len(tokens) < 4:
-        raise ScenarioError(
-            f"line {line_no}: contract <id> <src> <dst> strong=... [weak=...]")
-    kv = _parse_kv(tokens[4:], line_no, ("strong", "weak"),
+        raise ScenarioError("contract <id> <src> <dst> strong=... [weak=...]")
+    kv = _parse_kv(tokens[4:], ("strong", "weak"),
                    required=("strong",))
     weak = kv.get("weak")
     return ContractSpec(
@@ -445,26 +417,15 @@ def _parse_contract_line(word, tokens, line_no) -> ContractSpec:
         weak_ped=parse_time(weak) if weak is not None else None)
 
 
-def _parse_count_window(kv: dict[str, str]) -> tuple[int, tuple[int, int]]:
-    """An auto spec's count and a window wide enough for its master pool."""
-    count = int(kv["count"])
-    if count < 0:
-        raise ScenarioError("count must be non-negative")
-    lo, _, hi = kv["window"].partition("..")
-    window = (parse_time(lo), parse_time(hi))
-    needed = max(count, MASTER_EVENT_POOL)
-    if window[1] - window[0] < needed:
-        raise ScenarioError(
-            f"window {kv['window']!r} holds fewer than {needed} distinct "
-            "event times (ns)")
-    return count, window
+def _parse_window(text: str) -> tuple[int, int]:
+    lo, _, hi = text.partition("..")
+    return parse_time(lo), parse_time(hi)
 
 
-def _parse_injection_line(word, tokens, line_no):
+def _parse_injection_line(word, tokens):
     if word == "at":
         if len(tokens) != 5:
-            raise ScenarioError(
-                f"line {line_no}: at <time> <action> <arg> <arg>")
+            raise ScenarioError("at <time> <action> <arg> <arg>")
         at = parse_time(tokens[1])
         action = tokens[2]
         if action == "link_down":
@@ -477,28 +438,27 @@ def _parse_injection_line(word, tokens, line_no):
         if action == "scale_ped":
             return PedChangeInjection(at=at, pair_id=tokens[3],
                                       factor_ppm=parse_fraction_ppm(tokens[4]))
-        raise ScenarioError(f"line {line_no}: unknown injection {action!r}")
+        raise ScenarioError(f"unknown injection {action!r}")
     if word == "auto_link_failures":
-        kv = _parse_kv(tokens[1:], line_no, ("count", "window"),
+        kv = _parse_kv(tokens[1:], ("count", "window"),
                        required=("count", "window"))
-        count, window = _parse_count_window(kv)
-        return AutoLinkFailures(count=count, window=window)
+        return AutoLinkFailures(count=int(kv["count"]),
+                                window=_parse_window(kv["window"]))
     if word == "auto_ped_changes":
         flags = [t for t in tokens[1:] if "=" not in t]
         if flags not in ([], ["per_pair"]):
-            raise ScenarioError(
-                f"line {line_no}: unknown flags {flags} (only per_pair)")
+            raise ScenarioError(f"unknown flags {flags} (only per_pair)")
         keys = ("count", "window", "factor")
-        kv = _parse_kv([t for t in tokens[1:] if "=" in t], line_no, keys,
+        kv = _parse_kv([t for t in tokens[1:] if "=" in t], keys,
                        required=keys)
         lo, _, hi = kv["factor"].partition("..")
         factor = (parse_fraction_ppm(lo), parse_fraction_ppm(hi))
         if factor[0] > factor[1]:
-            raise ScenarioError(f"line {line_no}: bad factor range")
-        count, window = _parse_count_window(kv)
-        return AutoPedChanges(count=count, window=window, factor_ppm=factor,
-                              per_pair="per_pair" in flags)
-    raise ScenarioError(f"line {line_no}: unknown injection entry {word!r}")
+            raise ScenarioError("bad factor range")
+        return AutoPedChanges(count=int(kv["count"]),
+                              window=_parse_window(kv["window"]),
+                              factor_ppm=factor, per_pair="per_pair" in flags)
+    raise ScenarioError(f"unknown injection entry {word!r}")
 
 
 def _assemble(name, text, topology_spec, control, flows, contracts, explicit,
@@ -571,150 +531,3 @@ def validate_scenario(scenario: Scenario) -> None:
         raise ScenarioError("emulation_time shorter than estimation_interval")
     if scenario.auto_ped_changes is not None and not scenario.contracts:
         raise ScenarioError("auto_ped_changes requires at least one contract")
-
-
-# ---------------------------------------------------------------------------
-# seeded injection generation
-
-
-def _idle_matrix(topology, probe_bits: int):
-    matrix, _ = run_estimation_cycle(
-        ProbePlan(topology, ControlChannel(), probe_bits), 0)
-    return matrix
-
-
-def _sorted_times(rng: random.Random, count: int,
-                  window: tuple[int, int]) -> list[int]:
-    """count distinct instants drawn from [window[0], window[1])."""
-    if count > window[1] - window[0]:
-        raise ScenarioError(
-            f"cannot draw {count} distinct event times from a "
-            f"{window[1] - window[0]} ns window")
-    times: set[int] = set()
-    while len(times) < count:
-        times.add(rng.randrange(window[0], window[1]))
-    return sorted(times)
-
-
-def _components(topology) -> dict[str, str]:
-    """Each switch's connected component over Up links, labelled by the
-    component's first switch."""
-    label: dict[str, str] = {}
-    for root in topology.switches:
-        if root in label:
-            continue
-        label[root] = root
-        frontier = [root]
-        while frontier:
-            for neighbor, link in topology.adjacent(frontier.pop()):
-                if neighbor not in label and link.state is LinkState.UP:
-                    label[neighbor] = root
-                    frontier.append(neighbor)
-    return label
-
-
-def _severable(topology, pairs, a: str, b: str) -> bool:
-    """True when taking link a-b down leaves every pair connected."""
-    topology.set_link_state(a, b, LinkState.DOWN)
-    try:
-        label = _components(topology)
-        return all(label.get(src, src) == label.get(dst, dst)
-                   for src, dst in pairs)
-    finally:
-        topology.set_link_state(a, b, LinkState.UP)
-
-
-def _expected_path_diary(scenario: Scenario, rng: random.Random,
-                         times: list[int]) -> list[LinkDownInjection]:
-    """Pick one live link per failure, following expected traffic paths.
-
-    A scratch topology accumulates the failures so the k-th pick lands on
-    the path traffic would occupy after the first k-1 failures.  Pair
-    choice and link choice are seeded; the result does not depend on any
-    mechanism variant.  A pick never severs a measured pair: the tests
-    probe fault handling, and a partition leaves nothing to handle.
-    """
-    topology = build_topology(scenario.topology_spec)
-    pairs = [(c.src, c.dst) for c in scenario.contracts]
-    if not pairs:
-        seen = set()
-        for flow in scenario.flows:
-            key = (topology.attachment(flow.src_host),
-                   topology.attachment(flow.dst_host))
-            if key not in seen:
-                seen.add(key)
-                pairs.append(key)
-    # Idle costs do not depend on which links are down, and find_path skips
-    # down links, so one matrix serves every pick.
-    matrix = _idle_matrix(topology, scenario.config.probe_length_bits)
-    injections: list[LinkDownInjection] = []
-    for at in times:
-        candidates: list[tuple[str, str]] = []
-        order = list(range(len(pairs)))
-        rng.shuffle(order)
-        for index in order:
-            src, dst = pairs[index]
-            try:
-                route = find_path(topology, matrix, src, dst)
-            except NoPathError:
-                continue
-            hops = [(a, b) for a, b in zip(route.path, route.path[1:])
-                    if _severable(topology, pairs, a, b)]
-            if hops:
-                candidates = hops
-                break
-        if not candidates:
-            candidates = [(link.a, link.b)
-                          for link in topology.links() if link.is_up
-                          if _severable(topology, pairs, link.a, link.b)]
-        if not candidates:
-            continue  # nothing can fail without a partition; skip this event
-        a, b = candidates[rng.randrange(len(candidates))]
-        injections.append(LinkDownInjection(at=at, a=a, b=b))
-        topology.set_link_state(a, b, LinkState.DOWN)
-    return injections
-
-
-def materialize_injections(scenario: Scenario, seed: int) -> list[Injection]:
-    """Expand auto specs into concrete injections for one seeded run.
-
-    Counts take a chronological prefix of a master schedule of
-    max(count, MASTER_EVENT_POOL) events.  Without per_pair, counts up to
-    MASTER_EVENT_POOL under the same seed therefore share their earliest
-    events.  A larger count re-draws the master schedule, and per_pair
-    draws each contract's times after the previous contract's count
-    factors, so neither nests.
-    """
-    injections: list[Injection] = list(scenario.explicit_injections)
-
-    spec_e1 = scenario.auto_link_failures
-    if spec_e1 is not None and spec_e1.count > 0:
-        rng = random.Random(f"{seed}:link-failures")
-        master = max(spec_e1.count, MASTER_EVENT_POOL)
-        times = _sorted_times(rng, master, spec_e1.window)
-        diary = _expected_path_diary(scenario, rng, times)
-        injections.extend(diary[:spec_e1.count])
-
-    spec_e2 = scenario.auto_ped_changes
-    if spec_e2 is not None and spec_e2.count > 0:
-        rng = random.Random(f"{seed}:ped-changes")
-        master = max(spec_e2.count, MASTER_EVENT_POOL)
-        lo, hi = spec_e2.factor_ppm
-        if spec_e2.per_pair:
-            for contract in scenario.contracts:
-                times = _sorted_times(rng, master, spec_e2.window)
-                for at in times[:spec_e2.count]:
-                    injections.append(PedChangeInjection(
-                        at=at, pair_id=contract.pair_id,
-                        factor_ppm=rng.randint(lo, hi)))
-        else:
-            times = _sorted_times(rng, master, spec_e2.window)
-            pair_ids = [c.pair_id for c in scenario.contracts]
-            schedule = [(at, pair_ids[rng.randrange(len(pair_ids))],
-                         rng.randint(lo, hi)) for at in times]
-            for at, pair_id, factor in schedule[:spec_e2.count]:
-                injections.append(PedChangeInjection(
-                    at=at, pair_id=pair_id, factor_ppm=factor))
-
-    injections.sort(key=lambda inj: inj.at)
-    return injections

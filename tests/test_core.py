@@ -10,7 +10,6 @@ from sdnsim.core import (
     TopologySpec,
     build_topology,
     transmission_delay,
-    validate_path,
 )
 
 from conftest import GBPS, MBPS, linear_chain_spec
@@ -118,20 +117,6 @@ class TestLinkState:
         with pytest.raises(TopologyError):
             chain10.set_link_state("S1", "S9", LinkState.DOWN)
 
-
-class TestValidatePath:
-    def test_valid_path_passes(self, chain10):
-        validate_path(chain10, ["S1", "S2", "S3"])
-
-    def test_repeated_switch_rejected(self, chain10):
-        with pytest.raises(TopologyError, match="repeats"):
-            validate_path(chain10, ["S1", "S2", "S1"])
-
-    def test_down_link_rejected(self, chain10):
-        chain10.set_link_state("S2", "S3", LinkState.DOWN)
-        with pytest.raises(TopologyError, match="down link"):
-            validate_path(chain10, ["S1", "S2", "S3"])
-
-    def test_gap_in_path_rejected(self, chain10):
+    def test_link_between_unlinked_switches_rejected(self, chain10):
         with pytest.raises(TopologyError, match="no link"):
-            validate_path(chain10, ["S1", "S3"])
+            chain10.link_between("S1", "S3")

@@ -80,20 +80,22 @@ class TestLinkCost:
             link_cost(-1, 0)
 
 
+def entry_of(records, src, dst):
+    """The cycle's record for directed link src->dst."""
+    [record] = [r for r in records if (r.src, r.dst) == (src, dst)]
+    return record
+
+
 class TestEstimatePathDelay:
     def test_three_link_path_sums(self):
-        matrix = CostMatrix()
-        matrix.set_entry("A", "B", 1 * MS, 0)
-        matrix.set_entry("B", "C", 2 * MS, 0)
-        matrix.set_entry("C", "D", 3 * MS, 0)
+        matrix = {("A", "B"): 1 * MS, ("B", "C"): 2 * MS, ("C", "D"): 3 * MS}
         assert estimate_path_delay(["A", "B", "C", "D"], matrix) == 6 * MS
 
     def test_single_switch_path_is_zero(self):
-        assert estimate_path_delay(["A"], CostMatrix()) == 0
+        assert estimate_path_delay(["A"], {}) == 0
 
     def test_missing_entry_raises(self):
-        matrix = CostMatrix()
-        matrix.set_entry("A", "B", 1 * MS, 0)
+        matrix = {("A", "B"): 1 * MS}
         with pytest.raises(MissingCostError):
             estimate_path_delay(["A", "B", "C"], matrix)
 
@@ -101,12 +103,12 @@ class TestEstimatePathDelay:
                               st.integers(min_value=0, max_value=10**6)),
                     min_size=1, max_size=12))
     def test_monotone_extension_adds_exactly_the_link_cost(self, hops):
-        matrix = CostMatrix()
+        matrix: CostMatrix = {}
         path = [f"N{i}" for i in range(len(hops) + 1)]
         for i, (link_delay, td) in enumerate(hops):
-            matrix.set_entry(path[i], path[i + 1], link_delay, td)
+            matrix[(path[i], path[i + 1])] = link_cost(td, link_delay)
         shorter = estimate_path_delay(path[:-1], matrix)
-        extension = matrix.cost(path[-2], path[-1])
+        extension = matrix[(path[-2], path[-1])]
         assert estimate_path_delay(path, matrix) == shorter + extension
 
 
@@ -114,11 +116,12 @@ class TestEstimationCycle:
     def test_idle_network_estimates_configured_delay_exactly(
             self, chain10, symmetric_control):
         matrix, records = run_estimation_cycle(ProbePlan(chain10, symmetric_control), 0)
-        assert len(matrix) == 18  # 9 links, both directions
-        for (src, dst), entry in matrix.items():
-            assert entry.link_delay == MILLISECOND
-            assert entry.transmission_delay == 12 * MICROSECOND
-            assert entry.cost == entry.link_delay + entry.transmission_delay
+        assert len(matrix) == len(records) == 18  # 9 links, both directions
+        for record in records:
+            assert record.link_delay == MILLISECOND
+            assert record.transmission_delay == 12 * MICROSECOND
+            assert matrix[(record.src, record.dst)] == record.cost == \
+                record.link_delay + record.transmission_delay
 
     def test_random_symmetric_configurations_are_exact(self):
         rng = random.Random(20260808)
@@ -132,8 +135,8 @@ class TestEstimationCycle:
                 "S1": (rng.randrange(0, MS),) * 2,
                 "S2": (rng.randrange(0, MS),) * 2,
             })
-            matrix, _ = run_estimation_cycle(ProbePlan(topology, control), 0)
-            assert matrix.entry("S1", "S2").link_delay == propagation
+            _, records = run_estimation_cycle(ProbePlan(topology, control), 0)
+            assert entry_of(records, "S1", "S2").link_delay == propagation
 
     def test_asymmetric_control_channel_cancels_exactly(self):
         # The bidirectional probe subtracts each switch's full echo RTT, so
@@ -146,53 +149,60 @@ class TestEstimationCycle:
             "S1": (100 * MICROSECOND, 900 * MICROSECOND),
             "S2": (50 * MICROSECOND, 450 * MICROSECOND),
         })
-        matrix, _ = run_estimation_cycle(ProbePlan(topology, control), 0)
-        assert matrix.entry("S1", "S2").link_delay == 7 * MS
+        _, records = run_estimation_cycle(ProbePlan(topology, control), 0)
+        assert entry_of(records, "S1", "S2").link_delay == 7 * MS
 
     def test_down_link_has_no_entry(self, chain10, symmetric_control):
         chain10.set_link_state("S3", "S4", LinkState.DOWN)
         matrix, _ = run_estimation_cycle(ProbePlan(chain10, symmetric_control), 0)
         assert len(matrix) == 16
-        assert not matrix.has("S3", "S4")
-        assert not matrix.has("S4", "S3")
+        assert ("S3", "S4") not in matrix
+        assert ("S4", "S3") not in matrix
 
     def test_transmission_term_scales_with_capacity(self, symmetric_control):
         # 1500 B per hop costs 12 ms at 1 Mbps but only 12 us at 1 Gbps; the
         # cost matrix must reflect the three-orders-of-magnitude shift.
         slow = build_topology(linear_chain_spec(capacity=MBPS))
         fast = build_topology(linear_chain_spec(capacity=GBPS))
-        slow_matrix, _ = run_estimation_cycle(
+        _, slow_records = run_estimation_cycle(
             ProbePlan(slow, symmetric_control), 0)
-        fast_matrix, _ = run_estimation_cycle(
+        _, fast_records = run_estimation_cycle(
             ProbePlan(fast, symmetric_control), 0)
-        assert slow_matrix.entry("S1", "S2").transmission_delay == 12 * MS
-        assert fast_matrix.entry("S1", "S2").transmission_delay == 12 * MICROSECOND
-        assert slow_matrix.entry("S1", "S2").transmission_delay > \
-            slow_matrix.entry("S1", "S2").link_delay
-        assert fast_matrix.entry("S1", "S2").transmission_delay < \
-            fast_matrix.entry("S1", "S2").link_delay
+        slow_entry = entry_of(slow_records, "S1", "S2")
+        fast_entry = entry_of(fast_records, "S1", "S2")
+        assert slow_entry.transmission_delay == 12 * MS
+        assert fast_entry.transmission_delay == 12 * MICROSECOND
+        assert slow_entry.transmission_delay > slow_entry.link_delay
+        assert fast_entry.transmission_delay < fast_entry.link_delay
 
     def test_queued_egress_inflates_estimate(self, chain10, symmetric_control):
-        waits = {("S1", "S2"): 300 * MICROSECOND}
-        matrix, _ = run_estimation_cycle(
+        _, records = run_estimation_cycle(
             ProbePlan(chain10, symmetric_control), 0,
-            egress_wait=lambda a, b, t: waits.get((a, b), 0))
+            egress_free={("S1", "S2"): 300 * MICROSECOND})
         # The probe averages the two directions' waits.
-        assert matrix.entry("S1", "S2").link_delay == MILLISECOND + 150 * MICROSECOND
-        assert matrix.entry("S2", "S3").link_delay == MILLISECOND
+        assert entry_of(records, "S1", "S2").link_delay == \
+            MILLISECOND + 150 * MICROSECOND
+        assert entry_of(records, "S2", "S3").link_delay == MILLISECOND
+
+    def test_egress_free_before_now_is_no_wait(self, chain10,
+                                               symmetric_control):
+        _, records = run_estimation_cycle(
+            ProbePlan(chain10, symmetric_control), SECOND,
+            egress_free={("S1", "S2"): SECOND - MS, ("S2", "S3"): SECOND})
+        assert entry_of(records, "S1", "S2").link_delay == MILLISECOND
+        assert entry_of(records, "S2", "S3").link_delay == MILLISECOND
 
     def test_raw_mode_doubles_symmetric_estimate(self, chain10, symmetric_control):
-        matrix, _ = run_estimation_cycle(
+        _, records = run_estimation_cycle(
             ProbePlan(chain10, symmetric_control, raw_mode=True), 0)
-        assert matrix.entry("S1", "S2").link_delay == 2 * MILLISECOND
+        assert entry_of(records, "S1", "S2").link_delay == 2 * MILLISECOND
 
     def test_records_match_matrix(self, chain10, symmetric_control):
         matrix, records = run_estimation_cycle(
             ProbePlan(chain10, symmetric_control), 0, cycle_index=3)
         assert len(records) == len(matrix)
         for record in records:
-            entry = matrix.entry(record.src, record.dst)
-            assert record.cost == entry.cost == \
+            assert record.cost == matrix[(record.src, record.dst)] == \
                 record.transmission_delay + record.link_delay
             assert record.cycle == 3
 
@@ -200,37 +210,37 @@ class TestEstimationCycle:
 class TestProbePlan:
     def test_equal_waits_reuse_the_same_entry(self, chain10, symmetric_control):
         plan = ProbePlan(chain10, symmetric_control)
-        first, _ = run_estimation_cycle(plan, 0)
+        first, first_records = run_estimation_cycle(plan, 0)
         second, records = run_estimation_cycle(plan, 7 * MS, cycle_index=1)
         assert len(plan.estimates) == 9  # one per link
-        for (src, dst), entry in second.items():
-            assert entry is first.entry(src, dst)
-            assert entry is second.entry(dst, src)
+        assert second == first
+        assert [dataclasses.replace(record, cycle=0, at=0)
+                for record in records] == first_records
         assert {record.at for record in records} == {7 * MS}
         assert {record.cycle for record in records} == {1}
 
     def test_changed_wait_re_estimates(self, chain10, symmetric_control):
         plan = ProbePlan(chain10, symmetric_control)
-        idle, _ = run_estimation_cycle(plan, 0)
-        waits = {("S2", "S1"): 300 * MICROSECOND}
-        queued, _ = run_estimation_cycle(
-            plan, SECOND, egress_wait=lambda a, b, t: waits.get((a, b), 0))
+        _, idle = run_estimation_cycle(plan, 0)
+        _, queued = run_estimation_cycle(
+            plan, SECOND, egress_free={("S2", "S1"): SECOND + 300 * MICROSECOND})
         assert len(plan.estimates) == 10
-        assert queued.entry("S1", "S2").link_delay == \
+        assert entry_of(queued, "S1", "S2").link_delay == \
             MILLISECOND + 150 * MICROSECOND
-        assert queued.entry("S1", "S2") is not idle.entry("S1", "S2")
-        assert queued.entry("S2", "S3") is idle.entry("S2", "S3")
+        assert entry_of(idle, "S1", "S2").link_delay == MILLISECOND
+        assert entry_of(queued, "S2", "S3").link_delay == \
+            entry_of(idle, "S2", "S3").link_delay
 
     def test_down_link_gets_no_entry(self, chain10, symmetric_control):
         plan = ProbePlan(chain10, symmetric_control)
         run_estimation_cycle(plan, 0)
         chain10.set_link_state("S3", "S4", LinkState.DOWN)
         matrix, records = run_estimation_cycle(plan, SECOND)
-        assert not matrix.has("S3", "S4") and not matrix.has("S4", "S3")
+        assert ("S3", "S4") not in matrix and ("S4", "S3") not in matrix
         assert len(matrix) == len(records) == 16
         chain10.set_link_state("S3", "S4", LinkState.UP)
-        matrix, _ = run_estimation_cycle(plan, 2 * SECOND)
-        assert matrix.entry("S3", "S4").link_delay == MILLISECOND
+        _, records = run_estimation_cycle(plan, 2 * SECOND)
+        assert entry_of(records, "S3", "S4").link_delay == MILLISECOND
 
 
 class TestEstimationRecord:

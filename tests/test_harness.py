@@ -19,6 +19,7 @@ from sdnsim.harness import (
     run_single,
     verify_conservation,
 )
+from sdnsim.injections import materialize_injections
 from sdnsim.kernel import Kernel, PacketRecord
 from sdnsim.resilience import (
     RestorationOutcome,
@@ -26,11 +27,7 @@ from sdnsim.resilience import (
     variant_by_name,
 )
 from sdnsim.runlog import RunLog
-from sdnsim.scenario import (
-    load_scenario,
-    materialize_injections,
-    parse_scenario,
-)
+from sdnsim.scenario import load_scenario, parse_scenario
 
 from conftest import assert_runs_match_fresh_runs, experiment_runs
 

@@ -11,14 +11,12 @@ from sdnsim.core import (
     TopologySpec,
     build_topology,
 )
-from sdnsim.kernel import (
-    InjectionError,
-    Kernel,
+from sdnsim.injections import (
     LinkDownInjection,
     LinkUpInjection,
     PedChangeInjection,
-    ScheduleError,
 )
+from sdnsim.kernel import InjectionError, Kernel, ScheduleError
 from sdnsim.contracts import create_contract_pair
 from sdnsim.resilience import variant_by_name
 

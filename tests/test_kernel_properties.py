@@ -38,13 +38,12 @@ from sdnsim.core import (
     transmission_delay,
 )
 from sdnsim.delay_estimation import ProbePlan
-from sdnsim.kernel import (
-    Kernel,
+from sdnsim.injections import (
     LinkDownInjection,
     LinkUpInjection,
     PedChangeInjection,
-    ScheduleError,
 )
+from sdnsim.kernel import Kernel, ScheduleError
 from sdnsim.resilience import VARIANT_ALIASES, variant_by_name
 from sdnsim.routing import NoPathError, find_path
 from sdnsim.scenario import (
@@ -181,7 +180,7 @@ class MonotoneEgress(dict):
 @given(networks())
 def test_egress_busy_until_never_decreases(network):
     kernel = network_kernel(network)
-    kernel._egress_free = MonotoneEgress()
+    kernel.egress_free = MonotoneEgress()
     kernel.run_until(HORIZON)
 
 
@@ -207,7 +206,7 @@ def test_every_route_equals_a_fresh_find_path(network, data):
             if data.draw(st.booleans()):
                 for link in spec.links:
                     for egress in ((link.a, link.b), (link.b, link.a)):
-                        kernel._egress_free[egress] = now + data.draw(
+                        kernel.egress_free[egress] = now + data.draw(
                             st.sampled_from((0, MS)))
             controller.on_cycle_boundary(now)
         else:
@@ -237,11 +236,10 @@ def test_every_cycle_equals_a_cycle_with_a_fresh_plan(network):
                           kernel.config.probe_length_bits,
                           kernel.config.eq1_raw_mode)
         fresh_matrix, fresh_records = planned(fresh, now, **kwargs)
-        assert matrix.costs == fresh_matrix.costs
-        assert dict(matrix.items()) == dict(fresh_matrix.items())
+        assert matrix == fresh_matrix
         assert records == fresh_records
-        queued.extend(key for key in kernel._egress_free
-                      if kernel.egress_wait(*key, now))
+        queued.extend(key for key, free in kernel.egress_free.items()
+                      if free > now)
         return matrix, records
 
     with pytest.MonkeyPatch.context() as patch:
@@ -322,8 +320,8 @@ def test_every_shared_run_equals_a_fresh_run(scenario, data):
     branch = Kernel.branch
 
     def observed(kernel, injections):
-        queued.append(any(kernel.egress_wait(*egress, kernel.now)
-                          for egress in kernel._egress_free))
+        queued.append(any(free > kernel.now
+                          for free in kernel.egress_free.values()))
         return branch(kernel, injections)
 
     with pytest.MonkeyPatch.context() as patch:

@@ -9,7 +9,14 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sdnsim"
 
 # Each module may import only modules listed before it.
 LAYERS = ("core", "runlog", "contracts", "delay_estimation", "routing",
-          "resilience", "kernel", "scenario", "harness", "cli")
+          "injections", "resilience", "kernel", "scenario", "harness", "cli")
+
+# The E1/E2 event model: defined in the injections module alone.
+INJECTION_NAMES = {
+    "LinkDownInjection", "LinkUpInjection", "PedChangeInjection",
+    "Injection", "left_out", "first_events", "MASTER_EVENT_POOL",
+    "materialize_injections", "_sorted_times", "_components", "_severable",
+    "_idle_matrix", "_expected_path_diary"}
 
 
 def _imported_modules(tree: ast.Module) -> list[tuple[int, str]]:
@@ -50,3 +57,36 @@ def test_imports_point_only_to_earlier_layers(module):
     wrong = [(line, name) for line, name in _imported_modules(tree)
              if name not in allowed]
     assert wrong == [], f"{module} imports a later layer: {wrong}"
+
+
+def _tree(module: str) -> ast.Module:
+    path = PACKAGE / f"{module}.py"
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_scenario_is_only_the_grammar():
+    imported = {name for _, name in _imported_modules(_tree("scenario"))}
+    assert imported.isdisjoint({"kernel", "delay_estimation", "routing"})
+
+
+@pytest.mark.parametrize("module", ["kernel", "scenario"])
+def test_injection_names_have_one_home(module):
+    """The module defines none of the injection names and imports only
+    those it uses itself, so it re-exports none."""
+    tree = _tree(module)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    assert defined.isdisjoint(INJECTION_NAMES | {"_first_events"})
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "injections"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported <= INJECTION_NAMES
+    assert imported <= used, f"unused, so re-exported: {imported - used}"

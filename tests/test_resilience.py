@@ -17,7 +17,12 @@ from sdnsim.core import (
     SimConfig,
     build_topology,
 )
-from sdnsim.kernel import Kernel, LinkDownInjection, LinkUpInjection, PedChangeInjection
+from sdnsim.injections import (
+    LinkDownInjection,
+    LinkUpInjection,
+    PedChangeInjection,
+)
+from sdnsim.kernel import Kernel
 from sdnsim.resilience import (
     EventKind,
     ResponseAction,
@@ -404,7 +409,7 @@ class TestRouteMemo:
         self.route(kernel)
         # Data queued on S1->S10 at the next boundary delays its probe, so
         # that cycle estimates S1-S10 slower and ROUTE_1 becomes cheapest.
-        kernel._egress_free[("S1", "S10")] = 10 * SECOND + MS
+        kernel.egress_free[("S1", "S10")] = 10 * SECOND + MS
         kernel.controller.on_cycle_boundary(10 * SECOND)
         assert self.route(kernel, 10 * SECOND).path == ROUTE_1
         assert len(calls) == 2

@@ -10,7 +10,7 @@ from sdnsim.core import (
     TopologySpec,
     build_topology,
 )
-from sdnsim.delay_estimation import CostMatrix
+from sdnsim.delay_estimation import CostMatrix, link_cost
 from sdnsim.routing import NoPathError, find_path
 
 from conftest import GBPS
@@ -31,14 +31,13 @@ def brute_force_min_cost(topology, costs, src, dst):
         if node == dst:
             best = cost if best is None else min(best, cost)
             return
-        for neighbor in topology.neighbors(node):
+        for neighbor, link in topology.adjacent(node):
             if neighbor in visited:
                 continue
-            link = topology.link_between(node, neighbor)
-            if not link.is_up or not costs.has(node, neighbor):
+            if not link.is_up or (node, neighbor) not in costs:
                 continue
             extend(neighbor, visited | {neighbor},
-                   cost + costs.cost(node, neighbor))
+                   cost + costs[(node, neighbor)])
 
     extend(src, {src}, 0)
     return best
@@ -50,11 +49,10 @@ def triangle():
                          LinkSpec("B", "C", GBPS, 0),
                          LinkSpec("A", "C", GBPS, 0)))
     topology = build_topology(spec)
-    costs = CostMatrix()
+    costs: CostMatrix = {}
     for a, b, delay in (("A", "B", 5 * MS), ("B", "C", 5 * MS),
                         ("A", "C", 12 * MS)):
-        costs.set_entry(a, b, delay, 0)
-        costs.set_entry(b, a, delay, 0)
+        costs[(a, b)] = costs[(b, a)] = delay
     return topology, costs
 
 
@@ -66,11 +64,11 @@ def random_instance(rng):
         if rng.random() < 0.45:
             links.append(LinkSpec(f"S{a}", f"S{b}", GBPS, 0))
     topology = build_topology(TopologySpec(switches, (), tuple(links)))
-    costs = CostMatrix()
+    costs: CostMatrix = {}
     for link in topology.links():
         for src, dst in ((link.a, link.b), (link.b, link.a)):
-            costs.set_entry(src, dst, rng.randint(1, 10_000_000),
-                            rng.randint(0, 20_000))
+            link_delay = rng.randint(1, 10_000_000)
+            costs[(src, dst)] = link_cost(rng.randint(0, 20_000), link_delay)
     return topology, costs
 
 
@@ -107,10 +105,7 @@ class TestFindPath:
                              LinkSpec("B", "C", GBPS, 0),
                              LinkSpec("A", "C", GBPS, 0)))
         topology = build_topology(spec)
-        costs = CostMatrix()
-        costs.set_entry("A", "B", 5 * MS, 0)
-        costs.set_entry("B", "C", 5 * MS, 0)
-        costs.set_entry("A", "C", 10 * MS, 0)
+        costs = {("A", "B"): 5 * MS, ("B", "C"): 5 * MS, ("A", "C"): 10 * MS}
         result = find_path(topology, costs, "A", "C")
         assert result.path == ("A", "C")
 
@@ -122,10 +117,9 @@ class TestFindPath:
                              LinkSpec("A", "C", GBPS, 0),
                              LinkSpec("C", "D", GBPS, 0)))
         topology = build_topology(spec)
-        costs = CostMatrix()
+        costs: CostMatrix = {}
         for a, b in (("A", "B"), ("B", "D"), ("A", "C"), ("C", "D")):
-            costs.set_entry(a, b, 5 * MS, 0)
-            costs.set_entry(b, a, 5 * MS, 0)
+            costs[(a, b)] = costs[(b, a)] = 5 * MS
         result = find_path(topology, costs, "A", "D")
         assert result.path == ("A", "B", "D")
 
@@ -168,15 +162,15 @@ class TestOracleEquivalence:
             path = result.path
             for i in range(len(path) - 1):
                 a, b = path[i], path[i + 1]
-                for mid in topology.neighbors(a):
+                for mid, _ in topology.adjacent(a):
                     if mid in path:
                         continue
-                    if not costs.has(a, mid) or not costs.has(mid, b):
+                    if (a, mid) not in costs or (mid, b) not in costs:
                         continue
                     if not topology.has_link(mid, b):
                         continue
-                    detour = (result.ed - costs.cost(a, b)
-                              + costs.cost(a, mid) + costs.cost(mid, b))
+                    detour = (result.ed - costs[(a, b)]
+                              + costs[(a, mid)] + costs[(mid, b)])
                     assert detour >= result.ed
 
     def test_deterministic_across_repeats(self):

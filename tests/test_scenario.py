@@ -1,14 +1,20 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from sdnsim.core import MICROSECOND, MILLISECOND, SECOND
-from sdnsim.kernel import LinkDownInjection, PedChangeInjection
-from sdnsim.scenario import (
+from sdnsim.injections import (
     MASTER_EVENT_POOL,
+    LinkDownInjection,
+    PedChangeInjection,
+    materialize_injections,
+)
+from sdnsim.scenario import (
+    AutoLinkFailures,
+    AutoPedChanges,
     ScenarioError,
     load_scenario,
-    materialize_injections,
     parse_fraction_ppm,
     parse_rate,
     parse_scenario,
@@ -312,6 +318,16 @@ class TestStrictInput:
         assert len(materialize_injections(scenario, 1)) == 4
         with pytest.raises(ScenarioError, match="cannot draw 9"):
             materialize_injections(scenario.with_event_count(9), 1)
+
+
+    def test_directly_built_auto_spec_needs_a_wide_window(self):
+        with pytest.raises(ScenarioError, match="window .* cannot draw 8"):
+            AutoPedChanges(count=1, window=(0, 7), factor_ppm=(1, 1))
+
+    def test_replaced_auto_count_needs_a_wide_window(self):
+        spec = AutoLinkFailures(count=1, window=(0, 8))  # 8 ns, the pool
+        with pytest.raises(ScenarioError, match="window .* cannot draw 9"):
+            replace(spec, count=9)
 
 
 class TestSweepSlicing:
