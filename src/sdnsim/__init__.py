@@ -11,7 +11,6 @@ configurable resilience manager.
 __version__ = "0.1.0"
 
 from .contracts import (  # noqa: E402
-    Contract,
     ContractKind,
     ContractPair,
     ContractStore,

@@ -4,8 +4,9 @@ A contract guarantees that the estimated end-to-end delay between two
 switches stays at or below a required bound (the ped).  Contracts come in
 pairs: the strong contract carries the nominal requirement, the weak one a
 relaxed fallback used to keep traffic flowing when the strong bound cannot
-be met.  Exactly one member of a pair is active at any instant, and
-observers are stateless checks of an estimated delay against the active
+be met.  One ContractPair record holds both bounds and which of them is
+active, and observers are stateless checks of an estimated delay against
+the active bound.  Run-time requirement changes (E2) change the strong
 bound.
 """
 
@@ -36,21 +37,6 @@ class ContractError(ValueError):
     """Invalid contract definition or modification."""
 
 
-@dataclass
-class Contract:
-    id: str
-    pair_id: str
-    src: SwitchId
-    dst: SwitchId
-    kind: ContractKind
-    ped: int  # required end-to-end delay bound, ns
-    active: bool = False
-
-    def __post_init__(self) -> None:
-        if self.ped <= 0:
-            raise ContractError(f"contract {self.id}: ped must be positive")
-
-
 @dataclass(frozen=True)
 class FaultReport:
     """A violated guarantee: the observed delay exceeded the active bound."""
@@ -64,15 +50,6 @@ class FaultReport:
     def __post_init__(self) -> None:
         if self.observed_ed <= self.ped:
             raise ContractError("fault report without a violation")
-
-
-@dataclass(frozen=True)
-class ContractChangeEvent:
-    pair_id: str
-    kind: ContractKind
-    old_ped: int
-    new_ped: int
-    at: int
 
 
 @dataclass(frozen=True)
@@ -91,57 +68,52 @@ class PedChange:
 
 @dataclass
 class ContractPair:
+    """Strong and weak delay bounds (ns); the active_kind one is in force."""
+
     id: str
-    strong: Contract
-    weak: Contract
+    src: SwitchId
+    dst: SwitchId
+    strong_ped: int
+    weak_ped: int
+    active_kind: ContractKind = ContractKind.STRONG
 
     @property
-    def src(self) -> SwitchId:
-        return self.strong.src
+    def active_ped(self) -> int:
+        if self.active_kind is ContractKind.STRONG:
+            return self.strong_ped
+        return self.weak_ped
 
-    @property
-    def dst(self) -> SwitchId:
-        return self.strong.dst
 
-    @property
-    def active(self) -> Contract:
-        return self.strong if self.strong.active else self.weak
-
-    @property
-    def active_kind(self) -> ContractKind:
-        return self.active.kind
+def pair_weak_ped(strong_ped: int, weak_ped: int | None) -> int:
+    """The weak bound of a pair with a positive strong bound and a weak
+    one at least as large (DEFAULT_WEAK_FACTOR times strong if omitted)."""
+    if strong_ped <= 0:
+        raise ContractError("strong ped must be positive")
+    if weak_ped is None:
+        return strong_ped * DEFAULT_WEAK_FACTOR
+    if weak_ped < strong_ped:
+        raise ContractError(
+            f"weak ped {weak_ped} below strong ped {strong_ped}")
+    return weak_ped
 
 
 def create_contract_pair(pair_id: str, src: SwitchId, dst: SwitchId,
                          strong_ped: int, weak_ped: int | None = None,
                          ) -> ContractPair:
-    """Build a linked strong/weak pair with the strong contract active.
-
-    When weak_ped is omitted it defaults to DEFAULT_WEAK_FACTOR times the
-    strong requirement.  weak_ped below strong_ped is rejected.
-    """
-    if strong_ped <= 0:
-        raise ContractError("strong ped must be positive")
-    if weak_ped is None:
-        weak_ped = strong_ped * DEFAULT_WEAK_FACTOR
-    if weak_ped < strong_ped:
-        raise ContractError(
-            f"weak ped {weak_ped} below strong ped {strong_ped}")
-    strong = Contract(id=f"{pair_id}-strong", pair_id=pair_id, src=src,
-                      dst=dst, kind=ContractKind.STRONG, ped=strong_ped,
-                      active=True)
-    weak = Contract(id=f"{pair_id}-weak", pair_id=pair_id, src=src, dst=dst,
-                    kind=ContractKind.WEAK, ped=weak_ped, active=False)
-    return ContractPair(id=pair_id, strong=strong, weak=weak)
+    """A pair with the strong contract active (see pair_weak_ped)."""
+    return ContractPair(pair_id, src, dst, strong_ped,
+                        pair_weak_ped(strong_ped, weak_ped))
 
 
-def observe(contract: Contract, ed: int, now: int,
+def observe(pair: ContractPair, ed: int, now: int,
             cause: FaultCause) -> FaultReport | None:
-    """Stateless guarantee check: None when ed <= ped, a fault otherwise."""
-    if ed <= contract.ped:
+    """Stateless guarantee check against the pair's active bound: None
+    when ed <= ped, a fault otherwise."""
+    ped = pair.active_ped
+    if ed <= ped:
         return None
-    return FaultReport(pair_id=contract.pair_id, observed_ed=ed,
-                       ped=contract.ped, detected_at=now, cause=cause)
+    return FaultReport(pair_id=pair.id, observed_ed=ed, ped=ped,
+                       detected_at=now, cause=cause)
 
 
 class ContractStore:
@@ -166,9 +138,6 @@ class ContractStore:
         self._by_endpoints[key] = pair
         self._record(pair, now)
 
-    def pairs(self) -> list[ContractPair]:
-        return list(self._pairs.values())
-
     def pair(self, pair_id: str) -> ContractPair:
         try:
             return self._pairs[pair_id]
@@ -181,12 +150,11 @@ class ContractStore:
     def _record(self, pair: ContractPair, now: int) -> None:
         self.ped_changes.append(PedChange(
             pair_id=pair.id, src=pair.src, dst=pair.dst, at=now,
-            active_kind=pair.active_kind, active_ped=pair.active.ped,
-            strong_ped=pair.strong.ped, weak_ped=pair.weak.ped))
+            active_kind=pair.active_kind, active_ped=pair.active_ped,
+            strong_ped=pair.strong_ped, weak_ped=pair.weak_ped))
 
-    def modify(self, pair_id: str, kind: ContractKind, new_ped: int,
-               now: int) -> ContractChangeEvent | None:
-        """Replace one member's ped; None when the value is unchanged.
+    def modify(self, pair_id: str, new_ped: int, now: int) -> bool:
+        """Replace a pair's strong requirement; False when unchanged.
 
         Raising the strong requirement above the weak one pulls the weak
         requirement up by the same factor so the pair invariant holds.
@@ -194,31 +162,22 @@ class ContractStore:
         if new_ped <= 0:
             raise ContractError("ped must be positive")
         pair = self.pair(pair_id)
-        target = pair.strong if kind is ContractKind.STRONG else pair.weak
-        old = target.ped
+        old = pair.strong_ped
         if new_ped == old:
-            return None
-        if kind is ContractKind.STRONG:
-            if new_ped > pair.weak.ped:
-                # Proportional adjustment keeps weak/strong ratio intact.
-                pair.weak.ped = (new_ped * pair.weak.ped + old // 2) // old
-            pair.strong.ped = new_ped
-        else:
-            if new_ped < pair.strong.ped:
-                raise ContractError(
-                    f"weak ped {new_ped} below strong ped {pair.strong.ped}")
-            pair.weak.ped = new_ped
+            return False
+        if new_ped > pair.weak_ped:
+            # Proportional adjustment keeps weak/strong ratio intact.
+            pair.weak_ped = (new_ped * pair.weak_ped + old // 2) // old
+        pair.strong_ped = new_ped
         self._record(pair, now)
-        return ContractChangeEvent(pair_id=pair_id, kind=kind,
-                                   old_ped=old, new_ped=new_ped, at=now)
+        return True
 
     def switch_active(self, pair_id: str, to: ContractKind, now: int) -> bool:
-        """Flip the active member of a pair; no-op when already active."""
+        """Make to the pair's active kind; no-op when it already is."""
         pair = self.pair(pair_id)
         if pair.active_kind is to:
             return False
-        pair.strong.active = to is ContractKind.STRONG
-        pair.weak.active = to is ContractKind.WEAK
+        pair.active_kind = to
         self._record(pair, now)
         return True
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .contracts import ContractKind
+from .contracts import ContractError, ContractKind
 from .core import (
     ControlChannel,
     LinkState,
@@ -57,10 +57,11 @@ class LinkUpInjection:
 
 @dataclass(frozen=True)
 class PedChangeInjection:
-    """Runtime change of a delay requirement.
+    """Runtime change of a pair's strong delay requirement.
 
-    Either an absolute new bound (new_ped) or a multiplicative factor in
-    parts per million (factor_ppm) applied to the current bound.
+    Exactly one of a positive new bound (new_ped) or a factor in parts per
+    million (factor_ppm) applied to the current bound.  contract_kind is
+    always STRONG; it stays a field as part of the serialized log.
     """
 
     at: int
@@ -69,6 +70,15 @@ class PedChangeInjection:
     factor_ppm: int | None = None
     contract_kind: ContractKind = ContractKind.STRONG
     kind: str = "ped_change"
+
+    def __post_init__(self) -> None:
+        if (self.new_ped is None) == (self.factor_ppm is None):
+            raise ContractError("a ped change needs exactly one of new_ped "
+                                "and factor_ppm")
+        if self.new_ped is not None and self.new_ped <= 0:
+            raise ContractError("ped must be positive")
+        if self.contract_kind is not ContractKind.STRONG:
+            raise ContractError("a ped change applies to the strong contract")
 
 
 Injection = LinkDownInjection | LinkUpInjection | PedChangeInjection

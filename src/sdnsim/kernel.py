@@ -17,9 +17,9 @@ capacities and propagation delays are fixed at build time, and a plan
 holds the live Link objects, so a hop still sees the link's current state.
 
 Heap entries are (time, sequence, action, argument).  The kernel and the
-controller schedule bound methods with the packet, flow, injection or an
-argument tuple as their argument, so no closure is built per event; every
-event still goes through schedule_call.
+controller schedule bound methods with the packet, flow, injection position
+or an argument tuple as their argument, so no closure is built per event;
+every event still goes through schedule_call.
 
 Branching.  setup schedules cycle boundaries, flow starts and injections
 before any event runs, so they hold the lowest sequence numbers and every
@@ -45,7 +45,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .contracts import ContractKind, ContractPair, ContractStore
+from .contracts import ContractPair, ContractStore
 from .core import (
     ControlChannel,
     Flow,
@@ -158,13 +158,16 @@ class Kernel:
                                list[tuple[int, tuple[SwitchId, ...]]]] = {}
         self._plans: dict[tuple[tuple[SwitchId, ...], int],
                           tuple[_Hop, ...]] = {}
+        # Every injection scheduled so far; an injection's heap entry
+        # carries its position here.  Branches share this list.
+        self._injections: list[Injection] = []
 
         self.store = ContractStore()
         for pair in contract_pairs:
             self.store.add(pair, now=0)
         self.log.ped_changes = self.store.ped_changes
 
-        covered = {(p.src, p.dst) for p in self.store.pairs()}
+        covered = {(p.src, p.dst) for p in contract_pairs}
         self._flows: dict[str, _FlowState] = {}
         for flow in flows:
             key = (topology.attachment(flow.src_host),
@@ -199,7 +202,9 @@ class Kernel:
 
     def inject_schedule(self, injections: list[Injection]) -> None:
         """Validate and enqueue external events (E1 link toggles, E2 changes)."""
-        for inj in injections:
+        start = len(self._injections)
+        self._injections = self._injections + list(injections)
+        for index, inj in enumerate(injections, start):
             if isinstance(inj, (LinkDownInjection, LinkUpInjection)):
                 if not self.topology.has_link(inj.a, inj.b):
                     raise InjectionError(
@@ -207,7 +212,7 @@ class Kernel:
             elif isinstance(inj, PedChangeInjection):
                 self.store.pair(inj.pair_id)  # raises for unknown pairs
             self.log.injections.append(inj)
-            self.schedule_call(inj.at, self._apply_injection, inj)
+            self.schedule_call(inj.at, self._apply_injection, index)
 
     # ------------------------------------------------------------------
     # main loop
@@ -240,25 +245,16 @@ class Kernel:
     def branch(self, injections: list[Injection]) -> "Kernel":
         """A copy of this kernel that goes on with injections alone.
 
-        injections must be a subsequence of log.injections, and each one
-        they leave out must still be pending; the copy then continues as a
-        fresh run with injections would from this point (see "Branching").
+        injections must be a subsequence of the kernel's scheduled ones, and
+        each one they leave out must still be pending; the copy then goes on
+        as a fresh run with injections would from here (see "Branching").
         """
-        own = self.log.injections
-        missing = left_out(own, injections)
+        missing = left_out(self._injections, injections)
         if missing is None:
             raise ValueError("branch injections are not a subsequence of "
                              "the kernel's injections")
-        # Map each pending injection entry to its position in own: its
-        # argument is that list entry, and where one object fills several
-        # positions, the earlier ones were applied first.
-        positions: dict[int, list[int]] = {}
-        for index, inj in enumerate(own):
-            positions.setdefault(id(inj), []).append(index)
-        pending = sorted(entry for entry in self._queue
-                         if entry[2] == self._apply_injection)
-        seq_at = {positions[id(entry[3])].pop(): entry[1]
-                  for entry in reversed(pending)}
+        seq_at = {entry[3]: entry[1] for entry in self._queue
+                  if entry[2] == self._apply_injection}
         if any(index not in seq_at for index in missing):
             raise ValueError("a left-out injection has already been applied")
         dropped = {seq_at[index] for index in missing}
@@ -267,9 +263,8 @@ class Kernel:
         # injections and every record but the in-flight packets'.  The weak
         # proxy is re-pointed after copying; both kernels number on from seq.
         memo: dict[int, Any] = {id(_NO_ARG): _NO_ARG,
-                                id(self.controller.kernel): None}
-        for inj in own:
-            memo[id(inj)] = inj
+                                id(self.controller.kernel): None,
+                                id(self._injections): self._injections}
         for _, _, _, arg in self._queue:
             if type(arg) is _Packet:
                 memo[id(arg.record)] = copy.copy(arg.record)
@@ -309,31 +304,23 @@ class Kernel:
     # ------------------------------------------------------------------
     # injections
 
-    def _apply_injection(self, inj: Injection, at: int) -> None:
+    def _apply_injection(self, index: int, at: int) -> None:
+        inj = self._injections[index]
         if isinstance(inj, LinkDownInjection):
             link = self.topology.link_between(inj.a, inj.b)
             if link.is_up:
                 self.topology.set_link_state(inj.a, inj.b, LinkState.DOWN)
                 self._last_down[link.key] = at
-                self.controller.on_link_state_change(inj.a, inj.b, True, at)
+                self.controller.on_link_state_change(inj.a, inj.b, at)
         elif isinstance(inj, LinkUpInjection):
-            link = self.topology.link_between(inj.a, inj.b)
-            if not link.is_up:
-                self.topology.set_link_state(inj.a, inj.b, LinkState.UP)
-                self.controller.on_link_state_change(inj.a, inj.b, False, at)
-        elif isinstance(inj, PedChangeInjection):
-            pair = self.store.pair(inj.pair_id)
-            target = (pair.strong if inj.contract_kind is ContractKind.STRONG
-                      else pair.weak)
-            if inj.new_ped is not None:
-                new_ped = inj.new_ped
-            else:
-                new_ped = max(1, (target.ped * inj.factor_ppm + 500_000)
-                              // 1_000_000)
-            event = self.store.modify(inj.pair_id, inj.contract_kind,
-                                      new_ped, at)
-            if event is not None:
-                self.controller.on_contract_modified(event, at)
+            self.topology.set_link_state(inj.a, inj.b, LinkState.UP)
+        else:
+            new_ped = inj.new_ped
+            if new_ped is None:
+                old = self.store.pair(inj.pair_id).strong_ped
+                new_ped = max(1, (old * inj.factor_ppm + 500_000) // 1_000_000)
+            if self.store.modify(inj.pair_id, new_ped, at):
+                self.controller.on_contract_modified(inj.pair_id, at)
 
     # ------------------------------------------------------------------
     # packet transport

@@ -2,14 +2,14 @@
 
 Four controller configurations differ in which machinery is enabled:
 
-=========== ========= ======== ========= =========
-mechanism   proactive reactive strong    weak
-=========== ========= ======== ========= =========
-SDN-woRM    no        no       no        no
-SDN-sRM     yes       yes      yes       no
-SDN-pRM     yes       no       yes       yes
-SDN-RM      yes       yes      yes       yes
-=========== ========= ======== ========= =========
+=========== ========= ======== =========
+mechanism   proactive reactive weak
+=========== ========= ======== =========
+SDN-woRM    no        no       no
+SDN-sRM     yes       yes      no
+SDN-pRM     yes       no       yes
+SDN-RM      yes       yes      yes
+=========== ========= ======== =========
 
 Monitors turn link failures (E1) and runtime requirement changes (E2) into
 notifications.  Reactive configurations act on a notification as soon as it
@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .contracts import (
-    ContractChangeEvent,
     ContractKind,
     ContractStore,
     FaultCause,
@@ -69,15 +68,14 @@ class MechanismVariant:
     name: str
     proactive: bool
     reactive: bool
-    strong_contracts: bool
     weak_contracts: bool
 
 
 VARIANTS: dict[str, MechanismVariant] = {
-    "SDN-woRM": MechanismVariant("SDN-woRM", False, False, False, False),
-    "SDN-sRM": MechanismVariant("SDN-sRM", True, True, True, False),
-    "SDN-pRM": MechanismVariant("SDN-pRM", True, False, True, True),
-    "SDN-RM": MechanismVariant("SDN-RM", True, True, True, True),
+    "SDN-woRM": MechanismVariant("SDN-woRM", False, False, False),
+    "SDN-sRM": MechanismVariant("SDN-sRM", True, True, False),
+    "SDN-pRM": MechanismVariant("SDN-pRM", True, False, True),
+    "SDN-RM": MechanismVariant("SDN-RM", True, True, True),
 }
 
 VARIANT_ALIASES = {
@@ -249,16 +247,16 @@ class ResilienceManager:
                 continue
             if (self.variant.weak_contracts
                     and pair.active_kind is ContractKind.WEAK
-                    and ed <= pair.strong.ped):
+                    and ed <= pair.strong_ped):
                 # The strong guarantee holds again: reinstate it.
                 self.store.switch_active(pair.id, ContractKind.STRONG, now)
-            fault = observe(pair.active, ed, now, FaultCause.ESTIMATION_CYCLE)
+            fault = observe(pair, ed, now, FaultCause.ESTIMATION_CYCLE)
             if fault is not None:
                 self.log.faults.append(fault)
                 occurred = self._attribute(key, now)
                 self._respond(fault, occurred_at=occurred, now=now)
             else:
-                self._maybe_adopt(key, now, ed, required_ped=pair.active.ped)
+                self._maybe_adopt(key, now, ed, required_ped=pair.active_ped)
 
     def _current_ed(self, key: tuple[SwitchId, SwitchId], now: int) -> int:
         path = self.kernel.forwarding_path(key, now)
@@ -292,11 +290,9 @@ class ResilienceManager:
     # ------------------------------------------------------------------
     # monitors
 
-    def on_link_state_change(self, a: SwitchId, b: SwitchId, is_down: bool,
-                             now: int) -> None:
-        """Link failure monitor (E1), fed by switch port status."""
-        if not is_down:
-            return  # recoveries surface through the next estimation cycle
+    def on_link_state_change(self, a: SwitchId, b: SwitchId, now: int) -> None:
+        """Link failure monitor (E1), fed by switch port status; recoveries
+        surface through the next estimation cycle."""
         subject = f"{min(a, b)}-{max(a, b)}"
         latency = min(self.control.s2c(a), self.control.s2c(b))
         notification = EventNotification(
@@ -327,19 +323,19 @@ class ResilienceManager:
                 continue  # no guarantee to defend; next cycle re-optimizes
             fault = FaultReport(
                 pair_id=pair.id, observed_ed=UNBOUNDED_DELAY,
-                ped=pair.active.ped, detected_at=now,
+                ped=pair.active_ped, detected_at=now,
                 cause=FaultCause.LINK_FAILURE)
             self.log.faults.append(fault)
             self._respond(fault, occurred_at=occurred_at, now=now)
 
-    def on_contract_modified(self, event: ContractChangeEvent, now: int) -> None:
+    def on_contract_modified(self, pair_id: str, now: int) -> None:
         """Contract modification monitor (E2); in-controller, zero latency."""
         notification = EventNotification(
-            kind=EventKind.E2_CONTRACT_CHANGE, subject=event.pair_id,
+            kind=EventKind.E2_CONTRACT_CHANGE, subject=pair_id,
             occurred_at=now, delivered_at=now)
         self.log.notifications.append(notification)
         self._note_assumption_window(notification)
-        pair = self.store.pair(event.pair_id)
+        pair = self.store.pair(pair_id)
         key = (pair.src, pair.dst)
         if not self.variant.reactive:
             if self.variant.proactive:
@@ -348,7 +344,7 @@ class ResilienceManager:
         if key not in self.routed_pairs:
             return
         ed = self._current_ed(key, now)
-        fault = observe(pair.active, ed, now, FaultCause.CONTRACT_CHANGE)
+        fault = observe(pair, ed, now, FaultCause.CONTRACT_CHANGE)
         if fault is not None:
             self.log.faults.append(fault)
             self._respond(fault, occurred_at=now, now=now)
@@ -390,10 +386,10 @@ class ResilienceManager:
         pair = self.store.pair(fault.pair_id)
         route = self._compute_route((pair.src, pair.dst), now,
                                     purpose="fault_response")
-        if route is not None and route.ed <= pair.strong.ped:
+        if route is not None and route.ed <= pair.strong_ped:
             action = ResponseAction.RS1
         elif (route is not None and self.variant.weak_contracts
-                and route.ed <= pair.weak.ped):
+                and route.ed <= pair.weak_ped):
             action = ResponseAction.RS1_RS2
         else:
             action = ResponseAction.RS3
@@ -453,7 +449,7 @@ class ResilienceManager:
         warning = WarningRecord(
             pair_id=fault.pair_id, at=now,
             best_ed=route.ed if route else None,
-            required_ped=pair.active.ped)
+            required_ped=pair.active_ped)
         self.log.warnings.append(warning)
         return warning
 

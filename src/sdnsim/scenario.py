@@ -44,7 +44,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from .contracts import ContractPair, create_contract_pair
+from .contracts import ContractPair, create_contract_pair, pair_weak_ped
 from .core import (
     ControlChannel,
     Flow,
@@ -136,6 +136,9 @@ class ContractSpec:
     dst: str
     strong_ped: int
     weak_ped: int | None  # None means the default weak factor applies
+
+    def __post_init__(self) -> None:
+        pair_weak_ped(self.strong_ped, self.weak_ped)
 
 
 def _check_auto_count(count: int, window: tuple[int, int]) -> None:
@@ -527,6 +530,11 @@ def validate_scenario(scenario: Scenario) -> None:
         if not 0 <= inj.at <= scenario.emulation_time:
             raise ScenarioError(
                 f"injection at {inj.at} ns outside the emulation window")
+    for spec in (scenario.auto_link_failures, scenario.auto_ped_changes):
+        if spec is not None and spec.window[1] > scenario.emulation_time:
+            raise ScenarioError(
+                f"auto window ends at {spec.window[1]} ns, after "
+                f"emulation_time {scenario.emulation_time} ns")
     if scenario.emulation_time < scenario.config.estimation_interval:
         raise ScenarioError("emulation_time shorter than estimation_interval")
     if scenario.auto_ped_changes is not None and not scenario.contracts:

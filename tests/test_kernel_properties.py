@@ -304,7 +304,7 @@ def scenarios(draw):
         control=ControlChannel(default_c2s=latency, default_s2c=latency),
         flows=tuple(flows),
         contracts=(ContractSpec(pair.id, pair.src, pair.dst,
-                                pair.strong.ped, None),),
+                                pair.strong_ped, None),),
         explicit_injections=tuple(explicit), auto_link_failures=auto_e1,
         auto_ped_changes=auto_e2, emulation_time=HORIZON, config=config)
 

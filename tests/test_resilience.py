@@ -66,13 +66,13 @@ def ring_kernel(variant, strong=3_200_000, weak=12 * MS, injections=(),
 
 class TestVariantTable:
     def test_flag_rows(self):
-        rows = {name: (v.proactive, v.reactive, v.strong_contracts,
-                       v.weak_contracts) for name, v in VARIANTS.items()}
+        rows = {name: (v.proactive, v.reactive, v.weak_contracts)
+                for name, v in VARIANTS.items()}
         assert rows == {
-            "SDN-woRM": (False, False, False, False),
-            "SDN-sRM": (True, True, True, False),
-            "SDN-pRM": (True, False, True, True),
-            "SDN-RM": (True, True, True, True),
+            "SDN-woRM": (False, False, False),
+            "SDN-sRM": (True, True, False),
+            "SDN-pRM": (True, False, True),
+            "SDN-RM": (True, True, True),
         }
 
     def test_aliases(self):
@@ -273,20 +273,12 @@ class TestContractChangeMonitor:
             EventKind.E2_CONTRACT_CHANGE]
         assert kernel.log.faults == []
 
-    def test_change_on_inactive_weak_not_evaluated(self):
-        kernel = ring_kernel(
-            "SDN-RM",
-            injections=[PedChangeInjection(35 * SECOND, "C1", new_ped=13 * MS,
-                                           contract_kind=ContractKind.WEAK)])
-        assert kernel.log.faults == []
-        assert kernel.store.pair("C1").weak.ped == 13 * MS
-
     def test_scaling_factor_applies_to_current_ped(self):
         kernel = ring_kernel(
             "SDN-RM",
             injections=[PedChangeInjection(35 * SECOND, "C1", factor_ppm=500_000),
                         PedChangeInjection(45 * SECOND, "C1", factor_ppm=500_000)])
-        assert kernel.store.pair("C1").strong.ped == 800_000  # 3.2 ms / 4
+        assert kernel.store.pair("C1").strong_ped == 800_000  # 3.2 ms / 4
 
 
 class TestRecoveryAndReinstatement:

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from sdnsim.contracts import ContractError, ContractKind
 from sdnsim.core import MICROSECOND, MILLISECOND, SECOND
 from sdnsim.injections import (
     MASTER_EVENT_POOL,
@@ -320,6 +321,33 @@ class TestStrictInput:
             materialize_injections(scenario.with_event_count(9), 1)
 
 
+    @pytest.mark.parametrize("section, entry, message", [
+        ("contracts", "contract C1 S1 S2 strong=5ms weak=2ms",
+         "weak ped 2000000 below strong ped 5000000"),
+        ("contracts", "contract C1 S1 S2 strong=0s",
+         "strong ped must be positive"),
+        ("injections", "at 20s set_ped C0 0s", "ped must be positive"),
+    ])
+    def test_bad_bound_carries_its_line(self, section, entry, message):
+        text = (MINIMAL + "\n[contracts]\ncontract C0 S2 S1 strong=5ms\n"
+                + f"\n[{section}]\n{entry}\n")
+        with pytest.raises(ScenarioError,
+                           match=f"^line {line_of(text, entry)}: {message}$"):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize("entry", [
+        "auto_link_failures count=1 window=20s..{end}",
+        "auto_ped_changes count=1 window=20s..{end} factor=0.5..0.9",
+    ])
+    def test_auto_window_must_end_by_emulation_time(self, entry):
+        text = (MINIMAL + "\n[contracts]\ncontract C1 S1 S2 strong=5ms\n"
+                + "\n[injections]\n")
+        parse_scenario(text + entry.format(end="30s"))  # emulation_time 30s
+        with pytest.raises(ScenarioError,
+                           match="auto window ends at 30000000001 ns, after "
+                                 "emulation_time 30000000000 ns"):
+            parse_scenario(text + entry.format(end="30000000001ns"))
+
     def test_directly_built_auto_spec_needs_a_wide_window(self):
         with pytest.raises(ScenarioError, match="window .* cannot draw 8"):
             AutoPedChanges(count=1, window=(0, 7), factor_ppm=(1, 1))
@@ -328,6 +356,26 @@ class TestStrictInput:
         spec = AutoLinkFailures(count=1, window=(0, 8))  # 8 ns, the pool
         with pytest.raises(ScenarioError, match="window .* cannot draw 9"):
             replace(spec, count=9)
+
+
+class TestPedChangeInjection:
+    """A requirement change is checked when it is built, not when it is
+    applied part-way through a run."""
+
+    @pytest.mark.parametrize("values", [
+        {}, {"new_ped": MILLISECOND, "factor_ppm": 500_000}])
+    def test_needs_exactly_one_of_new_ped_and_factor(self, values):
+        with pytest.raises(ContractError, match="exactly one"):
+            PedChangeInjection(40 * SECOND, "C1", **values)
+
+    def test_new_ped_must_be_positive(self):
+        with pytest.raises(ContractError, match="ped must be positive"):
+            PedChangeInjection(40 * SECOND, "C1", new_ped=0)
+
+    def test_only_the_strong_bound_changes(self):
+        with pytest.raises(ContractError, match="strong contract"):
+            PedChangeInjection(40 * SECOND, "C1", new_ped=13 * MILLISECOND,
+                               contract_kind=ContractKind.WEAK)
 
 
 class TestSweepSlicing:
