@@ -84,25 +84,20 @@ class ContractPair:
         return self.weak_ped
 
 
-def pair_weak_ped(strong_ped: int, weak_ped: int | None) -> int:
-    """The weak bound of a pair with a positive strong bound and a weak
-    one at least as large (DEFAULT_WEAK_FACTOR times strong if omitted)."""
-    if strong_ped <= 0:
-        raise ContractError("strong ped must be positive")
-    if weak_ped is None:
-        return strong_ped * DEFAULT_WEAK_FACTOR
-    if weak_ped < strong_ped:
-        raise ContractError(
-            f"weak ped {weak_ped} below strong ped {strong_ped}")
-    return weak_ped
-
-
 def create_contract_pair(pair_id: str, src: SwitchId, dst: SwitchId,
                          strong_ped: int, weak_ped: int | None = None,
                          ) -> ContractPair:
-    """A pair with the strong contract active (see pair_weak_ped)."""
-    return ContractPair(pair_id, src, dst, strong_ped,
-                        pair_weak_ped(strong_ped, weak_ped))
+    """A pair with the strong contract active, a positive strong bound and
+    a weak one at least as large (DEFAULT_WEAK_FACTOR times strong if
+    omitted)."""
+    if strong_ped <= 0:
+        raise ContractError("strong ped must be positive")
+    if weak_ped is None:
+        weak_ped = strong_ped * DEFAULT_WEAK_FACTOR
+    elif weak_ped < strong_ped:
+        raise ContractError(
+            f"weak ped {weak_ped} below strong ped {strong_ped}")
+    return ContractPair(pair_id, src, dst, strong_ped, weak_ped)
 
 
 def observe(pair: ContractPair, ed: int, now: int,

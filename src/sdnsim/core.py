@@ -83,31 +83,54 @@ class TopologySpec:
 
 
 class Topology:
-    """Validated switch/host/link graph.
+    """Switch/host/link graph, built one declaration at a time.
 
-    Mutable only through set_link_state; everything else is fixed at build
-    time.  Iteration orders follow the declaring TopologySpec so that
-    downstream consumers stay deterministic.  version counts the link state
-    changes so far, so a caller can tell whether any link moved since it
-    last looked.
+    add_switch, add_host and add_link hold every structural rule; after
+    building, only set_link_state changes the graph.  Iteration orders
+    follow declaration order so that downstream consumers stay
+    deterministic.  version counts the link state changes so far, so a
+    caller can tell whether any link moved since it last looked.
     """
 
-    def __init__(self, switches: list[SwitchId], hosts: dict[HostId, SwitchId],
-                 links: list[Link]):
-        self.switches: list[SwitchId] = switches
-        self.hosts: dict[HostId, SwitchId] = hosts
+    def __init__(self) -> None:
+        self.switches: list[SwitchId] = []
+        self.hosts: dict[HostId, SwitchId] = {}
         self.version = 0
-        self._links: dict[tuple[SwitchId, SwitchId], Link] = {
-            link.key: link for link in links
-        }
-        adjacency: dict[SwitchId, list[tuple[SwitchId, Link]]] = {
-            s: [] for s in switches}
-        for link in links:
-            adjacency[link.a].append((link.b, link))
-            adjacency[link.b].append((link.a, link))
-        self._adjacency: dict[SwitchId, tuple[tuple[SwitchId, Link], ...]] = {
-            s: tuple(sorted(pairs, key=lambda pair: pair[0]))
-            for s, pairs in adjacency.items()}
+        self._links: dict[tuple[SwitchId, SwitchId], Link] = {}
+        self._adjacency: dict[SwitchId, tuple[tuple[SwitchId, Link], ...]] = {}
+
+    def add_switch(self, switch: SwitchId) -> None:
+        if switch in self._adjacency:
+            raise TopologyError("duplicate switch id in topology spec")
+        if switch in self.hosts:
+            raise TopologyError(f"id {switch!r} used for both a host and a switch")
+        self.switches.append(switch)
+        self._adjacency[switch] = ()
+
+    def add_host(self, host: HostId, attach: SwitchId) -> None:
+        if host in self.hosts:
+            raise TopologyError(f"host {host!r} attached more than once")
+        if host in self._adjacency:
+            raise TopologyError(f"id {host!r} used for both a host and a switch")
+        if attach not in self._adjacency:
+            raise TopologyError(f"host {host!r} attaches to unknown switch {attach!r}")
+        self.hosts[host] = attach
+
+    def add_link(self, a: SwitchId, b: SwitchId, capacity_bps: int,
+                 propagation_delay: int) -> None:
+        """Join two declared switches; the new link starts Up."""
+        if a not in self._adjacency or b not in self._adjacency:
+            raise TopologyError(f"link {a}-{b} references an unknown switch")
+        if a == b:
+            raise TopologyError(f"link {a}-{b} is a self loop")
+        if link_key(a, b) in self._links:
+            raise TopologyError(f"parallel link {a}-{b}")
+        link = Link(a, b, capacity_bps, propagation_delay)
+        self._links[link.key] = link
+        for switch, neighbor in ((a, b), (b, a)):
+            self._adjacency[switch] = tuple(sorted(
+                self._adjacency[switch] + ((neighbor, link),),
+                key=lambda pair: pair[0]))
 
     def links(self) -> list[Link]:
         return list(self._links.values())
@@ -141,42 +164,25 @@ class Topology:
             link.state = state
             self.version += 1
 
+    def spec(self) -> TopologySpec:
+        """The declarations this topology was built from, in order."""
+        return TopologySpec(
+            tuple(self.switches), tuple(self.hosts.items()),
+            tuple(LinkSpec(link.a, link.b, link.capacity_bps,
+                           link.propagation_delay) for link in self.links()))
+
 
 def build_topology(spec: TopologySpec) -> Topology:
-    """Validate a TopologySpec and return the corresponding Topology.
-
-    All links start Up.  Rejects duplicate identifiers, dangling endpoints,
-    parallel links, multi-homed hosts and nonpositive capacities.
-    """
-    switches = list(spec.switches)
-    if len(set(switches)) != len(switches):
-        raise TopologyError("duplicate switch id in topology spec")
-
-    switch_set = set(switches)
-    hosts: dict[HostId, SwitchId] = {}
+    """The Topology that spec declares, all links Up; the add methods
+    check each declaration."""
+    topology = Topology()
+    for switch in spec.switches:
+        topology.add_switch(switch)
     for host, attach in spec.hosts:
-        if host in hosts:
-            raise TopologyError(f"host {host!r} attached more than once")
-        if host in switch_set:
-            raise TopologyError(f"id {host!r} used for both a host and a switch")
-        if attach not in switch_set:
-            raise TopologyError(f"host {host!r} attaches to unknown switch {attach!r}")
-        hosts[host] = attach
-
-    links: list[Link] = []
-    seen: set[tuple[SwitchId, SwitchId]] = set()
+        topology.add_host(host, attach)
     for ls in spec.links:
-        if ls.a not in switch_set or ls.b not in switch_set:
-            raise TopologyError(f"link {ls.a}-{ls.b} references an unknown switch")
-        if ls.a == ls.b:
-            raise TopologyError(f"link {ls.a}-{ls.b} is a self loop")
-        key = link_key(ls.a, ls.b)
-        if key in seen:
-            raise TopologyError(f"parallel link {ls.a}-{ls.b}")
-        seen.add(key)
-        links.append(Link(ls.a, ls.b, ls.capacity_bps, ls.propagation_delay))
-
-    return Topology(switches, hosts, links)
+        topology.add_link(ls.a, ls.b, ls.capacity_bps, ls.propagation_delay)
+    return topology
 
 
 def transmission_delay(packet_length_bits: int, bandwidth_bps: int) -> int:

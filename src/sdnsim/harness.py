@@ -175,7 +175,7 @@ def _start_kernel(scenario: Scenario, variant: MechanismVariant,
     kernel = Kernel(
         topology=build_topology(scenario.topology_spec),
         flows=list(scenario.flows),
-        contract_pairs=scenario.contract_pairs(),
+        contract_pairs=[c.pair() for c in scenario.contracts],
         variant=variant,
         config=scenario.config,
         control=control)

@@ -59,9 +59,10 @@ class LinkUpInjection:
 class PedChangeInjection:
     """Runtime change of a pair's strong delay requirement.
 
-    Exactly one of a positive new bound (new_ped) or a factor in parts per
-    million (factor_ppm) applied to the current bound.  contract_kind is
-    always STRONG; it stays a field as part of the serialized log.
+    Exactly one of a positive new bound (new_ped) or a positive factor in
+    parts per million (factor_ppm) applied to the current bound.
+    contract_kind is always STRONG; it stays a field as part of the
+    serialized log.
     """
 
     at: int
@@ -77,6 +78,8 @@ class PedChangeInjection:
                                 "and factor_ppm")
         if self.new_ped is not None and self.new_ped <= 0:
             raise ContractError("ped must be positive")
+        if self.factor_ppm is not None and self.factor_ppm <= 0:
+            raise ContractError("ped factor must be positive")
         if self.contract_kind is not ContractKind.STRONG:
             raise ContractError("a ped change applies to the strong contract")
 

@@ -33,10 +33,12 @@ rather than code::
     seed 1
     variant SDN-RM
 
-Times accept ns/us/ms/s suffixes, rates bps/Kbps/Mbps/Gbps, sizes b/Kb/Mb/Gb
-(bits) or B/KB/MB (bytes); decimal values are parsed exactly.  The
-injection types, and how auto_* lines expand into injections for a seed,
-live in the injections module.
+[topology] comes before every section but [run], and a switch, host or
+contract is declared before a line names it.  Times accept ns/us/ms/s
+suffixes, rates bps/Kbps/Mbps/Gbps, sizes b/Kb/Mb/Gb (bits) or B/KB/MB
+(bytes); decimal values are parsed exactly.  The injection types, and how
+auto_* lines expand into injections for a seed, live in the injections
+module.
 """
 
 from __future__ import annotations
@@ -44,14 +46,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from .contracts import ContractPair, create_contract_pair, pair_weak_ped
+from .contracts import ContractPair, ContractStore, create_contract_pair
 from .core import (
     ControlChannel,
     Flow,
-    LinkSpec,
     SimConfig,
+    Topology,
     TopologySpec,
-    build_topology,
     transmission_delay,
 )
 from .injections import (
@@ -137,8 +138,10 @@ class ContractSpec:
     strong_ped: int
     weak_ped: int | None  # None means the default weak factor applies
 
-    def __post_init__(self) -> None:
-        pair_weak_ped(self.strong_ped, self.weak_ped)
+    def pair(self) -> ContractPair:
+        """The run's record of this contract; checks its bounds."""
+        return create_contract_pair(self.pair_id, self.src, self.dst,
+                                    self.strong_ped, self.weak_ped)
 
 
 def _check_auto_count(count: int, window: tuple[int, int]) -> None:
@@ -217,10 +220,6 @@ class Scenario:
                        auto_ped_changes=auto_e2,
                        explicit_injections=explicit)
 
-    def contract_pairs(self) -> list[ContractPair]:
-        return [create_contract_pair(c.pair_id, c.src, c.dst, c.strong_ped,
-                                     c.weak_ped) for c in self.contracts]
-
 
 # ---------------------------------------------------------------------------
 # parser
@@ -292,11 +291,12 @@ def _parse_kv(tokens: list[str], allowed: tuple[str, ...],
 
 
 def parse_scenario(text: str, name: str = "<string>") -> Scenario:
-    switches: list[str] = []
-    hosts: list[tuple[str, str]] = []
-    links: list[LinkSpec] = []
+    """Parse a scenario into a Topology and a ContractStore line by line,
+    so each line is checked, on its line, by the code a run uses."""
+    topology = Topology()
+    store = ContractStore()
     control = ControlChannel()
-    flows: list[Flow] = []
+    flows: dict[str, Flow] = {}
     contracts: list[ContractSpec] = []
     explicit: list[Injection] = []
     auto_e1: AutoLinkFailures | None = None
@@ -314,6 +314,10 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
             if section not in ("topology", "flows", "contracts",
                                "injections", "run"):
                 raise ScenarioError(f"line {line_no}: unknown section {section!r}")
+            if section not in ("topology", "run") and \
+                    "topology" not in seen_sections:
+                raise ScenarioError(
+                    f"line {line_no}: [{section}] must follow [topology]")
             seen_sections.add(section)
             continue
         if section is None:
@@ -322,12 +326,20 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
         word = tokens[0]
         try:
             if section == "topology":
-                _parse_topology_line(word, tokens, switches, hosts, links,
-                                     control)
+                _parse_topology_line(word, tokens, topology, control)
             elif section == "flows":
-                flows.append(_parse_flow_line(word, tokens))
+                flow = _parse_flow_line(word, tokens)
+                if flow.id in flows:
+                    raise ScenarioError(f"duplicate flow id {flow.id!r}")
+                topology.attachment(flow.src_host)
+                topology.attachment(flow.dst_host)
+                flows[flow.id] = flow
             elif section == "contracts":
-                contracts.append(_parse_contract_line(word, tokens))
+                contract = _parse_contract_line(word, tokens)
+                _known_switch(topology, contract.src)
+                _known_switch(topology, contract.dst)
+                store.add(contract.pair())
+                contracts.append(contract)
             elif section == "injections":
                 parsed = _parse_injection_line(word, tokens)
                 if isinstance(parsed, AutoLinkFailures):
@@ -337,8 +349,15 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
                 elif isinstance(parsed, AutoPedChanges):
                     if auto_e2 is not None:
                         raise ScenarioError(f"second {word} line")
+                    if not contracts:
+                        raise ScenarioError(
+                            "auto_ped_changes requires at least one contract")
                     auto_e2 = parsed
                 else:
+                    if isinstance(parsed, PedChangeInjection):
+                        store.pair(parsed.pair_id)
+                    else:
+                        topology.link_between(parsed.a, parsed.b)
                     explicit.append(parsed)
             elif section == "run":
                 if len(tokens) != 2:
@@ -356,39 +375,81 @@ def parse_scenario(text: str, name: str = "<string>") -> Scenario:
     if "emulation_time" not in run:
         raise ScenarioError("[run] needs emulation_time")
 
-    topology_spec = TopologySpec(tuple(switches), tuple(hosts), tuple(links))
-    scenario = _assemble(name, text, topology_spec, control, flows, contracts,
-                         explicit, auto_e1, auto_e2, run)
-    validate_scenario(scenario)
-    return scenario
+    # The rules that read [run] values, which may come last.
+    end = run["emulation_time"]
+    config = SimConfig(**{field: run[key]
+                          for key, field in _CONFIG_FIELDS.items()
+                          if key in run})
+    probe_bits = config.probe_length_bits
+    for link in topology.links():
+        # A cost entry needs a positive probe transmission delay.
+        if transmission_delay(probe_bits, link.capacity_bps) == 0:
+            raise ScenarioError(
+                f"link {link.a}-{link.b}: a {probe_bits}-bit probe crosses "
+                "it in under 1 ns; lower its capacity or raise probe_length")
+    for inj in explicit:
+        if inj.at > end:
+            raise ScenarioError(
+                f"injection at {inj.at} ns outside the emulation window")
+    for spec in (auto_e1, auto_e2):
+        if spec is not None and spec.window[1] > end:
+            raise ScenarioError(
+                f"auto window ends at {spec.window[1]} ns, after "
+                f"emulation_time {end} ns")
+    if end < config.estimation_interval:
+        raise ScenarioError("emulation_time shorter than estimation_interval")
+
+    latency = run.get("control_latency")
+    if latency is not None:
+        control.default_c2s = latency
+        control.default_s2c = latency
+    return Scenario(
+        name=name,
+        topology_spec=topology.spec(),
+        control=control,
+        flows=tuple(flows.values()),
+        contracts=tuple(contracts),
+        explicit_injections=tuple(explicit),
+        auto_link_failures=auto_e1,
+        auto_ped_changes=auto_e2,
+        emulation_time=end,
+        config=config,
+        seed=run.get("seed", 1),
+        variant=run.get("variant", "SDN-RM"),
+        source_text=text,
+    )
 
 
-def _parse_topology_line(word, tokens, switches, hosts, links,
-                         control) -> None:
+def _known_switch(topology: Topology, switch: str) -> None:
+    if not topology.has_switch(switch):
+        raise ScenarioError(f"unknown switch {switch!r}")
+
+
+def _parse_topology_line(word, tokens, topology, control) -> None:
     if word == "switches":
-        switches.extend(tokens[1:])
+        for switch in tokens[1:]:
+            topology.add_switch(switch)
     elif word == "switch":
         if len(tokens) != 2:
             raise ScenarioError("switch <id> (one per line)")
-        switches.append(tokens[1])
+        topology.add_switch(tokens[1])
     elif word == "host":
         if len(tokens) != 3:
             raise ScenarioError("host <id> <switch>")
-        hosts.append((tokens[1], tokens[2]))
+        topology.add_host(tokens[1], tokens[2])
     elif word == "link":
         if len(tokens) < 3:
             raise ScenarioError("link <a> <b> key=value...")
         kv = _parse_kv(tokens[3:], ("capacity", "propagation"),
                        required=("capacity",))
-        links.append(LinkSpec(
-            a=tokens[1], b=tokens[2],
-            capacity_bps=parse_rate(kv["capacity"]),
-            propagation_delay=parse_time(kv.get("propagation", "0ns"))))
+        topology.add_link(tokens[1], tokens[2], parse_rate(kv["capacity"]),
+                          parse_time(kv.get("propagation", "0ns")))
     elif word == "control":
         if len(tokens) < 2 or "=" in tokens[1]:
             raise ScenarioError("control <switch> c2s=... s2c=...")
         kv = _parse_kv(tokens[2:], ("c2s", "s2c"),
                        required=("c2s", "s2c"))
+        _known_switch(topology, tokens[1])
         control.per_switch[tokens[1]] = (
             parse_time(kv["c2s"]), parse_time(kv["s2c"]))
     else:
@@ -464,32 +525,6 @@ def _parse_injection_line(word, tokens):
     raise ScenarioError(f"unknown injection entry {word!r}")
 
 
-def _assemble(name, text, topology_spec, control, flows, contracts, explicit,
-              auto_e1, auto_e2, run) -> Scenario:
-    config = SimConfig(**{field: run[key]
-                          for key, field in _CONFIG_FIELDS.items()
-                          if key in run})
-    latency = run.get("control_latency")
-    if latency is not None:
-        control.default_c2s = latency
-        control.default_s2c = latency
-    return Scenario(
-        name=name,
-        topology_spec=topology_spec,
-        control=control,
-        flows=tuple(flows),
-        contracts=tuple(contracts),
-        explicit_injections=tuple(explicit),
-        auto_link_failures=auto_e1,
-        auto_ped_changes=auto_e2,
-        emulation_time=run["emulation_time"],
-        config=config,
-        seed=run.get("seed", 1),
-        variant=run.get("variant", "SDN-RM"),
-        source_text=text,
-    )
-
-
 def load_scenario(path) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -497,45 +532,3 @@ def load_scenario(path) -> Scenario:
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
     return parse_scenario(text, name=str(path))
-
-
-def validate_scenario(scenario: Scenario) -> None:
-    """Cross-reference checks beyond per-line syntax."""
-    topology = build_topology(scenario.topology_spec)
-    probe_bits = scenario.config.probe_length_bits
-    for link in topology.links():
-        # A cost entry needs a positive probe transmission delay.
-        if transmission_delay(probe_bits, link.capacity_bps) == 0:
-            raise ScenarioError(
-                f"link {link.a}-{link.b}: a {probe_bits}-bit probe crosses "
-                "it in under 1 ns; lower its capacity or raise probe_length")
-    for flow in scenario.flows:
-        topology.attachment(flow.src_host)
-        topology.attachment(flow.dst_host)
-    for contract in scenario.contracts:
-        for switch in (contract.src, contract.dst):
-            if not topology.has_switch(switch):
-                raise ScenarioError(
-                    f"contract {contract.pair_id}: unknown switch {switch!r}")
-    pair_ids = {c.pair_id for c in scenario.contracts}
-    for inj in scenario.explicit_injections:
-        if isinstance(inj, (LinkDownInjection, LinkUpInjection)):
-            if not topology.has_link(inj.a, inj.b):
-                raise ScenarioError(
-                    f"injection references unknown link {inj.a}-{inj.b}")
-        elif isinstance(inj, PedChangeInjection):
-            if inj.pair_id not in pair_ids:
-                raise ScenarioError(
-                    f"injection references unknown contract {inj.pair_id!r}")
-        if not 0 <= inj.at <= scenario.emulation_time:
-            raise ScenarioError(
-                f"injection at {inj.at} ns outside the emulation window")
-    for spec in (scenario.auto_link_failures, scenario.auto_ped_changes):
-        if spec is not None and spec.window[1] > scenario.emulation_time:
-            raise ScenarioError(
-                f"auto window ends at {spec.window[1]} ns, after "
-                f"emulation_time {scenario.emulation_time} ns")
-    if scenario.emulation_time < scenario.config.estimation_interval:
-        raise ScenarioError("emulation_time shorter than estimation_interval")
-    if scenario.auto_ped_changes is not None and not scenario.contracts:
-        raise ScenarioError("auto_ped_changes requires at least one contract")

@@ -59,6 +59,17 @@ def test_bad_scenario_is_validation_error(tmp_path, capsys):
     bad.write_text("[topology]\nswitches S1\nlink S1 S9 capacity=1Gbps\n")
     code = main(["run", str(bad)])
     assert code == 2
+    assert "error: line 3: link S1-S9" in capsys.readouterr().err
+
+
+def test_duplicate_contract_is_validation_error(tmp_path, capsys):
+    contract = "contract C1 S1 S10 strong=10ms"
+    with open("scenarios/linear_chain.scn", encoding="utf-8") as handle:
+        text = handle.read().replace(contract, f"{contract}\n{contract}")
+    bad = tmp_path / "bad.scn"
+    bad.write_text(text)
+    assert main(["run", str(bad), "--variants", "RM", "--seeds", "1"]) == 2
+    assert "duplicate contract pair 'C1'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scenario, error", [

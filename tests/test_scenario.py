@@ -327,12 +327,63 @@ class TestStrictInput:
         ("contracts", "contract C1 S1 S2 strong=0s",
          "strong ped must be positive"),
         ("injections", "at 20s set_ped C0 0s", "ped must be positive"),
+        ("injections", "at 20s scale_ped C0 0", "ped factor must be positive"),
     ])
     def test_bad_bound_carries_its_line(self, section, entry, message):
         text = (MINIMAL + "\n[contracts]\ncontract C0 S2 S1 strong=5ms\n"
                 + f"\n[{section}]\n{entry}\n")
         with pytest.raises(ScenarioError,
                            match=f"^line {line_of(text, entry)}: {message}$"):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize("section, entry, message", [
+        ("topology", "link S1 S9 capacity=1Gbps",
+         "link S1-S9 references an unknown switch"),
+        ("topology", "link S2 S1 capacity=1Gbps", "parallel link S2-S1"),
+        ("topology", "link S1 S3 capacity=0bps",
+         "link S1-S3: capacity must be positive"),
+        ("topology", "link S3 S3 capacity=1Gbps", "link S3-S3 is a self loop"),
+        ("topology", "host H1 S2", "host 'H1' attached more than once"),
+        ("topology", "host H3 S9", "host 'H3' attaches to unknown switch 'S9'"),
+        ("topology", "switches S2", "duplicate switch id in topology spec"),
+        ("topology", "switch H1", "id 'H1' used for both a host and a switch"),
+        ("topology", "control S9 c2s=1ms s2c=1ms", "unknown switch 'S9'"),
+        ("flows", "flow F2 H1 H9 volume=1Mb gap=10ms",
+         "unknown host 'H9'"),
+        ("flows", "flow F1 H2 H1 volume=1Mb gap=10ms",
+         "duplicate flow id 'F1'"),
+        ("contracts", "contract C1 S1 S9 strong=5ms", "unknown switch 'S9'"),
+        ("contracts", "contract C0 S1 S2 strong=5ms",
+         "duplicate contract pair 'C0'"),
+        ("contracts", "contract C1 S2 S1 strong=9ms",
+         r"duplicate contract for endpoints \('S2', 'S1'\)"),
+        ("injections", "at 20s link_down S1 S9", "no link between S1 and S9"),
+        ("injections", "at 20s set_ped C9 1ms", "unknown contract pair 'C9'"),
+    ])
+    def test_reference_carries_its_line(self, section, entry, message):
+        """Each line is checked by the Topology or ContractStore a run
+        uses, as it is read; a typo never waits for a second pass."""
+        text = (MINIMAL.replace("switches S1 S2", "switches S1 S2 S3")
+                + "\n[contracts]\ncontract C0 S2 S1 strong=5ms\n"
+                + f"\n[{section}]\n{entry}\n")
+        with pytest.raises(ScenarioError,
+                           match=f"^line {line_of(text, entry)}: {message}$"):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize("section", ["flows", "contracts", "injections"])
+    def test_sections_follow_topology(self, section):
+        text = f"[{section}]\n" + MINIMAL
+        with pytest.raises(ScenarioError,
+                           match=f"^line 1: \\[{section}\\] must follow "
+                                 r"\[topology\]$"):
+            parse_scenario(text)
+
+    def test_auto_ped_changes_needs_a_contract_before_it(self):
+        entry = "auto_ped_changes count=1 window=5s..20s factor=0.5..0.9"
+        text = MINIMAL + f"\n[injections]\n{entry}\n"
+        with pytest.raises(ScenarioError,
+                           match=f"^line {line_of(text, entry)}: "
+                                 "auto_ped_changes requires"):
             parse_scenario(text)
 
     @pytest.mark.parametrize("entry", [
@@ -371,6 +422,10 @@ class TestPedChangeInjection:
     def test_new_ped_must_be_positive(self):
         with pytest.raises(ContractError, match="ped must be positive"):
             PedChangeInjection(40 * SECOND, "C1", new_ped=0)
+
+    def test_factor_must_be_positive(self):
+        with pytest.raises(ContractError, match="ped factor must be positive"):
+            PedChangeInjection(40 * SECOND, "C1", factor_ppm=0)
 
     def test_only_the_strong_bound_changes(self):
         with pytest.raises(ContractError, match="strong contract"):
