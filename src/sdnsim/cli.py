@@ -28,6 +28,8 @@ def _parse_sweep(text: str) -> tuple[str, list[int]]:
 
 def _parse_variants(text: str) -> list[str]:
     names = [v.strip() for v in text.split(",") if v.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError("no variant given")
     for name in names:
         variant_by_name(name)  # raises for unknown names
     return names
@@ -74,7 +76,10 @@ def _print_table(result: ExperimentResult) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.seeds < 1:
+        parser.error("at least one seed is needed")
     try:
         scenario = load_scenario(args.scenario)
     except (ScenarioError, ValueError) as exc:

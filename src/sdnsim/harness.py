@@ -14,11 +14,12 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 
 from . import __version__
 from .contracts import BoundTimeline
 from .core import ControlChannel, SECOND, build_topology
-from .injections import Injection, left_out, materialize_injections
+from .injections import Injection, materialize_injections
 from .kernel import DROP_REASONS, Kernel
 from .resilience import MechanismVariant, variant_by_name
 from .runlog import RunLog, record_to_dict
@@ -277,6 +278,12 @@ def _without_injections(scenario: Scenario) -> Scenario:
                    auto_ped_changes=None)
 
 
+def _diverge_at(ours: list[Injection], theirs: list[Injection]) -> int:
+    """When two different time-sorted injection lists first differ."""
+    i = next(i for i, (a, b) in enumerate(zip_longest(ours, theirs)) if a != b)
+    return min(inj.at for inj in ours[i:i + 1] + theirs[i:i + 1])
+
+
 def run_experiment(scenario: Scenario, variants: list[str], seeds: list[int],
                    sweep: tuple[str, list] | None = None) -> ExperimentResult:
     """One run per (variant, seed, sweep value); aggregated reports.
@@ -285,13 +292,15 @@ def run_experiment(scenario: Scenario, variants: list[str], seeds: list[int],
     materialized once per (sweep value, seed) and shared by the variants.
     A kernel's history up to t depends only on the scenario without its
     injections, the variant and the injections before t, so one variant's
-    cells that agree on the rest of the scenario share kernel work: the
-    cell with the longest injection list is computed as a trunk, a cell
-    whose list is a subsequence of the trunk's branches off it just before
-    the first injection it lacks, and a cell with an equal list reuses the
-    finished trunk.  Cells that share nothing with the trunk form the next
-    group.  Each run's output is the same as a fresh run_single's.
+    cells that agree on the rest of the scenario share kernel work.  Their
+    kernel holds their longest injection list, and a cell with an equal
+    list reuses it.  The others are grouped by the time their list first
+    differs from the kernel's; in time order, the kernel advances to each
+    such time and the group goes on the same way from a branch.  Each run's
+    output is the same as a fresh run_single's.
     """
+    if not variants or not seeds:
+        raise ValueError("an experiment needs a variant and a seed")
     sweep_param, sweep_values = (None, (None,)) if sweep is None else (
         sweep[0], tuple(sweep[1]))
     full_names = tuple(variant_by_name(v).name for v in variants)
@@ -320,40 +329,35 @@ def run_experiment(scenario: Scenario, variants: list[str], seeds: list[int],
     first = (sweep_values[0], full_names[0], seeds[0])
     reports: dict[tuple, MetricsReport] = {}
 
-    def run(cell, variant: str, kernel: Kernel) -> None:
-        value, seed = cell
-        keep = (value, variant, seed) == first
-        done = run_single(swept[value], variant, seed, keep_log=keep,
-                          injections=injections[cell], kernel=kernel)
-        if keep:
-            result.sample_log = done.log
-        reports[(value, variant, seed)] = done.metrics
+    def split(cells: list, variant: str, horizon: int,
+              parent: Kernel | None = None) -> None:
+        """Run cells, whose injection lists agree before the time parent
+        reached, off a kernel branched from parent or started afresh."""
+        own = max(cells, key=lambda cell: len(injections[cell]))
+        ours = injections[own]
+        kernel = (_start_kernel(swept[own[0]], variant_by_name(variant), ours)
+                  if parent is None else parent.branch(ours))
+        apart: dict[int, list] = {}
+        for cell in cells:
+            if injections[cell] != ours:
+                at = min(_diverge_at(ours, injections[cell]), horizon)
+                apart.setdefault(at, []).append(cell)
+        for at in sorted(apart):
+            kernel.advance(at)
+            split(apart[at], variant, horizon, kernel)
+        for cell in cells:
+            if injections[cell] == ours:
+                value, seed = cell
+                keep = (value, variant, seed) == first
+                done = run_single(swept[value], variant, seed, keep_log=keep,
+                                  injections=ours, kernel=kernel)
+                if keep:
+                    result.sample_log = done.log
+                reports[(value, variant, seed)] = done.metrics
 
     for variant in full_names:
-        for base, pending in groups:
-            horizon = base.emulation_time + 1
-            while pending:
-                trunk = max(pending, key=lambda cell: len(injections[cell]))
-                branches, reuses, rest = [], [], []
-                for cell in pending:
-                    missing = left_out(injections[trunk], injections[cell])
-                    if missing is None:
-                        rest.append(cell)
-                    elif missing:
-                        at = min(injections[trunk][i].at for i in missing)
-                        branches.append((min(at, horizon), cell))
-                    else:
-                        reuses.append(cell)
-                kernel = _start_kernel(swept[trunk[0]],
-                                       variant_by_name(variant),
-                                       injections[trunk])
-                branches.sort(key=lambda item: item[0])
-                for at, cell in branches:
-                    kernel.advance(at)
-                    run(cell, variant, kernel.branch(injections[cell]))
-                for cell in reuses:  # the trunk comes first
-                    run(cell, variant, kernel)
-                pending = rest
+        for base, cells in groups:
+            split(cells, variant, base.emulation_time + 1)
 
     for value in sweep_values:
         for variant in full_names:

@@ -87,22 +87,6 @@ class PedChangeInjection:
 Injection = LinkDownInjection | LinkUpInjection | PedChangeInjection
 
 
-def left_out(injections: list[Injection],
-             kept: list[Injection]) -> list[int] | None:
-    """Positions in injections that kept leaves out, matching kept as a
-    subsequence of injections earliest first; None when it is not one."""
-    missing: list[int] = []
-    index = 0
-    for inj in kept:
-        while index < len(injections) and injections[index] != inj:
-            missing.append(index)
-            index += 1
-        if index == len(injections):
-            return None
-        index += 1
-    return missing + list(range(index, len(injections)))
-
-
 def first_events(injections: tuple[Injection, ...],
                  count: int) -> tuple[Injection, ...]:
     """The injections of the chronologically first count events, in their

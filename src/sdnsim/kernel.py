@@ -17,22 +17,22 @@ capacities and propagation delays are fixed at build time, and a plan
 holds the live Link objects, so a hop still sees the link's current state.
 
 Heap entries are (time, sequence, action, argument).  The kernel and the
-controller schedule bound methods with the packet, flow, injection position
-or an argument tuple as their argument, so no closure is built per event;
-every event still goes through schedule_call.
+controller schedule bound methods with the packet, flow or an argument
+tuple as their argument, so no closure is built per event.
 
-Branching.  setup schedules cycle boundaries, flow starts and injections
-before any event runs, so they hold the lowest sequence numbers and every
-event scheduled later numbers above them.  A kernel's state at time t is
-therefore a pure function of its scenario without injections, its variant
-and the injections due before t: leaving out injections that are still
-pending only shifts later sequence numbers uniformly, which keeps every
-(time, sequence) tie-break.  branch copies a kernel part-way through a run
-and drops pending injections, so runs whose injection lists agree up to t
-compute their common history once.  A branch shares what can no longer
-change (finished packet records, every record of the other log streams,
-the injections) and copies the live state: the heap, in-flight packets
-with their records, topology, forwarding and egress state, contracts and
+Injections never enter the heap.  The log holds them as one time-sorted
+list, and advance applies each after the heap entries setup numbered at
+its instant (cycle boundaries, flow starts) and before every other entry
+there: an injection landing on a boundary is seen by the following cycle.
+
+Branching.  A kernel's state once advance has reached t is therefore a
+pure function of its scenario without injections, its variant and the
+injections due before t.  branch copies a kernel part-way through a run
+for another injection list that agrees with its own before t, so runs
+whose lists agree up to t compute their common history once.  A branch
+shares finished packet records, every record of the other log streams
+and the applied injections, and copies the live state: the heap,
+in-flight packets, topology, forwarding and egress state, contracts and
 the controller with its memos.
 """
 
@@ -43,6 +43,7 @@ import heapq
 import itertools
 import weakref
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable
 
 from .contracts import ContractPair, ContractStore
@@ -61,7 +62,6 @@ from .injections import (
     LinkDownInjection,
     LinkUpInjection,
     PedChangeInjection,
-    left_out,
 )
 from .resilience import MechanismVariant, ResilienceManager
 from .runlog import RunLog
@@ -158,9 +158,11 @@ class Kernel:
                                list[tuple[int, tuple[SwitchId, ...]]]] = {}
         self._plans: dict[tuple[tuple[SwitchId, ...], int],
                           tuple[_Hop, ...]] = {}
-        # Every injection scheduled so far; an injection's heap entry
-        # carries its position here.  Branches share this list.
-        self._injections: list[Injection] = []
+        # advance has applied the first _applied of log.injections and every
+        # heap entry before _reached; setup's entries number below _setup_end.
+        self._applied = 0
+        self._reached = 0
+        self._setup_end = 0
 
         self.store = ContractStore()
         for pair in contract_pairs:
@@ -177,17 +179,14 @@ class Kernel:
             variant, topology, control, self.store, self, config, self.log)
 
     def setup(self, t_end: int, injections: list[Injection]) -> None:
-        """Schedule cycle boundaries, flow starts and injections.
-
-        Boundaries go first so an injection landing exactly on a boundary
-        is seen by the following cycle, never the coinciding one.
-        """
+        """Schedule cycle boundaries and flow starts; take the injections."""
         t = 0
         while t <= t_end:
             self.schedule_call(t, self.controller.on_cycle_boundary)
             t += self.config.estimation_interval
         for state in self._flows.values():
             self.schedule_call(state.flow.start_time, self._flow_tick, state)
+        self._setup_end = next(self._seq)
         self.inject_schedule(injections)
 
     # ------------------------------------------------------------------
@@ -201,26 +200,39 @@ class Kernel:
         heapq.heappush(self._queue, (at, next(self._seq), action, arg))
 
     def inject_schedule(self, injections: list[Injection]) -> None:
-        """Validate and enqueue external events (E1 link toggles, E2 changes)."""
-        start = len(self._injections)
-        self._injections = self._injections + list(injections)
-        for index, inj in enumerate(injections, start):
+        """Validate external events (E1 link toggles, E2 changes) and add
+        them to the pending ones (see "Injections")."""
+        for inj in injections:
             if isinstance(inj, (LinkDownInjection, LinkUpInjection)):
                 if not self.topology.has_link(inj.a, inj.b):
                     raise InjectionError(
                         f"injection references unknown link {inj.a}-{inj.b}")
             elif isinstance(inj, PedChangeInjection):
                 self.store.pair(inj.pair_id)  # raises for unknown pairs
-            self.log.injections.append(inj)
-            self.schedule_call(inj.at, self._apply_injection, index)
+            if inj.at < self._reached:
+                raise ScheduleError(f"cannot inject at {inj.at} once the "
+                                    f"run has reached {self._reached}")
+        self.log.injections.extend(injections)
+        self.log.injections.sort(key=attrgetter("at"))
 
     # ------------------------------------------------------------------
     # main loop
 
     def advance(self, t: int) -> None:
-        """Process every event with time < t."""
+        """Process every event with time < t, injections in their place."""
+        for inj in self.log.injections[self._applied:]:
+            if inj.at >= t:
+                break
+            self._run_before((inj.at, self._setup_end))
+            self._applied += 1
+            self._apply_injection(inj)
+        self._run_before((t, -1))
+        self._reached = max(self._reached, t)
+
+    def _run_before(self, until: tuple[int, int]) -> None:
+        """Process every heap entry whose (time, sequence) is below until."""
         queue, pop = self._queue, heapq.heappop
-        while queue and queue[0][0] < t:
+        while queue and queue[0] < until:
             at, _, action, arg = pop(queue)
             self.now = at
             if arg is _NO_ARG:
@@ -243,28 +255,19 @@ class Kernel:
                 record.drop_reason = "end_of_run"
 
     def branch(self, injections: list[Injection]) -> "Kernel":
-        """A copy of this kernel that goes on with injections alone.
+        """A copy of this kernel that goes on as a fresh run with injections
+        would (see "Branching"); injections must agree with the applied
+        ones and hold no other due before the time advance reached."""
+        applied = self.log.injections[:self._applied]
+        pending = sorted(injections, key=attrgetter("at"))
+        if pending[:self._applied] != applied:
+            raise ValueError("branch disagrees on an applied injection")
 
-        injections must be a subsequence of the kernel's scheduled ones, and
-        each one they leave out must still be pending; the copy then goes on
-        as a fresh run with injections would from here (see "Branching").
-        """
-        missing = left_out(self._injections, injections)
-        if missing is None:
-            raise ValueError("branch injections are not a subsequence of "
-                             "the kernel's injections")
-        seq_at = {entry[3]: entry[1] for entry in self._queue
-                  if entry[2] == self._apply_injection}
-        if any(index not in seq_at for index in missing):
-            raise ValueError("a left-out injection has already been applied")
-        dropped = {seq_at[index] for index in missing}
-
-        # Shared with the copy: the sentinel (compared by identity), the
-        # injections and every record but the in-flight packets'.  The weak
-        # proxy is re-pointed after copying; both kernels number on from seq.
+        # Shared with the copy: the sentinel (compared by identity) and
+        # every record but the in-flight packets'.  The weak proxy is
+        # re-pointed after copying; both kernels number on from seq.
         memo: dict[int, Any] = {id(_NO_ARG): _NO_ARG,
-                                id(self.controller.kernel): None,
-                                id(self._injections): self._injections}
+                                id(self.controller.kernel): None}
         for _, _, _, arg in self._queue:
             if type(arg) is _Packet:
                 memo[id(arg.record)] = copy.copy(arg.record)
@@ -272,7 +275,7 @@ class Kernel:
                         for stream in RunLog.STREAMS})
         log.packets = [memo.get(id(record), record)
                        for record in self.log.packets]
-        log.injections = list(injections)
+        log.injections = applied
         for stream in RunLog.STREAMS:
             memo[id(getattr(self.log, stream))] = getattr(log, stream)
         memo[id(self.log)] = log
@@ -282,9 +285,7 @@ class Kernel:
 
         twin = copy.deepcopy(self, memo)
         twin.controller.kernel = weakref.proxy(twin)
-        twin._queue = [entry for entry in twin._queue
-                       if entry[1] not in dropped]
-        heapq.heapify(twin._queue)
+        twin.inject_schedule(pending[self._applied:])
         return twin
 
     # ------------------------------------------------------------------
@@ -304,8 +305,8 @@ class Kernel:
     # ------------------------------------------------------------------
     # injections
 
-    def _apply_injection(self, index: int, at: int) -> None:
-        inj = self._injections[index]
+    def _apply_injection(self, inj: Injection) -> None:
+        at = self.now = inj.at
         if isinstance(inj, LinkDownInjection):
             link = self.topology.link_between(inj.a, inj.b)
             if link.is_up:

@@ -174,6 +174,9 @@ class AutoPedChanges:
 
     def __post_init__(self) -> None:
         _check_auto_count(self.count, self.window)
+        lo, hi = self.factor_ppm
+        if not 0 < lo <= hi:
+            raise ScenarioError(f"factor {lo}..{hi} ppm needs 0 < lo <= hi")
 
 
 @dataclass(frozen=True)
@@ -427,6 +430,8 @@ def _known_switch(topology: Topology, switch: str) -> None:
 
 def _parse_topology_line(word, tokens, topology, control) -> None:
     if word == "switches":
+        if len(tokens) < 2:
+            raise ScenarioError("switches <id> <id>...")
         for switch in tokens[1:]:
             topology.add_switch(switch)
     elif word == "switch":
@@ -450,6 +455,8 @@ def _parse_topology_line(word, tokens, topology, control) -> None:
         kv = _parse_kv(tokens[2:], ("c2s", "s2c"),
                        required=("c2s", "s2c"))
         _known_switch(topology, tokens[1])
+        if tokens[1] in control.per_switch:
+            raise ScenarioError(f"second control line for {tokens[1]!r}")
         control.per_switch[tokens[1]] = (
             parse_time(kv["c2s"]), parse_time(kv["s2c"]))
     else:
@@ -517,8 +524,6 @@ def _parse_injection_line(word, tokens):
                        required=keys)
         lo, _, hi = kv["factor"].partition("..")
         factor = (parse_fraction_ppm(lo), parse_fraction_ppm(hi))
-        if factor[0] > factor[1]:
-            raise ScenarioError("bad factor range")
         return AutoPedChanges(count=int(kv["count"]),
                               window=_parse_window(kv["window"]),
                               factor_ppm=factor, per_pair="per_pair" in flags)

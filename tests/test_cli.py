@@ -93,3 +93,15 @@ def test_debug_reraises_instead_of_one_line_message(scenario, error, capsys,
 def test_unknown_variant_rejected_by_parser(capsys):
     with pytest.raises(SystemExit):
         main(["run", "scenarios/linear_chain.scn", "--variants", "XXX"])
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--seeds", "0", "at least one seed is needed"),
+    ("--seeds", "-2", "at least one seed is needed"),
+    ("--variants", ",", "no variant given"),
+])
+def test_empty_run_rejected_by_parser(option, value, message, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["run", "scenarios/linear_chain.scn", option, value])
+    assert exited.value.code == 2
+    assert message in capsys.readouterr().err

@@ -246,6 +246,11 @@ class TestRunExperiment:
         result = run_experiment(scenario, ["woRM"], [1])
         assert result.mean("SDN-woRM", None, "restoration_mean") is None
 
+    @pytest.mark.parametrize("variants, seeds", [([], [1]), (["RM"], [])])
+    def test_needs_a_variant_and_a_seed(self, ring_scenario, variants, seeds):
+        with pytest.raises(ValueError, match="needs a variant and a seed"):
+            run_experiment(ring_scenario, variants, seeds)
+
 
 class TestSharedKernels:
     """run_experiment computes each kernel history once; every run must
@@ -276,6 +281,50 @@ class TestSharedKernels:
         assert [seed for _, _, seed, _ in runs] == [1, 2, 3]
         assert runs[0][3].log is runs[2][3].log
         assert [done.metrics.seed for _, _, _, done in runs] == [1, 2, 3]
+        assert_runs_match_fresh_runs(runs)
+
+    @staticmethod
+    def runs_and_kernels(scenario, variants, seeds, sweep=None):
+        """experiment_runs, and how many kernels run_experiment started."""
+        started = []
+        start = harness._start_kernel
+
+        def counted(*args):
+            started.append(args)
+            return start(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "_start_kernel", counted)
+            runs = experiment_runs(scenario, variants, seeds, sweep)
+        return runs, len(started)
+
+    def test_seeds_branch_off_one_kernel_per_variant(self, ring_scenario):
+        scenario = ring_scenario.with_flow_count(2)
+        lists = [materialize_injections(scenario, seed) for seed in (1, 2, 3)]
+        assert lists[0] != lists[1] != lists[2] != lists[0]
+        runs, kernels = self.runs_and_kernels(scenario, ["woRM", "RM"],
+                                              [1, 2, 3])
+        assert len(runs) == 6
+        assert kernels == 2
+        assert_runs_match_fresh_runs(runs)
+
+    def test_per_pair_sweep_branches_off_one_kernel_per_variant(self):
+        # Two contracts make per_pair lists differ across event counts.
+        with open("scenarios/industrial_ring_e2.scn",
+                  encoding="utf-8") as handle:
+            text = handle.read()
+        text = text.replace("contract C1 S1 S8 strong=3.2ms weak=12ms",
+                            "contract C1 S1 S8 strong=3.2ms weak=12ms\n"
+                            "contract C2 S2 S7 strong=4ms")
+        text = text.replace("factor=0.45..0.85", "factor=0.45..0.85 per_pair")
+        scenario = parse_scenario(text).with_flow_count(2)
+        lists = [materialize_injections(scenario.with_event_count(count), 1)
+                 for count in (1, 2, 3)]
+        assert lists[1][:len(lists[0])] != lists[0]
+        runs, kernels = self.runs_and_kernels(scenario, ["woRM", "RM"], [1],
+                                              ("events", [1, 2, 3]))
+        assert len(runs) == 6
+        assert kernels == 2
         assert_runs_match_fresh_runs(runs)
 
     def test_run_single_rejects_a_kernel_of_another_run(self, ring_scenario):

@@ -227,6 +227,9 @@ class TestDeterminism:
 
 
 class TestBranch:
+    down = LinkDownInjection(at=1_300 * MS, a="S2", b="S3")
+    up = LinkUpInjection(at=2 * SECOND, a="S2", b="S3")
+
     def branching_kernel(self, injections):
         flow = Flow(id="F1", src_host="H1", dst_host="H3",
                     packet_length=12_000, total_volume=40 * 12_000,
@@ -237,29 +240,71 @@ class TestBranch:
         kernel.setup(5 * SECOND, injections)
         return kernel
 
-    def test_branch_logs_its_own_injections_and_runs_as_a_fresh_run(self):
-        down = LinkDownInjection(at=1_300 * MS, a="S2", b="S3")
-        up = LinkUpInjection(at=2 * SECOND, a="S2", b="S3")
-        trunk = self.branching_kernel([down, up])
-        trunk.advance(2 * SECOND)
-        kept = [LinkDownInjection(at=1_300 * MS, a="S2", b="S3")]
+    @pytest.mark.parametrize("kept", [
+        [down],                                         # a prefix
+        [down, up, PedChangeInjection(at=2_500 * MS, pair_id="C1",
+                                      new_ped=2 * MS)],  # longer
+        [down, LinkUpInjection(at=1_600 * MS, a="S2", b="S3"),
+         up],                                           # not a subsequence
+        [down, PedChangeInjection(at=1_500 * MS, pair_id="C1",
+                                  factor_ppm=500_000)],  # due at the split
+    ])
+    def test_branch_agreeing_before_its_time_equals_a_fresh_run(self, kept):
+        trunk = self.branching_kernel([self.down, self.up])
+        trunk.advance(1_500 * MS)
         twin = trunk.branch(kept)
         assert twin.log.injections == kept
         assert twin.log.injections is not kept
-        assert trunk.log.injections == [down, up]
+        assert trunk.log.injections == [self.down, self.up]
         twin.run_until(5 * SECOND)
         trunk.run_until(5 * SECOND)
-        fresh = self.branching_kernel(kept)
-        fresh.run_until(5 * SECOND)
-        assert twin.log == fresh.log
-        assert trunk.log != fresh.log
+        for kernel, injections in ((twin, kept),
+                                   (trunk, [self.down, self.up])):
+            fresh = self.branching_kernel(injections)
+            fresh.run_until(5 * SECOND)
+            assert kernel.log == fresh.log
 
-    def test_branch_rejects_injections_it_cannot_leave_out(self):
-        down = LinkDownInjection(at=1_300 * MS, a="S2", b="S3")
-        up = LinkUpInjection(at=2 * SECOND, a="S2", b="S3")
-        trunk = self.branching_kernel([down, up])
-        with pytest.raises(ValueError, match="not a subsequence"):
-            trunk.branch([up, down])
+    @pytest.mark.parametrize("kept, error, message", [
+        ([up], ValueError, "disagrees on an applied injection"),
+        ([LinkDownInjection(at=1_200 * MS, a="S1", b="S2"), down, up],
+         ValueError, "disagrees on an applied injection"),
+        ([down, LinkUpInjection(at=1_400 * MS, a="S2", b="S3")],
+         ScheduleError, "once the run has reached 1500000000"),
+        ([down, LinkUpInjection(at=2 * SECOND, a="S1", b="S3")],
+         InjectionError, "unknown link S1-S3"),
+    ])
+    def test_branch_rejects_a_list_it_cannot_go_on_with(self, kept, error,
+                                                        message):
+        trunk = self.branching_kernel([self.down, self.up])
         trunk.advance(1_500 * MS)
-        with pytest.raises(ValueError, match="already been applied"):
-            trunk.branch([up])
+        with pytest.raises(error, match=message):
+            trunk.branch(kept)
+
+
+class TestInjectionOrder:
+    def test_injection_runs_after_setup_entries_of_its_instant(self):
+        """At one instant: the cycle boundary and the flow's first tick
+        (setup's entries), then the injection, then the first hop that the
+        tick scheduled for that same instant."""
+        kernel = make_kernel(two_hop_spec(), [one_packet_flow(start=SECOND)],
+                             config=SimConfig(estimation_interval=SECOND))
+        seen = []
+
+        def traced(name, action):
+            def run(*args):
+                seen.append((name, kernel.now))
+                action(*args)
+            return run
+
+        controller = kernel.controller
+        controller.on_cycle_boundary = traced(
+            "boundary", controller.on_cycle_boundary)
+        kernel._flow_tick = traced("tick", kernel._flow_tick)
+        kernel._apply_injection = traced("injection", kernel._apply_injection)
+        kernel._start_hop = traced("hop", kernel._start_hop)
+        kernel.setup(2 * SECOND,
+                     [LinkDownInjection(at=SECOND, a="S1", b="S2")])
+        kernel.run_until(2 * SECOND)
+        assert [name for name, at in seen if at == SECOND] == [
+            "boundary", "tick", "injection", "hop"]
+        assert kernel.log.packets[0].drop_reason == "link_down"

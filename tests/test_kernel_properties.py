@@ -322,6 +322,9 @@ def test_every_shared_run_equals_a_fresh_run(scenario, data):
     def observed(kernel, injections):
         queued.append(any(free > kernel.now
                           for free in kernel.egress_free.values()))
+        trunk = iter(kernel.log.injections)
+        if not all(inj in trunk for inj in injections):
+            event("branch at a divergence that is not a subsequence")
         return branch(kernel, injections)
 
     with pytest.MonkeyPatch.context() as patch:

@@ -14,7 +14,7 @@ LAYERS = ("core", "runlog", "contracts", "delay_estimation", "routing",
 # The E1/E2 event model: defined in the injections module alone.
 INJECTION_NAMES = {
     "LinkDownInjection", "LinkUpInjection", "PedChangeInjection",
-    "Injection", "left_out", "first_events", "MASTER_EVENT_POOL",
+    "Injection", "first_events", "MASTER_EVENT_POOL",
     "materialize_injections", "_sorted_times", "_components", "_severable",
     "_idle_matrix", "_expected_path_diary"}
 

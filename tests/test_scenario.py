@@ -295,7 +295,8 @@ class TestStrictInput:
          "window"),
     ])
     def test_missing_required_key(self, section, entry, key):
-        text = (MINIMAL.replace("switches S1 S2", "switches S1 S2 S3")
+        text = (MINIMAL.replace("switches S1 S2", "switches S1 S2 S3\n"
+                                "control S1 c2s=1ms s2c=1ms")
                 + "\n[contracts]\ncontract C0 S1 S2 strong=5ms\n"
                 + f"\n[{section}]\n{entry}\n")
         with pytest.raises(ScenarioError,
@@ -328,6 +329,15 @@ class TestStrictInput:
          "strong ped must be positive"),
         ("injections", "at 20s set_ped C0 0s", "ped must be positive"),
         ("injections", "at 20s scale_ped C0 0", "ped factor must be positive"),
+        ("injections",
+         "auto_ped_changes count=1 window=5s..20s factor=0..0",
+         "factor 0..0 ppm needs 0 < lo <= hi"),
+        ("injections",
+         "auto_ped_changes count=1 window=5s..20s factor=0..0.5",
+         "factor 0..500000 ppm needs 0 < lo <= hi"),
+        ("injections",
+         "auto_ped_changes count=1 window=5s..20s factor=0.9..0.5",
+         "factor 900000..500000 ppm needs 0 < lo <= hi"),
     ])
     def test_bad_bound_carries_its_line(self, section, entry, message):
         text = (MINIMAL + "\n[contracts]\ncontract C0 S2 S1 strong=5ms\n"
@@ -348,6 +358,9 @@ class TestStrictInput:
         ("topology", "switches S2", "duplicate switch id in topology spec"),
         ("topology", "switch H1", "id 'H1' used for both a host and a switch"),
         ("topology", "control S9 c2s=1ms s2c=1ms", "unknown switch 'S9'"),
+        ("topology", "control S1 c2s=2ms s2c=2ms",
+         "second control line for 'S1'"),
+        ("topology", "switches", "switches <id> <id>..."),
         ("flows", "flow F2 H1 H9 volume=1Mb gap=10ms",
          "unknown host 'H9'"),
         ("flows", "flow F1 H2 H1 volume=1Mb gap=10ms",
@@ -363,7 +376,8 @@ class TestStrictInput:
     def test_reference_carries_its_line(self, section, entry, message):
         """Each line is checked by the Topology or ContractStore a run
         uses, as it is read; a typo never waits for a second pass."""
-        text = (MINIMAL.replace("switches S1 S2", "switches S1 S2 S3")
+        text = (MINIMAL.replace("switches S1 S2", "switches S1 S2 S3\n"
+                                "control S1 c2s=1ms s2c=1ms")
                 + "\n[contracts]\ncontract C0 S2 S1 strong=5ms\n"
                 + f"\n[{section}]\n{entry}\n")
         with pytest.raises(ScenarioError,
