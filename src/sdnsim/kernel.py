@@ -32,8 +32,34 @@ for another injection list that agrees with its own before t, so runs
 whose lists agree up to t compute their common history once.  A branch
 shares finished packet records, every record of the other log streams
 and the applied injections, and copies the live state: the heap,
-in-flight packets, topology, forwarding and egress state, contracts and
-the controller with its memos.
+in-flight packets, topology, forwarding and egress state, contracts, the
+controller with its memos and the last fast-forward snapshot.
+
+Fast-forward.  When every flow sends with one positive gap P, traffic is
+periodic, and the kernel replicates whole periods instead of simulating
+them.  Whenever the heap's head passes a multiple of P, the kernel takes
+a snapshot at the last such multiple x, before any entry at or after x
+runs: the started flows' pending ticks as (time - x, flow id) in heap
+order; a packet on the heap spoils it.  Let the horizon H be the earliest
+of the heap entries other than a started flow's tick pending at x - P or
+at x, the forwarding entries active from x - P on, and the advance target
+(which never passes the next pending injection).  Suppose the snapshot at
+x - P equals the one at x, no injection was applied and no link went
+down since x - P, and H >= x: nothing but transport ran in [x - P, x).
+Between two non-transport events, transport is a pure function of the
+state relative to now: the pending ticks, the forwarding paths and link
+states (fixed until the next non-transport event), and egress busy-until
+times, which lie before the period on both sides and so delay nothing.
+The period from x therefore repeats the one from x - P shifted by P, and
+so does each whole period that ends by H.  The kernel appends shifted
+copies of the last period's packet records for n such periods, stopping
+short of each flow's last packet, and moves the flows' counters, their
+ticks, each egress the period used and the clock on by nP.  Sequence
+order is kept without renumbering.  The pending ticks were all scheduled
+in the last period and every other pending entry before it, so the
+ticks' numbers already order them among themselves and after every other
+pending entry, as the numbers of the ticks they stand for would; entries
+scheduled later number above all of them.
 """
 
 from __future__ import annotations
@@ -41,6 +67,7 @@ from __future__ import annotations
 import copy
 import heapq
 import itertools
+import math
 import weakref
 from dataclasses import dataclass
 from operator import attrgetter
@@ -163,6 +190,14 @@ class Kernel:
         self._applied = 0
         self._reached = 0
         self._setup_end = 0
+        # Fast-forward (see "Fast-forward"): the common gap P, the next
+        # multiple of it to snapshot at (never when the flows' gaps
+        # differ), and the last snapshot as (instant, pending ticks,
+        # earliest other heap entry, injections applied, packets logged).
+        gaps = {flow.inter_packet_gap for flow in flows}
+        self._period = gaps.pop() if len(gaps) == 1 else 0
+        self._period_at: float = 0 if self._period > 0 else math.inf
+        self._snapshot: tuple | None = None
 
         self.store = ContractStore()
         for pair in contract_pairs:
@@ -232,13 +267,87 @@ class Kernel:
     def _run_before(self, until: tuple[int, int]) -> None:
         """Process every heap entry whose (time, sequence) is below until."""
         queue, pop = self._queue, heapq.heappop
-        while queue and queue[0] < until:
-            at, _, action, arg = pop(queue)
-            self.now = at
-            if arg is _NO_ARG:
-                action(at)
-            else:
-                action(arg, at)
+        while True:
+            # Stop at the next multiple of the period to fast-forward there.
+            stop = min(until, (self._period_at, -1))
+            while queue and queue[0] < stop:
+                at, _, action, arg = pop(queue)
+                self.now = at
+                if arg is _NO_ARG:
+                    action(at)
+                else:
+                    action(arg, at)
+            if not queue or queue[0] >= until:
+                return
+            self._fast_forward(until[0])
+
+    def _fast_forward(self, until: int) -> None:
+        """Snapshot at the last multiple x of the period that the heap's
+        head has reached, and replicate the whole periods from x that end
+        by until when the snapshot repeats the one at x - P (see
+        "Fast-forward")."""
+        queue, period = self._queue, self._period
+        head = queue[0][0]
+        x = head - head % period
+        self._period_at = x + period
+        ticks = []
+        other: float = math.inf
+        for index, (at, seq, _, arg) in enumerate(queue):
+            if type(arg) is _Packet:
+                self._snapshot = None
+                return
+            if type(arg) is _FlowState and arg.started:
+                ticks.append((at, seq, index))
+            elif at < other:
+                other = at
+        ticks.sort()
+        shape = tuple((at - x, queue[index][3].flow.id)
+                      for at, _, index in ticks)
+        last = self._snapshot
+        packets = self.log.packets
+        self._snapshot = (x, shape, other, self._applied, len(packets))
+        since = x - period
+        if (not shape or last is None or last[:2] != (since, shape)
+                or last[3] != self._applied
+                or any(down >= since for down in self._last_down.values())):
+            return
+        # Below x when something other than transport ran since x - P.
+        horizon = min(last[2], other, until, *(
+            active_at for entries in self._forwarding.values()
+            for active_at, _ in entries if active_at >= since))
+        states = [queue[index][3] for _, _, index in ticks]
+        n = min((horizon - x) // period,
+                min((state.flow.total_volume - state.bits_sent)
+                    // state.flow.packet_length for state in states) - 1)
+        if n <= 0:
+            return
+
+        template = [(r.flow_id, r.seq, r.pair, r.covered, r.length, r.sent_at,
+                     r.path, r.delivered_at, r.drop_reason, r.actual_delay,
+                     r.queue_wait) for r in packets[last[4]:]]
+        for k in range(1, n + 1):  # each started flow sends once a period
+            shift = k * period
+            packets.extend([PacketRecord(
+                flow, seq + k, pair, covered, length, sent + shift, path,
+                None if delivered is None else delivered + shift,
+                reason, delay, wait)
+                for (flow, seq, pair, covered, length, sent, path, delivered,
+                     reason, delay, wait) in template])
+        span = n * period
+        for state in states:
+            state.bits_sent += n * state.flow.packet_length
+            state.next_seq += n
+        for at, seq, index in ticks:
+            _, _, action, arg = queue[index]
+            queue[index] = (at + span, seq, action, arg)
+        heapq.heapify(queue)
+        for egress, free in self.egress_free.items():
+            if free >= since:
+                self.egress_free[egress] = free + span
+        self.now += span
+        self._snapshot = (x + span - period, shape, other, self._applied,
+                          len(packets) - len(template))
+        self._period_at = x + span
 
     def run_until(self, t_end: int) -> None:
         """Process every event with time <= t_end, then settle leftovers.

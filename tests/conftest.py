@@ -1,3 +1,8 @@
+import math
+from contextlib import contextmanager
+from itertools import zip_longest
+from types import SimpleNamespace
+
 import pytest
 
 from sdnsim import harness
@@ -9,6 +14,7 @@ from sdnsim.core import (
     TopologySpec,
     build_topology,
 )
+from sdnsim.kernel import Kernel
 
 GBPS = 1_000_000_000
 MBPS = 1_000_000
@@ -78,3 +84,52 @@ def assert_runs_match_fresh_runs(runs):
         fresh = harness.run_single(swept, variant, seed)
         assert done.log.to_jsonl() == fresh.log.to_jsonl(), (variant, seed)
         assert done.metrics == fresh.metrics, (variant, seed)
+
+
+@contextmanager
+def counted_fast_forward():
+    """Count Kernel._fast_forward's calls and the packets it replicates."""
+    counts = SimpleNamespace(calls=0, packets=0)
+    fast_forward = Kernel._fast_forward
+
+    def counted(kernel, until):
+        before = len(kernel.log.packets)
+        fast_forward(kernel, until)
+        counts.calls += 1
+        counts.packets += len(kernel.log.packets) - before
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Kernel, "_fast_forward", counted)
+        yield counts
+
+
+@contextmanager
+def no_fast_forward():
+    """Kernel._fast_forward patched to a no-op: the kernel simulates every
+    period (the no-op also stops the loop from asking again)."""
+    def off(kernel, until):
+        kernel._period_at = math.inf
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Kernel, "_fast_forward", off)
+        yield
+
+
+def assert_fast_forward_exact(run):
+    """run() builds a kernel and runs it to its end.  The kernel it returns
+    must leave the same log, egress state and clock as one that simulates
+    every period; returns the fast-forward counts."""
+    with counted_fast_forward() as counts:
+        kernel = run()
+    with no_fast_forward():
+        simulated = run()
+    ours = kernel.log.to_jsonl().splitlines()
+    theirs = simulated.log.to_jsonl().splitlines()
+    # The first differing line alone: a diff of whole logs takes minutes.
+    first = next((i for i, (a, b) in enumerate(zip_longest(ours, theirs))
+                  if a != b), None)
+    assert first is None, (ours[first:first + 1], theirs[first:first + 1])
+    assert kernel.log == simulated.log
+    assert kernel.egress_free == simulated.egress_free
+    assert kernel.now == simulated.now
+    return counts

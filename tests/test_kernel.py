@@ -1,9 +1,13 @@
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from sdnsim.core import (
     ControlChannel,
     Flow,
     LinkSpec,
+    LinkState,
     MICROSECOND,
     MILLISECOND,
     SECOND,
@@ -18,9 +22,19 @@ from sdnsim.injections import (
 )
 from sdnsim.kernel import InjectionError, Kernel, ScheduleError
 from sdnsim.contracts import create_contract_pair
+from sdnsim.harness import run_single
 from sdnsim.resilience import variant_by_name
+from sdnsim.scenario import load_scenario
 
-from conftest import GBPS, MBPS
+from conftest import (
+    GBPS,
+    MBPS,
+    assert_fast_forward_exact,
+    counted_fast_forward,
+    no_fast_forward,
+)
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 MS = MILLISECOND
 US = MICROSECOND
@@ -308,3 +322,168 @@ class TestInjectionOrder:
         assert [name for name, at in seen if at == SECOND] == [
             "boundary", "tick", "injection", "hop"]
         assert kernel.log.packets[0].drop_reason == "link_down"
+
+
+def periodic_flow(flow_id="F1", count=100, gap=10 * MS, start=SECOND,
+                  length=12_000):
+    return Flow(id=flow_id, src_host="H1", dst_host="H3",
+                packet_length=length, total_volume=count * length,
+                start_time=start, inter_packet_gap=gap)
+
+
+def triangle_spec():
+    """S1-S3 directly (the shorter path) and through S2."""
+    return TopologySpec(
+        ("S1", "S2", "S3"),
+        (("H1", "S1"), ("H3", "S3")),
+        (LinkSpec("S1", "S3", GBPS, MS), LinkSpec("S1", "S2", GBPS, MS),
+         LinkSpec("S2", "S3", GBPS, MS)))
+
+
+class TestFastForward:
+    """Each run equals the same run with Kernel._fast_forward patched to a
+    no-op, so that every period is simulated."""
+
+    @staticmethod
+    def exact(spec, flows, injections=(), contracts=(), horizon=4 * SECOND,
+              **kwargs):
+        def run():
+            # The contract store changes pairs in place: copy them per run.
+            kernel = make_kernel(spec, flows,
+                                 [replace(pair) for pair in contracts],
+                                 **kwargs)
+            kernel.setup(horizon, list(injections))
+            kernel.run_until(horizon)
+            return kernel
+        return assert_fast_forward_exact(run), run()
+
+    def test_flows_of_coprime_gaps_never_fast_forward(self):
+        counts, _ = self.exact(two_hop_spec(), [
+            periodic_flow("F1", count=300, gap=3 * MS),
+            periodic_flow("F2", count=300, gap=5 * MS)])
+        assert counts.calls == 0 and counts.packets == 0
+
+    def test_flow_whose_last_packet_falls_inside_a_window(self):
+        counts, kernel = self.exact(two_hop_spec(), [
+            periodic_flow("F1", count=25),
+            periodic_flow("F2", count=80, start=SECOND + 3 * MS)])
+        assert 0 < counts.packets < 25 + 80
+        assert len(kernel.log.packets) == 25 + 80
+        assert all(record.delivered for record in kernel.log.packets)
+
+    def test_steady_queue_overflow(self):
+        counts, kernel = self.exact(
+            two_hop_spec(), [periodic_flow("F1"), periodic_flow("F2")],
+            config=SimConfig(queue_limit=5 * US))
+        overflows = [record for record in kernel.log.packets
+                     if record.drop_reason == "queue_overflow"]
+        assert len(overflows) == 100
+        assert counts.packets > 100
+
+    def test_reroute_that_activates_mid_window(self):
+        """The E1 reroute installs the detour 333 ms after its delivery,
+        4 ms into a 10 ms period; the packets sent until then are lost."""
+        pair = create_contract_pair("C1", "S1", "S3", 5 * MS)
+        counts, kernel = self.exact(
+            triangle_spec(), [periodic_flow(count=300)], [
+                LinkDownInjection(at=2 * SECOND, a="S1", b="S3")],
+            contracts=[pair], variant="SDN-RM",
+            control=ControlChannel(default_c2s=333 * MS, default_s2c=MS))
+        [(_, detour)] = [(at, path) for at, path
+                         in kernel._forwarding[("S1", "S3")] if at % (10 * MS)]
+        assert detour == ("S1", "S2", "S3")
+        lost = [r for r in kernel.log.packets if r.drop_reason == "link_down"]
+        assert len(lost) == 34  # sent at 2.000 s .. 2.330 s
+        assert kernel.log.packets[-1].path == detour
+        assert counts.packets > 200
+
+    def test_link_that_went_down_inside_the_compared_period(self):
+        """S1-S2 goes down and up at 2 s as a packet enters it, which loses
+        that packet alone; the next period must not repeat the loss."""
+        counts, kernel = self.exact(
+            two_hop_spec(), [periodic_flow(count=300)], [
+                LinkDownInjection(at=2 * SECOND, a="S1", b="S2"),
+                LinkUpInjection(at=2 * SECOND, a="S1", b="S2")],
+            config=SimConfig(host_link_delay=0))
+        [lost] = [r for r in kernel.log.packets if not r.delivered]
+        assert (lost.sent_at, lost.drop_reason) == (2 * SECOND, "link_down")
+        assert counts.packets > 200
+
+    def test_heap_entry_inside_the_compared_period(self):
+        """An entry scheduled at 2.005 s takes S2-S3 down with no
+        injection: the period before it is no template for the next."""
+        def run():
+            kernel = make_kernel(two_hop_spec(), [periodic_flow(count=300)])
+            kernel.setup(4 * SECOND, [])
+            kernel.schedule_call(2_005 * MS, lambda at: kernel.topology
+                                 .set_link_state("S2", "S3", LinkState.DOWN))
+            kernel.run_until(4 * SECOND)
+            return kernel
+        counts = assert_fast_forward_exact(run)
+        lost = [r for r in run().log.packets if not r.delivered]
+        assert len(lost) == 199 and lost[0].sent_at == 2_010 * MS
+        assert counts.packets > 200
+
+    def test_packets_in_flight_at_every_period_instant(self):
+        """A 1 ms gap on a path of over 2 ms: some packet is always in
+        flight at a period instant, so nothing is replicated."""
+        counts, kernel = self.exact(
+            two_hop_spec(), [periodic_flow(count=300, gap=MS)])
+        assert all(record.delivered for record in kernel.log.packets)
+        assert counts.calls > 0 and counts.packets == 0
+
+    def test_advance_leaves_the_clock_where_simulation_would(self):
+        def advanced():
+            kernel = make_kernel(two_hop_spec(), [periodic_flow(count=300)])
+            kernel.setup(4 * SECOND, [])
+            kernel.advance(2_500 * MS)
+            return kernel
+        with counted_fast_forward() as counts:
+            kernel = advanced()
+        with no_fast_forward():
+            simulated = advanced()
+        assert counts.packets > 100
+        assert (kernel.now, kernel.egress_free, kernel.log) == (
+            simulated.now, simulated.egress_free, simulated.log)
+
+    @pytest.mark.parametrize("interval", [SECOND, 10 * SECOND])
+    def test_injection_due_exactly_at_a_period_instant(self, interval):
+        """With a 1 s cycle a boundary shares the injection's instant and
+        runs first; with a 10 s cycle the injection comes first."""
+        counts, kernel = self.exact(
+            two_hop_spec(), [periodic_flow(count=300)], [
+                LinkDownInjection(at=2 * SECOND, a="S2", b="S3"),
+                LinkUpInjection(at=3 * SECOND, a="S2", b="S3")],
+            config=SimConfig(estimation_interval=interval))
+        lost = [r for r in kernel.log.packets if not r.delivered]
+        assert len(lost) == 100
+        assert counts.packets > 100
+
+    def test_steps_by_the_period_only_where_events_are(self):
+        """Two packets 1 us apart and a 150 s horizon: the kernel asks to
+        fast-forward at most once per event it processes (a tick, the
+        ingress hop and one arrival per link of each packet, and the cycle
+        boundaries), never once per period of the horizon."""
+        horizon = 150 * SECOND
+        kernel = make_kernel(two_hop_spec(), [
+            periodic_flow(count=2, gap=US)])
+        kernel.setup(horizon, [])
+        with counted_fast_forward() as counts:
+            kernel.run_until(horizon)
+        boundaries = horizon // kernel.config.estimation_interval + 1
+        events = (1 + 1 + 2) * len(kernel.log.packets) + boundaries
+        assert counts.calls <= events < horizon // US
+
+    def test_replicates_most_bundled_ring_traffic(self):
+        scenario = load_scenario(SCENARIOS / "industrial_ring_e1.scn")
+        with counted_fast_forward() as counts:
+            done = run_single(scenario, "SDN-RM", 1)
+        assert counts.packets >= 0.9 * len(done.log.packets)
+
+    def test_flows_of_other_gaps_are_simulated_in_full(self):
+        scenario = load_scenario(SCENARIOS / "linear_chain.scn")
+        [flow] = scenario.flows
+        other = replace(flow, id="F2", inter_packet_gap=200 * MS)
+        with counted_fast_forward() as counts:
+            run_single(replace(scenario, flows=(flow, other)), "SDN-RM", 1)
+        assert counts.calls == 0 and counts.packets == 0

@@ -16,8 +16,12 @@ state:
 - every estimation cycle, run with the run's probe plan, yields the costs
   and records of a cycle with a fresh plan at the same instant and waits;
 - every run of an experiment, whose runs share kernel work, equals a
-  fresh run_single, log and metrics alike.
+  fresh run_single, log and metrics alike;
+- every run whose flows share one gap, so that the kernel fast-forwards
+  through repeated periods, equals the same run simulated in full.
 """
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -53,7 +57,11 @@ from sdnsim.scenario import (
     Scenario,
 )
 
-from conftest import assert_runs_match_fresh_runs, experiment_runs
+from conftest import (
+    assert_fast_forward_exact,
+    assert_runs_match_fresh_runs,
+    experiment_runs,
+)
 
 MS = MILLISECOND
 HORIZON = 3 * SECOND
@@ -62,8 +70,12 @@ CAPACITIES = (1_000_000, 10_000_000, 100_000_000, 1_000_000_000)
 
 
 @st.composite
-def networks(draw, max_packets=30, max_gap=50 * MS, interval=SECOND):
-    """(TopologySpec, flows, contract pairs, injections, variant, config)."""
+def networks(draw, max_packets=30, max_gap=50 * MS, interval=SECOND,
+             shared_gap=False):
+    """(TopologySpec, flows, contract pairs, injections, variant, config).
+
+    With shared_gap every flow sends with one drawn gap, single-packet
+    flows too, so that the kernel may fast-forward."""
     n = draw(st.integers(2, 6))
     ring = n >= 3 and draw(st.booleans())
     switches = tuple(f"S{i}" for i in range(1, n + 1))
@@ -75,6 +87,7 @@ def networks(draw, max_packets=30, max_gap=50 * MS, interval=SECOND):
                   for a, b in ends)
     hosts = tuple((f"H{i}", f"S{i}") for i in range(1, n + 1))
 
+    gap = draw(st.integers(MICROSECOND, max_gap)) if shared_gap else None
     flows = []
     for index in range(draw(st.integers(1, 4))):
         src, dst = draw(st.lists(st.sampled_from([h for h, _ in hosts]),
@@ -85,8 +98,8 @@ def networks(draw, max_packets=30, max_gap=50 * MS, interval=SECOND):
             id=f"F{index}", src_host=src, dst_host=dst, packet_length=length,
             total_volume=count * length,
             start_time=draw(st.integers(0, SECOND)),
-            inter_packet_gap=0 if count == 1 else draw(
-                st.integers(MICROSECOND, max_gap))))
+            inter_packet_gap=gap or (0 if count == 1 else draw(
+                st.integers(MICROSECOND, max_gap)))))
 
     first = flows[0]
     contracts = [create_contract_pair(
@@ -160,9 +173,34 @@ def test_packets_delivered_xor_dropped_no_faster_than_their_path(
             spec, record.path, record.length, config.host_link_delay)
 
 
+def test_every_run_equals_the_run_simulated_in_full():
+    """Flows of one gap, links that flap, reroutes and queue overflows: the
+    kernel fast-forwards some runs, and each equals the run with
+    Kernel._fast_forward patched to a no-op."""
+    fired = []
+
+    @settings(max_examples=80, deadline=None)
+    @given(networks(max_packets=200, max_gap=10 * MS, shared_gap=True))
+    def check(network):
+        def run():
+            kernel = network_kernel(network)
+            kernel.run_until(HORIZON)
+            return kernel
+        counts = assert_fast_forward_exact(run)
+        fired.append(counts.packets > 0)
+        if counts.packets:
+            event("fast-forwarded")
+
+    check()
+    assert any(fired)
+
+
 def network_kernel(network):
+    """A kernel set up for network; its contract store changes pairs in
+    place, so it gets copies of them."""
     spec, flows, contracts, injections, variant, config = network
-    kernel = Kernel(build_topology(spec), flows, contracts,
+    kernel = Kernel(build_topology(spec), flows,
+                    [replace(pair) for pair in contracts],
                     variant_by_name(variant), config, ControlChannel())
     kernel.setup(HORIZON, injections)
     return kernel
@@ -255,8 +293,8 @@ def scenarios(draw):
     pairs, equal-time injections, requirement changes, and failures within
     the control latency of each other.  Some also carry auto specs, so
     that seeds draw different lists."""
-    spec, flows, contracts, injections, _, config = draw(
-        networks(max_packets=60, max_gap=5 * MS))
+    spec, flows, contracts, injections, _, config = draw(networks(
+        max_packets=60, max_gap=5 * MS, shared_gap=draw(st.booleans())))
     latency = draw(st.sampled_from((100 * MICROSECOND, 250 * MICROSECOND,
                                     MS)))
     ends = [(link.a, link.b) for link in spec.links]
