@@ -12,6 +12,7 @@ bound.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -195,8 +196,16 @@ class BoundTimeline:
 
     def at(self, src: SwitchId, dst: SwitchId, when: int):
         """The change in force at `when`; None before the pair's first."""
+        return self.span(src, dst, when)[0]
+
+    def span(self, src: SwitchId, dst: SwitchId, when: int) -> tuple:
+        """(change in force at `when`, lo, hi): the same change is in force
+        at every instant of [lo, hi), which may be unbounded (±inf)."""
         times = self._times.get((src, dst))
         if times is None:
-            return None
-        index = bisect_right(times, when) - 1
-        return self._changes[(src, dst)][index] if index >= 0 else None
+            return None, -math.inf, math.inf
+        index = bisect_right(times, when)
+        hi = times[index] if index < len(times) else math.inf
+        if index == 0:
+            return None, -math.inf, hi
+        return self._changes[(src, dst)][index - 1], times[index - 1], hi

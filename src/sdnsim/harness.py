@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 from itertools import zip_longest
@@ -38,34 +39,61 @@ def compute_success_rate(packets: list,
     Returns (rate vs active bound, rate vs strong bound).  Dropped packets
     count as unsatisfied.
     """
-    timeline = BoundTimeline(ped_changes)
-    covered = [p for p in packets if p.covered]
-    if not covered:
-        return 1.0, 1.0
-    hits = strong_hits = 0
-    for packet in covered:
-        ok, ok_strong = _packet_satisfied(packet, timeline)
-        hits += ok
-        strong_hits += ok_strong
-    return hits / len(covered), strong_hits / len(covered)
-
-
-def _packet_satisfied(packet, timeline: BoundTimeline) -> tuple[bool, bool]:
-    if packet.delivered_at is None:
-        return False, False
-    change = timeline.at(packet.pair[0], packet.pair[1], packet.delivered_at)
-    if change is None:
-        return False, False
-    delay = packet.actual_delay
-    return delay <= change.active_ped, delay <= change.strong_ped
+    return _score_packets(packets, ped_changes)[2:]
 
 
 def compute_throughput(packets: list, emulation_time: int) -> float:
     """Delivered bits across all flows divided by the emulation time."""
+    bits = sum(p.length for p in packets if p.delivered_at is not None)
+    return _throughput(bits, emulation_time)
+
+
+def _throughput(bits: int, emulation_time: int) -> float:
     if emulation_time <= 0:
         raise ValueError("emulation time must be positive")
-    bits = sum(p.length for p in packets if p.delivered_at is not None)
     return bits * SECOND / emulation_time
+
+
+# A span no instant falls in: (change, lo, hi) with lo > hi.
+_NO_SPAN = (None, math.inf, -math.inf)
+
+
+def _score_packets(packets: list, ped_changes: list,
+                   ) -> tuple[int, int, float, float]:
+    """(packets delivered, bits delivered, success rate, strong success
+    rate) in one pass.
+
+    A delivered covered packet is scored against the change in force for
+    its pair when it arrived.  Consecutive deliveries of a pair mostly
+    fall under one change, so each pair keeps the [lo, hi) span of the
+    change it last found and bisects the timeline only for a delivery
+    outside it.
+    """
+    timeline = BoundTimeline(ped_changes)
+    spans: dict[tuple, tuple] = {}
+    delivered = bits = covered = hits = strong_hits = 0
+    for packet in packets:
+        at = packet.delivered_at
+        if at is not None:
+            delivered += 1
+            bits += packet.length
+        if not packet.covered:
+            continue
+        covered += 1
+        if at is None:
+            continue
+        pair = packet.pair  # a list when parsed back from JSON
+        key = pair if type(pair) is tuple else tuple(pair)
+        change, lo, hi = spans.get(key, _NO_SPAN)
+        if not lo <= at < hi:
+            change, lo, hi = spans[key] = timeline.span(key[0], key[1], at)
+        if change is not None:
+            delay = packet.actual_delay
+            hits += delay <= change.active_ped
+            strong_hits += delay <= change.strong_ped
+    if not covered:
+        return delivered, bits, 1.0, 1.0
+    return delivered, bits, hits / covered, strong_hits / covered
 
 
 def compute_restoration_stats(restorations: list,
@@ -109,8 +137,8 @@ def metrics_from_streams(log: RunLog, variant: str, seed: int,
                          emulation_time: int) -> MetricsReport:
     """Headline metrics from a run's log, live or from RunLog.parse_jsonl."""
     packets = log.packets
-    delivered = sum(1 for p in packets if p.delivered_at is not None)
-    success, success_strong = compute_success_rate(packets, log.ped_changes)
+    delivered, bits, success, success_strong = _score_packets(
+        packets, log.ped_changes)
     mean, totals = compute_restoration_stats(log.restorations)
     return MetricsReport(
         variant=variant, seed=seed,
@@ -119,7 +147,7 @@ def metrics_from_streams(log: RunLog, variant: str, seed: int,
         packets_dropped=len(packets) - delivered,
         success_rate=success,
         success_rate_strong=success_strong,
-        throughput_bps=compute_throughput(packets, emulation_time),
+        throughput_bps=_throughput(bits, emulation_time),
         restoration_mean=mean,
         restoration_totals=tuple(totals),
         warning_count=len(log.warnings),

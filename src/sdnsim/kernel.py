@@ -69,7 +69,7 @@ import heapq
 import itertools
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Any, Callable
 
@@ -199,9 +199,11 @@ class Kernel:
         self._period_at: float = 0 if self._period > 0 else math.inf
         self._snapshot: tuple | None = None
 
+        # The store changes its pairs in place, so it holds copies: the
+        # caller's pairs stay as given for the next kernel built from them.
         self.store = ContractStore()
         for pair in contract_pairs:
-            self.store.add(pair, now=0)
+            self.store.add(replace(pair), now=0)
         self.log.ped_changes = self.store.ped_changes
 
         covered = {(p.src, p.dst) for p in contract_pairs}

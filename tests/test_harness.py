@@ -2,8 +2,11 @@ import dataclasses
 import gc
 import json
 import os
+from bisect import bisect_right
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sdnsim
 from sdnsim import harness
@@ -95,6 +98,70 @@ class TestSuccessRate:
     def test_no_covered_packets_is_vacuously_one(self):
         rate, strong = compute_success_rate([], ped_history())
         assert rate == 1.0 and strong == 1.0
+
+
+def reference_success_rate(packets, ped_changes):
+    """compute_success_rate as one bisection per covered delivery."""
+    changes = sorted(ped_changes, key=lambda c: c.at)
+    covered = [p for p in packets if p.covered]
+    if not covered:
+        return 1.0, 1.0
+    hits = strong_hits = 0
+    for p in covered:
+        if p.delivered_at is None:
+            continue
+        mine = [c for c in changes if (c.src, c.dst) == tuple(p.pair)]
+        index = bisect_right([c.at for c in mine], p.delivered_at)
+        if index:
+            hits += p.actual_delay <= mine[index - 1].active_ped
+            strong_hits += p.actual_delay <= mine[index - 1].strong_ped
+    return hits / len(covered), strong_hits / len(covered)
+
+
+# Two pairs with bound changes and one without; instants come from a small
+# range, so several changes often share one, and some precede every
+# delivery.
+PAIRS = (("S1", "S8"), ("S8", "S1"), ("S2", "S5"))
+instants = st.integers(0, 12)
+
+
+@st.composite
+def scored_streams(draw):
+    changes = [SimpleNamespace(src=src, dst=dst, at=draw(instants),
+                               active_ped=draw(st.integers(1, 8)),
+                               strong_ped=draw(st.integers(1, 8)))
+               for src, dst in draw(st.lists(st.sampled_from(PAIRS[:2]),
+                                             max_size=8))]
+    packets = []
+    for seq in range(draw(st.integers(0, 30))):
+        pair = draw(st.sampled_from(PAIRS))
+        delivered_at = draw(st.none() | instants)
+        packets.append(SimpleNamespace(
+            seq=seq, covered=draw(st.booleans()),
+            # parse_jsonl gives the pair back as a list
+            pair=list(pair) if draw(st.booleans()) else pair,
+            length=draw(st.integers(1, 100)), delivered_at=delivered_at,
+            actual_delay=None if delivered_at is None
+            else draw(st.integers(0, 9))))
+    if draw(st.booleans()):
+        packets.sort(key=lambda p: (p.delivered_at is None,
+                                    p.delivered_at or 0))
+    return packets, changes
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_streams())
+def test_success_rate_equals_a_bisection_per_packet(streams):
+    packets, changes = streams
+    assert compute_success_rate(packets, changes) == \
+        reference_success_rate(packets, changes)
+    log = RunLog(packets=packets, ped_changes=changes)
+    report = metrics_from_streams(log, "SDN-RM", 1, SECOND)
+    delivered = [p for p in packets if p.delivered_at is not None]
+    assert report.packets_delivered == len(delivered)
+    assert report.throughput_bps == compute_throughput(packets, SECOND)
+    assert (report.success_rate, report.success_rate_strong) == \
+        reference_success_rate(packets, changes)
 
 
 class TestThroughput:

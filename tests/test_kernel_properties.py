@@ -21,8 +21,6 @@ state:
   through repeated periods, equals the same run simulated in full.
 """
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
@@ -196,11 +194,9 @@ def test_every_run_equals_the_run_simulated_in_full():
 
 
 def network_kernel(network):
-    """A kernel set up for network; its contract store changes pairs in
-    place, so it gets copies of them."""
+    """A kernel set up for network."""
     spec, flows, contracts, injections, variant, config = network
-    kernel = Kernel(build_topology(spec), flows,
-                    [replace(pair) for pair in contracts],
+    kernel = Kernel(build_topology(spec), flows, contracts,
                     variant_by_name(variant), config, ControlChannel())
     kernel.setup(HORIZON, injections)
     return kernel

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from sdnsim import resilience
@@ -49,13 +51,15 @@ KILLER_BREAKS = [  # one link from each 3-hop route, in route order
 
 
 def ring_kernel(variant, strong=3_200_000, weak=12 * MS, injections=(),
-                t_end=60 * SECOND, gap=100 * MS, control_latency=250 * US):
+                t_end=60 * SECOND, gap=100 * MS, control_latency=250 * US,
+                pairs=None):
     topology = build_topology(ring_with_chords_spec())
     flow = Flow(id="F1", src_host="H1", dst_host="H8", packet_length=12_000,
                 total_volume=10**12, start_time=SECOND, inter_packet_gap=gap)
-    pair = create_contract_pair("C1", "S1", "S8", strong, weak)
+    if pairs is None:
+        pairs = [create_contract_pair("C1", "S1", "S8", strong, weak)]
     kernel = Kernel(
-        topology=topology, flows=[flow], contract_pairs=[pair],
+        topology=topology, flows=[flow], contract_pairs=pairs,
         variant=variant_by_name(variant), config=SimConfig(),
         control=ControlChannel(default_c2s=control_latency,
                                default_s2c=control_latency))
@@ -256,6 +260,19 @@ class TestContractChangeMonitor:
         assert record.total == 100 * US
         assert record.outcome is RestorationOutcome.RS2_APPLIED
         assert kernel.store.pair("C1").active_kind is ContractKind.WEAK
+
+    def test_kernels_from_one_pair_list_run_alike(self):
+        # The tightening changes the strong bound and RS2 makes the pair
+        # weak; neither may leak into the next kernel built from the list.
+        pairs = [create_contract_pair("C1", "S1", "S8", 3_200_000, 12 * MS)]
+        given = [dataclasses.replace(pair) for pair in pairs]
+        injections = [PedChangeInjection(35 * SECOND, "C1", new_ped=2 * MS)]
+        first, second = (ring_kernel("SDN-RM", injections=injections,
+                                     pairs=pairs) for _ in range(2))
+        assert first.store.pair("C1").active_kind is ContractKind.WEAK
+        assert first.store.pair("C1").strong_ped == 2 * MS
+        assert pairs == given
+        assert first.log.to_jsonl() == second.log.to_jsonl()
 
     def test_tightening_deferred_by_proactive_only(self):
         kernel = ring_kernel(
