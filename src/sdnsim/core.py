@@ -243,6 +243,11 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.estimation_interval <= 0:
             raise ValueError("estimation interval must be positive")
+        if self.probe_length_bits <= 0:
+            raise ValueError("probe length must be positive")
+        for name in ("recalc_cost", "queue_limit", "host_link_delay"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative")
 
 
 @dataclass

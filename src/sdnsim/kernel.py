@@ -16,9 +16,14 @@ the whole run because a Topology changes only through set_link_state:
 capacities and propagation delays are fixed at build time, and a plan
 holds the live Link objects, so a hop still sees the link's current state.
 
-Heap entries are (time, sequence, action, argument).  The kernel and the
-controller schedule bound methods with the packet, flow or an argument
-tuple as their argument, so no closure is built per event.
+Heap entries are (time, sequence, action, argument), with bound methods
+as actions, so no closure is built per event.  Each hop of a packet is one
+entry and one handler, _hop: at ingress or on arrival it delivers the
+packet or reserves its next egress and pushes its arrival there.  Setup
+and the controller use the checked schedule_call; transport pushes
+directly, as its times are never past: a tick is a positive gap ahead, an
+ingress the host delay, an arrival the egress wait, transmission and
+propagation delay (SimConfig, Link and Flow reject negatives).
 
 Injections never enter the heap.  The log holds them as one time-sorted
 list, and advance applies each after the heap entries setup numbered at
@@ -150,10 +155,13 @@ _Hop = tuple[Link, tuple[SwitchId, SwitchId], tuple[SwitchId, SwitchId],
 # Marks a heap entry whose action takes the event time alone.
 _NO_ARG = object()
 
+# Read once: an enum member lookup costs about as much as a hop's dict work.
+_UP = LinkState.UP
+
 
 class _Packet:
-    """A packet in flight: its record, hop plan, current hop index and the
-    time it entered that hop."""
+    """A packet in flight: its record, hop plan, the index of its next hop
+    and the time it entered the hop it is on."""
 
     __slots__ = ("record", "hops", "hop", "entered")
 
@@ -185,6 +193,8 @@ class Kernel:
                                list[tuple[int, tuple[SwitchId, ...]]]] = {}
         self._plans: dict[tuple[tuple[SwitchId, ...], int],
                           tuple[_Hop, ...]] = {}
+        self._host_delay = config.host_link_delay
+        self._queue_limit = config.queue_limit
         # advance has applied the first _applied of log.injections and every
         # heap entry before _reached; setup's entries number below _setup_end.
         self._applied = 0
@@ -269,6 +279,9 @@ class Kernel:
     def _run_before(self, until: tuple[int, int]) -> None:
         """Process every heap entry whose (time, sequence) is below until."""
         queue, pop = self._queue, heapq.heappop
+        # Transport pushes this one bound method; it is dropped on leaving,
+        # so that a finished kernel holds no reference cycle.
+        self._on_hop = self._hop
         while True:
             # Stop at the next multiple of the period to fast-forward there.
             stop = min(until, (self._period_at, -1))
@@ -280,8 +293,9 @@ class Kernel:
                 else:
                     action(arg, at)
             if not queue or queue[0] >= until:
-                return
+                break
             self._fast_forward(until[0])
+        del self._on_hop
 
     def _fast_forward(self, until: int) -> None:
         """Snapshot at the last multiple x of the period that the heap's
@@ -442,29 +456,24 @@ class Kernel:
         if not state.started:
             state.started = True
             self.controller.on_flow_arrival(flow, at)
-        state.bits_sent += flow.packet_length
-        self._send_packet(state, at)
-        state.next_seq += 1
-        # Flow guarantees a positive gap whenever another packet fits.
-        if state.bits_sent + flow.packet_length <= flow.total_volume:
-            self.schedule_call(at + flow.inter_packet_gap, self._flow_tick,
-                               state)
-
-    def _send_packet(self, state: _FlowState, at: int) -> None:
-        flow = state.flow
-        key = state.pair
-        path = self.forwarding_path(key, at)
-        record = PacketRecord(
-            flow_id=flow.id, seq=state.next_seq, pair=key,
-            covered=state.covered, length=flow.packet_length,
-            sent_at=at, path=path)
+        length = flow.packet_length
+        state.bits_sent += length
+        path = self.forwarding_path(state.pair, at)
+        record = PacketRecord(flow.id, state.next_seq, state.pair,
+                              state.covered, length, at, path)
         self.log.packets.append(record)
         if path is None:
             record.drop_reason = "no_route"
-            return
-        packet = _Packet(record, self._hop_plan(path, flow.packet_length))
-        ingress_at = at + self.config.host_link_delay
-        self.schedule_call(ingress_at, self._start_hop, packet)
+        else:
+            heapq.heappush(self._queue, (
+                at + self._host_delay, next(self._seq), self._on_hop,
+                _Packet(record, self._hop_plan(path, length))))
+        state.next_seq += 1
+        # Flow guarantees a positive gap whenever another packet fits.
+        if state.bits_sent + length <= flow.total_volume:
+            heapq.heappush(self._queue, (at + flow.inter_packet_gap,
+                                         next(self._seq), self._flow_tick,
+                                         state))
 
     def _hop_plan(self, path: tuple[SwitchId, ...],
                   length: int) -> tuple[_Hop, ...]:
@@ -480,36 +489,31 @@ class Kernel:
             plan = self._plans[(path, length)] = tuple(hops)
         return plan
 
-    def _start_hop(self, packet: _Packet, at: int) -> None:
-        if packet.hop == len(packet.hops):
-            self._deliver(packet, at)
+    def _hop(self, packet: _Packet, at: int) -> None:
+        """A packet's ingress or arrival (see "Heap entries")."""
+        record, hops, hop = packet.record, packet.hops, packet.hop
+        if hop:
+            link, _, key, _, _ = hops[hop - 1]
+            if link.state is not _UP or self._last_down and (
+                    packet.entered <= self._last_down.get(key, -1) < at):
+                record.drop_reason = "link_down"
+                return
+        if hop == len(hops):
+            record.delivered_at = delivered = at + self._host_delay
+            record.actual_delay = delivered - record.sent_at
             return
-        link, egress, _, td, propagation = packet.hops[packet.hop]
-        if link.state is not LinkState.UP:
-            packet.record.drop_reason = "link_down"
+        link, egress, _, td, propagation = hops[hop]
+        if link.state is not _UP:
+            record.drop_reason = "link_down"
             return
         free = self.egress_free.get(egress, 0)
         start = at if at >= free else free
         wait = start - at
-        if wait > self.config.queue_limit:
-            packet.record.drop_reason = "queue_overflow"
+        if wait > self._queue_limit:
+            record.drop_reason = "queue_overflow"
             return
         self.egress_free[egress] = start + td
-        packet.record.queue_wait += wait
-        packet.entered = at
-        self.schedule_call(start + td + propagation, self._hop_arrival, packet)
-
-    def _hop_arrival(self, packet: _Packet, at: int) -> None:
-        link, _, key, _, _ = packet.hops[packet.hop]
-        went_down = self._last_down.get(key)
-        if (link.state is not LinkState.UP
-                or went_down is not None and packet.entered <= went_down < at):
-            packet.record.drop_reason = "link_down"
-            return
-        packet.hop += 1
-        self._start_hop(packet, at)
-
-    def _deliver(self, packet: _Packet, at: int) -> None:
-        record = packet.record
-        record.delivered_at = at + self.config.host_link_delay
-        record.actual_delay = record.delivered_at - record.sent_at
+        record.queue_wait += wait
+        packet.hop, packet.entered = hop + 1, at
+        heapq.heappush(self._queue, (start + td + propagation,
+                                     next(self._seq), self._on_hop, packet))

@@ -97,17 +97,24 @@ class RunLog:
         stream raises ValueError naming its line number."""
         log = RunLog()
         streams = {stream: getattr(log, stream) for stream in RunLog.STREAMS}
-        decode = _decoder.decode
+        raw_decode, decode = _decoder.raw_decode, _decoder.decode
         # Lines end at "\n" alone: str.splitlines would also split inside
         # strings holding a raw U+2028, which JSON allows.
         for number, line in enumerate(text.split("\n"), 1):
-            if not line.strip():
-                continue
+            # A line that is one JSON value alone, as to_jsonl writes it;
+            # blank, padded and malformed lines take the full path below.
             try:
-                payload = decode(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {number}: column {exc.colno}: "
-                                 f"{exc.msg}") from None
+                payload, end = raw_decode(line)
+            except json.JSONDecodeError:
+                end = -1
+            if end != len(line):
+                if not line.strip():
+                    continue
+                try:
+                    payload = decode(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"line {number}: column {exc.colno}: "
+                                     f"{exc.msg}") from None
             if type(payload) is not dict:
                 raise ValueError(f"line {number}: not a JSON object")
             if "stream" not in payload:

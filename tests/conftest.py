@@ -9,12 +9,13 @@ from sdnsim import harness
 from sdnsim.core import (
     ControlChannel,
     LinkSpec,
+    LinkState,
     MICROSECOND,
     MILLISECOND,
     TopologySpec,
     build_topology,
 )
-from sdnsim.kernel import Kernel
+from sdnsim.kernel import Kernel, PacketRecord, _Packet
 
 GBPS = 1_000_000_000
 MBPS = 1_000_000
@@ -42,6 +43,76 @@ def ring_with_chords_spec(capacity: int = GBPS,
               LinkSpec("S3", "S8", capacity, propagation)]
     hosts = tuple((f"H{i}", f"S{i}") for i in range(1, 9))
     return TopologySpec(switches, hosts, tuple(ring + chords))
+
+
+class ReferenceKernel(Kernel):
+    """The kernel with transport split over four handlers that schedule
+    through schedule_call: a flow tick sends a packet, which starts a hop
+    at ingress and after each hop's arrival, and is delivered after the
+    last.  Kernel._hop must leave the same log and schedule the same
+    entries, in the same order."""
+
+    def _flow_tick(self, state, at):
+        flow = state.flow
+        if not state.started:
+            state.started = True
+            self.controller.on_flow_arrival(flow, at)
+        state.bits_sent += flow.packet_length
+        self._send_packet(state, at)
+        state.next_seq += 1
+        if state.bits_sent + flow.packet_length <= flow.total_volume:
+            self.schedule_call(at + flow.inter_packet_gap, self._flow_tick,
+                               state)
+
+    def _send_packet(self, state, at):
+        flow = state.flow
+        key = state.pair
+        path = self.forwarding_path(key, at)
+        record = PacketRecord(
+            flow_id=flow.id, seq=state.next_seq, pair=key,
+            covered=state.covered, length=flow.packet_length,
+            sent_at=at, path=path)
+        self.log.packets.append(record)
+        if path is None:
+            record.drop_reason = "no_route"
+            return
+        packet = _Packet(record, self._hop_plan(path, flow.packet_length))
+        ingress_at = at + self.config.host_link_delay
+        self.schedule_call(ingress_at, self._start_hop, packet)
+
+    def _start_hop(self, packet, at):
+        if packet.hop == len(packet.hops):
+            self._deliver(packet, at)
+            return
+        link, egress, _, td, propagation = packet.hops[packet.hop]
+        if link.state is not LinkState.UP:
+            packet.record.drop_reason = "link_down"
+            return
+        free = self.egress_free.get(egress, 0)
+        start = at if at >= free else free
+        wait = start - at
+        if wait > self.config.queue_limit:
+            packet.record.drop_reason = "queue_overflow"
+            return
+        self.egress_free[egress] = start + td
+        packet.record.queue_wait += wait
+        packet.entered = at
+        self.schedule_call(start + td + propagation, self._hop_arrival, packet)
+
+    def _hop_arrival(self, packet, at):
+        link, _, key, _, _ = packet.hops[packet.hop]
+        went_down = self._last_down.get(key)
+        if (link.state is not LinkState.UP
+                or went_down is not None and packet.entered <= went_down < at):
+            packet.record.drop_reason = "link_down"
+            return
+        packet.hop += 1
+        self._start_hop(packet, at)
+
+    def _deliver(self, packet, at):
+        record = packet.record
+        record.delivered_at = at + self.config.host_link_delay
+        record.actual_delay = record.delivered_at - record.sent_at
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ from sdnsim.core import (
     LinkState,
     MICROSECOND,
     MILLISECOND,
+    SimConfig,
     TopologyError,
     TopologySpec,
     build_topology,
@@ -120,3 +121,18 @@ class TestLinkState:
     def test_link_between_unlinked_switches_rejected(self, chain10):
         with pytest.raises(TopologyError, match="no link"):
             chain10.link_between("S1", "S3")
+
+
+class TestSimConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("estimation_interval", 0), ("probe_length_bits", 0),
+        ("probe_length_bits", -1), ("recalc_cost", -1), ("queue_limit", -1),
+        ("host_link_delay", -5)])
+    def test_out_of_range_field_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            SimConfig(**{field: value})
+
+    def test_zero_costs_and_delays_accepted(self):
+        config = SimConfig(recalc_cost=0, queue_limit=0, host_link_delay=0)
+        assert (config.recalc_cost, config.queue_limit,
+                config.host_link_delay) == (0, 0, 0)

@@ -1,3 +1,4 @@
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,16 +20,19 @@ from sdnsim.injections import (
     LinkDownInjection,
     LinkUpInjection,
     PedChangeInjection,
+    materialize_injections,
 )
 from sdnsim.kernel import InjectionError, Kernel, ScheduleError
 from sdnsim.contracts import create_contract_pair
+from sdnsim import harness
 from sdnsim.harness import run_single
-from sdnsim.resilience import variant_by_name
+from sdnsim.resilience import VARIANT_ALIASES, variant_by_name
 from sdnsim.scenario import load_scenario
 
 from conftest import (
     GBPS,
     MBPS,
+    ReferenceKernel,
     assert_fast_forward_exact,
     counted_fast_forward,
     no_fast_forward,
@@ -315,7 +319,7 @@ class TestInjectionOrder:
             "boundary", controller.on_cycle_boundary)
         kernel._flow_tick = traced("tick", kernel._flow_tick)
         kernel._apply_injection = traced("injection", kernel._apply_injection)
-        kernel._start_hop = traced("hop", kernel._start_hop)
+        kernel._hop = traced("hop", kernel._hop)
         kernel.setup(2 * SECOND,
                      [LinkDownInjection(at=SECOND, a="S1", b="S2")])
         kernel.run_until(2 * SECOND)
@@ -487,3 +491,25 @@ class TestFastForward:
         with counted_fast_forward() as counts:
             run_single(replace(scenario, flows=(flow, other)), "SDN-RM", 1)
         assert counts.calls == 0 and counts.packets == 0
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.scn")),
+                         ids=lambda path: path.stem)
+def test_bundled_runs_equal_the_reference_transport(path):
+    """Every variant, fast-forwarded and simulated in full: the same log
+    and metrics, and as many heap entries, as with the reference."""
+    scenario = load_scenario(path)
+    injections = materialize_injections(scenario, scenario.seed)
+    for variant in sorted(VARIANT_ALIASES):
+        for mode in (nullcontext, no_fast_forward):
+            runs = []
+            for kind in (Kernel, ReferenceKernel):
+                with pytest.MonkeyPatch.context() as patch, mode():
+                    patch.setattr(harness, "Kernel", kind)
+                    kernel = harness._start_kernel(
+                        scenario, variant_by_name(variant), injections)
+                    done = run_single(scenario, variant,
+                                      injections=injections, kernel=kernel)
+                runs.append((done.log.to_jsonl(), done.metrics,
+                             next(kernel._seq)))
+            assert runs[0] == runs[1], (variant, mode)

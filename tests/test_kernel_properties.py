@@ -18,13 +18,16 @@ state:
 - every run of an experiment, whose runs share kernel work, equals a
   fresh run_single, log and metrics alike;
 - every run whose flows share one gap, so that the kernel fast-forwards
-  through repeated periods, equals the same run simulated in full.
+  through repeated periods, equals the same run simulated in full;
+- every run equals one whose transport is the four-handler reference in
+  conftest, and numbers as many heap entries.
 """
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from sdnsim import resilience
+from sdnsim.harness import metrics_from_streams
 from sdnsim.contracts import create_contract_pair
 from sdnsim.core import (
     ControlChannel,
@@ -56,6 +59,7 @@ from sdnsim.scenario import (
 )
 
 from conftest import (
+    ReferenceKernel,
     assert_fast_forward_exact,
     assert_runs_match_fresh_runs,
     experiment_runs,
@@ -200,6 +204,25 @@ def network_kernel(network):
                     variant_by_name(variant), config, ControlChannel())
     kernel.setup(HORIZON, injections)
     return kernel
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(networks(), networks(max_packets=200, max_gap=10 * MS,
+                                      shared_gap=True)))
+def test_transport_equals_the_reference_transport(network):
+    """Link flaps, queue limits from 0, host delays and zero propagation,
+    with and without fast-forward: the same log, metrics and entries."""
+    spec, flows, contracts, injections, variant, config = network
+    runs = []
+    for kind in (Kernel, ReferenceKernel):
+        kernel = kind(build_topology(spec), flows, contracts,
+                      variant_by_name(variant), config, ControlChannel())
+        kernel.setup(HORIZON, injections)
+        kernel.run_until(HORIZON)
+        runs.append((kernel.log.to_jsonl(),
+                     metrics_from_streams(kernel.log, variant, 1, HORIZON),
+                     next(kernel._seq)))
+    assert runs[0] == runs[1]
 
 
 class MonotoneEgress(dict):

@@ -125,8 +125,16 @@ class TestParseErrors:
         assert RunLog.parse_jsonl(text).faults == [
             SimpleNamespace(note="a\u2028b\x85c")]
 
+    def test_padded_line_parses(self):
+        log = RunLog.parse_jsonl(f" \t{self.GOOD}\t \n{self.GOOD}")
+        assert log.faults == [SimpleNamespace(at=0)] * 2
+
     def test_malformed_line(self):
         assert self.parse_error('{"at": 0,').startswith("line 3: ")
+
+    def test_line_with_data_after_its_object(self):
+        assert self.parse_error(f"{self.GOOD} x") == \
+            "line 3: column 31: Extra data"
 
     def test_line_without_stream(self):
         assert self.parse_error('{"at": 0}') == "line 3: no run-log stream"
