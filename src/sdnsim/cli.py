@@ -75,6 +75,14 @@ def _print_table(result: ExperimentResult) -> None:
               f"{restore_text:>11} {warn:>5.1f}")
 
 
+def _error(args: argparse.Namespace, exc: Exception, code: int) -> int:
+    """Print exc as one line and return code; re-raise it under --debug."""
+    if args.debug:
+        raise exc
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -83,10 +91,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scenario = load_scenario(args.scenario)
     except (ScenarioError, ValueError) as exc:
-        if args.debug:
-            raise
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(args, exc, 2)
     if args.eq1_raw_mode:
         scenario = replace(scenario, config=replace(scenario.config,
                                                     eq1_raw_mode=True))
@@ -94,11 +99,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         result = run_experiment(scenario, args.variants, seeds,
                                 sweep=args.sweep)
+    except ScenarioError as exc:  # a sweep value the scenario cannot take
+        return _error(args, exc, 2)
     except Exception as exc:  # surface run failures as nonzero exit
-        if args.debug:
-            raise
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(args, exc, 1)
     if args.out:
         for path in emit_reports(result, args.out):
             print(path)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from .core import (
     ControlChannel,
     Link,
-    LinkState,
+    LINK_UP,
     SwitchId,
     Topology,
     transmission_delay,
@@ -242,7 +242,7 @@ def run_estimation_cycle(
 
     for probe in plan.probes:
         link, forward, reverse, _ = probe
-        if link.state is not LinkState.UP:
+        if link.state is not LINK_UP:
             continue
         near, far = forward
         forward_wait = max(0, busy_until(forward, 0) - now)

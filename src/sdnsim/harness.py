@@ -15,7 +15,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
-from itertools import zip_longest
+from itertools import chain, zip_longest
 
 from . import __version__
 from .contracts import BoundTimeline
@@ -23,7 +23,7 @@ from .core import ControlChannel, SECOND, build_topology
 from .injections import Injection, materialize_injections
 from .kernel import DROP_REASONS, Kernel
 from .resilience import MechanismVariant, variant_by_name
-from .runlog import RunLog, record_to_dict
+from .runlog import PacketLog, RunLog, Segment, record_to_dict
 from .scenario import Scenario
 
 
@@ -67,11 +67,34 @@ def _score_packets(packets: list, ped_changes: list,
     its pair when it arrived.  Consecutive deliveries of a pair mostly
     fall under one change, so each pair keeps the [lo, hi) span of the
     change it last found and bisects the timeline only for a delivery
-    outside it.
+    outside it.  A segment of a PacketLog counts as n times its template
+    where the first and last copies of a template delivery, d + P and
+    d + nP, fall in one span; its other template records are scored copy
+    by copy.
     """
     timeline = BoundTimeline(ped_changes)
     spans: dict[tuple, tuple] = {}
     delivered = bits = covered = hits = strong_hits = 0
+    if isinstance(packets, PacketLog) and packets.segments:
+        parts: list = [packets.simulated]
+        for _, segment in packets.segments:
+            n, period = segment.n, segment.period
+            for values in segment.template:
+                at = values.delivered_at
+                if values.covered and at is not None:
+                    change, _, hi = timeline.span(*values.pair, at + period)
+                    if at + n * period >= hi:  # a bound change among copies
+                        parts.append(Segment((values,), n, period))
+                        continue
+                    if change is not None:
+                        delay = values.actual_delay
+                        hits += n * (delay <= change.active_ped)
+                        strong_hits += n * (delay <= change.strong_ped)
+                if at is not None:
+                    delivered += n
+                    bits += n * values.length
+                covered += n * values.covered
+        packets = chain.from_iterable(parts)
     for packet in packets:
         at = packet.delivered_at
         if at is not None:
@@ -177,7 +200,13 @@ def verify_conservation(log: RunLog) -> None:
                     + record.reassignment_delay)
         if record.total != expected:
             raise AssertionError(f"restoration total mismatch: {record}")
-    for packet in log.packets:
+    packets = log.packets
+    if isinstance(packets, PacketLog) and packets.segments:
+        # A copy differs from its template record only by a shift of its
+        # seq and times, which none of these checks sees.
+        packets = chain(packets.simulated, *(
+            segment.template for _, segment in packets.segments))
+    for packet in packets:
         delivered = packet.delivered_at is not None
         if delivered == (packet.drop_reason is not None):
             raise AssertionError(f"packet neither delivered nor dropped: {packet}")

@@ -35,10 +35,12 @@ pure function of its scenario without injections, its variant and the
 injections due before t.  branch copies a kernel part-way through a run
 for another injection list that agrees with its own before t, so runs
 whose lists agree up to t compute their common history once.  A branch
-shares finished packet records, every record of the other log streams
-and the applied injections, and copies the live state: the heap,
-in-flight packets, topology, forwarding and egress state, contracts, the
-controller with its memos and the last fast-forward snapshot.
+shares finished packet records, the packet log's segments, every record
+of the other log streams and the applied injections; of the packet log
+it copies only the list of simulated records.  It copies the live
+state: the heap, in-flight packets, topology, forwarding and egress
+state, contracts, the controller with its memos and the last
+fast-forward snapshot.
 
 Fast-forward.  When every flow sends with one positive gap P, traffic is
 periodic, and the kernel replicates whole periods instead of simulating
@@ -56,15 +58,18 @@ state relative to now: the pending ticks, the forwarding paths and link
 states (fixed until the next non-transport event), and egress busy-until
 times, which lie before the period on both sides and so delay nothing.
 The period from x therefore repeats the one from x - P shifted by P, and
-so does each whole period that ends by H.  The kernel appends shifted
-copies of the last period's packet records for n such periods, stopping
-short of each flow's last packet, and moves the flows' counters, their
-ticks, each egress the period used and the clock on by nP.  Sequence
-order is kept without renumbering.  The pending ticks were all scheduled
-in the last period and every other pending entry before it, so the
-ticks' numbers already order them among themselves and after every other
-pending entry, as the numbers of the ticks they stand for would; entries
-scheduled later number above all of them.
+so does each whole period that ends by H.  The kernel logs n such
+periods, stopping short of each flow's last packet, as one segment of
+its packet log (runlog.PacketLog): the last period's records, n and P,
+with no record built.  A fast-forward that goes on from the previous
+one's last copy replaces that segment with a longer one; segments are
+never changed in place, as branches share them.  It moves the flows'
+counters, their ticks, each egress the period used and the clock on by
+nP.  Sequence order is kept without renumbering.  The pending ticks were
+all scheduled in the last period and every other pending entry before
+it, so the ticks' numbers already order them among themselves and after
+every other pending entry, as the numbers of the ticks they stand for
+would; entries scheduled later number above all of them.
 """
 
 from __future__ import annotations
@@ -83,6 +88,7 @@ from .core import (
     ControlChannel,
     Flow,
     Link,
+    LINK_UP,
     LinkState,
     SimConfig,
     SwitchId,
@@ -96,7 +102,7 @@ from .injections import (
     PedChangeInjection,
 )
 from .resilience import MechanismVariant, ResilienceManager
-from .runlog import RunLog
+from .runlog import PacketLog, PacketRecord, RunLog
 
 
 class ScheduleError(ValueError):
@@ -119,25 +125,6 @@ DROP_REASONS = frozenset({"no_route", "link_down", "queue_overflow",
 
 
 @dataclass
-class PacketRecord:
-    flow_id: str
-    seq: int
-    pair: tuple[SwitchId, SwitchId]
-    covered: bool            # flow is governed by a contract pair
-    length: int              # bits
-    sent_at: int
-    path: tuple[SwitchId, ...] | None
-    delivered_at: int | None = None
-    drop_reason: str | None = None
-    actual_delay: int | None = None
-    queue_wait: int = 0
-
-    @property
-    def delivered(self) -> bool:
-        return self.delivered_at is not None
-
-
-@dataclass
 class _FlowState:
     flow: Flow
     pair: tuple[SwitchId, SwitchId]  # (ingress switch, egress switch)
@@ -154,9 +141,6 @@ _Hop = tuple[Link, tuple[SwitchId, SwitchId], tuple[SwitchId, SwitchId],
 
 # Marks a heap entry whose action takes the event time alone.
 _NO_ARG = object()
-
-# Read once: an enum member lookup costs about as much as a hop's dict work.
-_UP = LinkState.UP
 
 
 class _Packet:
@@ -203,7 +187,7 @@ class Kernel:
         # Fast-forward (see "Fast-forward"): the common gap P, the next
         # multiple of it to snapshot at (never when the flows' gaps
         # differ), and the last snapshot as (instant, pending ticks,
-        # earliest other heap entry, injections applied, packets logged).
+        # earliest other heap entry, injections applied, packets simulated).
         gaps = {flow.inter_packet_gap for flow in flows}
         self._period = gaps.pop() if len(gaps) == 1 else 0
         self._period_at: float = 0 if self._period > 0 else math.inf
@@ -321,7 +305,8 @@ class Kernel:
                       for at, _, index in ticks)
         last = self._snapshot
         packets = self.log.packets
-        self._snapshot = (x, shape, other, self._applied, len(packets))
+        self._snapshot = (x, shape, other, self._applied,
+                          len(packets.simulated))
         since = x - period
         if (not shape or last is None or last[:2] != (since, shape)
                 or last[3] != self._applied
@@ -338,17 +323,7 @@ class Kernel:
         if n <= 0:
             return
 
-        template = [(r.flow_id, r.seq, r.pair, r.covered, r.length, r.sent_at,
-                     r.path, r.delivered_at, r.drop_reason, r.actual_delay,
-                     r.queue_wait) for r in packets[last[4]:]]
-        for k in range(1, n + 1):  # each started flow sends once a period
-            shift = k * period
-            packets.extend([PacketRecord(
-                flow, seq + k, pair, covered, length, sent + shift, path,
-                None if delivered is None else delivered + shift,
-                reason, delay, wait)
-                for (flow, seq, pair, covered, length, sent, path, delivered,
-                     reason, delay, wait) in template])
+        packets.replicate(last[4], n, period)
         span = n * period
         for state in states:
             state.bits_sent += n * state.flow.packet_length
@@ -361,8 +336,9 @@ class Kernel:
             if free >= since:
                 self.egress_free[egress] = free + span
         self.now += span
+        # The last period is now the segment's last copy.
         self._snapshot = (x + span - period, shape, other, self._applied,
-                          len(packets) - len(template))
+                          len(packets.simulated))
         self._period_at = x + span
 
     def run_until(self, t_end: int) -> None:
@@ -375,7 +351,7 @@ class Kernel:
         self.advance(t_end + 1)
         self.now = t_end
         self._queue.clear()
-        for record in self.log.packets:
+        for record in self.log.packets.simulated:  # segments hold none
             if record.delivered_at is None and record.drop_reason is None:
                 record.drop_reason = "end_of_run"
 
@@ -388,18 +364,20 @@ class Kernel:
         if pending[:self._applied] != applied:
             raise ValueError("branch disagrees on an applied injection")
 
-        # Shared with the copy: the sentinel (compared by identity) and
-        # every record but the in-flight packets'.  The weak proxy is
-        # re-pointed after copying; both kernels number on from seq.
+        # Shared with the copy: the sentinel (compared by identity), the
+        # segments and every record but the in-flight packets'.  The weak
+        # proxy is re-pointed after copying; both kernels number on from seq.
         memo: dict[int, Any] = {id(_NO_ARG): _NO_ARG,
                                 id(self.controller.kernel): None}
         for _, _, _, arg in self._queue:
             if type(arg) is _Packet:
                 memo[id(arg.record)] = copy.copy(arg.record)
+        packets = self.log.packets
         log = RunLog(**{stream: list(getattr(self.log, stream))
-                        for stream in RunLog.STREAMS})
-        log.packets = [memo.get(id(record), record)
-                       for record in self.log.packets]
+                        for stream in RunLog.STREAMS if stream != "packets"})
+        log.packets = PacketLog([memo.get(id(record), record)
+                                 for record in packets.simulated],
+                                packets.segments)
         log.injections = applied
         for stream in RunLog.STREAMS:
             memo[id(getattr(self.log, stream))] = getattr(log, stream)
@@ -461,7 +439,7 @@ class Kernel:
         path = self.forwarding_path(state.pair, at)
         record = PacketRecord(flow.id, state.next_seq, state.pair,
                               state.covered, length, at, path)
-        self.log.packets.append(record)
+        self.log.packets.simulated.append(record)
         if path is None:
             record.drop_reason = "no_route"
         else:
@@ -494,7 +472,7 @@ class Kernel:
         record, hops, hop = packet.record, packet.hops, packet.hop
         if hop:
             link, _, key, _, _ = hops[hop - 1]
-            if link.state is not _UP or self._last_down and (
+            if link.state is not LINK_UP or self._last_down and (
                     packet.entered <= self._last_down.get(key, -1) < at):
                 record.drop_reason = "link_down"
                 return
@@ -503,7 +481,7 @@ class Kernel:
             record.actual_delay = delivered - record.sent_at
             return
         link, egress, _, td, propagation = hops[hop]
-        if link.state is not _UP:
+        if link.state is not LINK_UP:
             record.drop_reason = "link_down"
             return
         free = self.egress_free.get(egress, 0)

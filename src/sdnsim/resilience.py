@@ -47,6 +47,7 @@ from .contracts import (
 from .core import (
     ControlChannel,
     Flow,
+    LINK_UP,
     SwitchId,
     Topology,
     UNBOUNDED_DELAY,
@@ -263,7 +264,7 @@ class ResilienceManager:
         if path is None:
             return UNBOUNDED_DELAY
         for a, b in zip(path, path[1:]):
-            if not self.topology.link_between(a, b).is_up:
+            if self.topology.link_between(a, b).state is not LINK_UP:
                 return UNBOUNDED_DELAY
         try:
             return estimate_path_delay(list(path), self.matrix)
@@ -313,7 +314,7 @@ class ResilienceManager:
         """A link failure (a, b, occurred_at) reaches the controller."""
         a, b, occurred_at = failure
         link = self.topology.link_between(a, b)
-        if link.is_up:
+        if link.state is LINK_UP:
             return  # already recovered; topology is healthy
         for key in sorted(self.routed_pairs):
             if not self._path_uses_link(key, a, b, now):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .core import LinkState, SwitchId, Topology
+from .core import LINK_UP, SwitchId, Topology
 from .delay_estimation import CostMatrix
 
 
@@ -46,7 +46,7 @@ def find_path(topology: Topology, costs: CostMatrix,
     heap: list[tuple[int, int, tuple[SwitchId, ...]]] = [(0, 0, (src,))]
     best: dict[SwitchId, tuple[int, int, tuple[SwitchId, ...]]] = {}
     adjacent, cost_of = topology.adjacent, costs.get
-    up = LinkState.UP
+    up = LINK_UP
 
     while heap:
         entry = heapq.heappop(heap)

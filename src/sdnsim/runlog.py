@@ -4,16 +4,22 @@ The log is the single source of truth for metric computation.  In memory
 it holds the typed records the kernel and controller append; on disk it is
 JSON lines.  Parsing a serialized log gives back a RunLog whose records
 carry the same attribute names, so metrics recomputed from it must equal
-the ones computed online.
+the ones computed online.  The packet stream is a PacketLog, which holds
+each stretch of periods that a kernel fast-forwarded through as one
+Segment and builds those records only when read.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from operator import attrgetter, eq
 from types import SimpleNamespace
-from typing import Any
+from typing import Any, Iterable
+
+from .core import SwitchId
 
 
 def record_to_dict(record: Any) -> dict:
@@ -27,10 +33,147 @@ def _plain(value: Any) -> Any:
 
 
 @dataclass
+class PacketRecord:
+    flow_id: str
+    seq: int
+    pair: tuple[SwitchId, SwitchId]
+    covered: bool            # flow is governed by a contract pair
+    length: int              # bits
+    sent_at: int
+    path: tuple[SwitchId, ...] | None
+    delivered_at: int | None = None
+    drop_reason: str | None = None
+    actual_delay: int | None = None
+    queue_wait: int = 0
+
+    @property
+    def delivered(self) -> bool:
+        return self.delivered_at is not None
+
+
+# A finished packet record's fields as one immutable tuple, read by the
+# same names.
+PacketValues = namedtuple("PacketValues",
+                          [f.name for f in fields(PacketRecord)])
+_values = attrgetter(*PacketValues._fields)
+
+
+class Segment:
+    """n copies of one period's packet records, template: the k-th copy of
+    a record adds k to its seq and k * period to its send and delivery
+    times, every other field unchanged.  Never changed once made, as
+    branched logs share it."""
+
+    __slots__ = ("template", "n", "period")
+
+    def __init__(self, template: tuple[PacketValues, ...], n: int,
+                 period: int) -> None:
+        self.template, self.n, self.period = template, n, period
+
+    def __len__(self) -> int:
+        return self.n * len(self.template)
+
+    def __iter__(self):
+        for k in range(1, self.n + 1):
+            yield from [self._copy(values, k) for values in self.template]
+
+    def __getitem__(self, index: int) -> PacketRecord:
+        k, i = divmod(index, len(self.template))
+        return self._copy(self.template[i], k + 1)
+
+    def _copy(self, values: PacketValues, k: int) -> PacketRecord:
+        (flow, seq, pair, covered, length, sent, path, delivered, reason,
+         delay, wait) = values
+        shift = k * self.period
+        return PacketRecord(
+            flow, seq + k, pair, covered, length, sent + shift, path,
+            None if delivered is None else delivered + shift, reason, delay,
+            wait)
+
+
+class PacketLog:
+    """A run's packet records in log order: the simulated ones in the plain
+    list simulated, which the kernel appends to, and segments as
+    (position, Segment), a segment at position p following the first p
+    simulated records.  Sized, indexable and
+    iterable; a replicated record is built each time it is read, so it
+    equals the one read before but is another object, and changing it
+    changes nothing in the log."""
+
+    __slots__ = ("simulated", "segments", "_replicated")
+
+    def __init__(self, simulated: list | None = None,
+                 segments: Iterable[tuple[int, Segment]] = ()) -> None:
+        self.simulated = [] if simulated is None else simulated
+        self.segments = list(segments)
+        self._replicated = sum(len(segment) for _, segment in self.segments)
+
+    def __len__(self) -> int:
+        return len(self.simulated) + self._replicated
+
+    def __iter__(self):
+        if not self.segments:
+            return iter(self.simulated)
+        return self._records()
+
+    def _records(self):
+        simulated, start = self.simulated, 0
+        for at, segment in self.segments:
+            yield from simulated[start:at]
+            yield from segment
+            start = at
+        yield from simulated[start:]
+
+    def __getitem__(self, index: int) -> Any:
+        size = len(self)
+        if index < 0:
+            index += size
+        if not 0 <= index < size:
+            raise IndexError("packet log index out of range")
+        skipped = 0  # replicated records before the current position
+        for at, segment in self.segments:
+            if index < at + skipped:
+                break
+            if index < at + skipped + len(segment):
+                return segment[index - at - skipped]
+            skipped += len(segment)
+        return self.simulated[index - skipped]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (PacketLog, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"PacketLog({list(self)!r})"
+
+    def replicate(self, start: int, n: int, period: int) -> None:
+        """Log n copies, shifted by 1 to n periods, of one period's records:
+        the simulated ones from position start on, or when none were
+        simulated since start, the last copy of the segment there.  That
+        segment is then replaced by a longer one, never changed: branched
+        logs share it."""
+        simulated, segments = self.simulated, self.segments
+        at = len(simulated)
+        if start < at:
+            segment = Segment(tuple(PacketValues._make(_values(record))
+                                    for record in simulated[start:]),
+                              n, period)
+        else:
+            _, last = segments.pop()
+            self._replicated -= len(last)
+            segment = Segment(last.template, last.n + n, period)
+        segments.append((at, segment))
+        self._replicated += len(segment)
+
+
+@dataclass
 class RunLog:
     """Append-only record streams produced by one kernel run."""
 
-    packets: list = field(default_factory=list)
+    packets: PacketLog = field(default_factory=PacketLog)
     estimation: list = field(default_factory=list)
     routes: list = field(default_factory=list)
     notifications: list = field(default_factory=list)
@@ -97,6 +240,7 @@ class RunLog:
         stream raises ValueError naming its line number."""
         log = RunLog()
         streams = {stream: getattr(log, stream) for stream in RunLog.STREAMS}
+        streams["packets"] = log.packets.simulated
         raw_decode, decode = _decoder.raw_decode, _decoder.decode
         # Lines end at "\n" alone: str.splitlines would also split inside
         # strings holding a raw U+2028, which JSON allows.

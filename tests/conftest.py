@@ -72,7 +72,7 @@ class ReferenceKernel(Kernel):
             flow_id=flow.id, seq=state.next_seq, pair=key,
             covered=state.covered, length=flow.packet_length,
             sent_at=at, path=path)
-        self.log.packets.append(record)
+        self.log.packets.simulated.append(record)
         if path is None:
             record.drop_reason = "no_route"
             return

@@ -72,6 +72,14 @@ def test_duplicate_contract_is_validation_error(tmp_path, capsys):
     assert "duplicate contract pair 'C1'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sweep", ["flows=0..1", "flows=1..99"])
+def test_sweep_outside_the_scenario_is_validation_error(sweep, capsys):
+    code = main(["run", "scenarios/linear_chain.scn", "--variants", "RM",
+                 "--seeds", "1", "--sweep", sweep])
+    assert code == 2
+    assert "error: flow count" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("scenario, error", [
     ("scenarios/nope.scn", ScenarioError),
     ("scenarios/linear_chain.scn", ValueError),

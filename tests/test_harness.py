@@ -29,7 +29,7 @@ from sdnsim.resilience import (
     RestorationRecord,
     variant_by_name,
 )
-from sdnsim.runlog import RunLog
+from sdnsim.runlog import PacketLog, PacketValues, RunLog, Segment
 from sdnsim.scenario import load_scenario, parse_scenario
 
 from conftest import assert_runs_match_fresh_runs, experiment_runs
@@ -162,6 +162,57 @@ def test_success_rate_equals_a_bisection_per_packet(streams):
     assert report.throughput_bps == compute_throughput(packets, SECOND)
     assert (report.success_rate, report.success_rate_strong) == \
         reference_success_rate(packets, changes)
+
+
+class TestSegments:
+    """A PacketLog segment scored and checked from its template, against
+    the same records in a plain list.  Copies 1 to 4 of the template's
+    covered deliveries arrive at 35, 45, 55, 65 (F1) and 39, 49, 59, 69
+    (F2)."""
+
+    TEMPLATE = (
+        PacketValues("F1", 0, ("S1", "S8"), True, 100, 20, ("S1", "S8"), 25,
+                     None, 5, 0),
+        PacketValues("F2", 0, ("S8", "S1"), True, 100, 21, ("S8", "S1"), 29,
+                     None, 8, 0),
+        PacketValues("F3", 0, ("S1", "S8"), False, 100, 22, None, None,
+                     "no_route", None, 0),
+    )
+
+    def segment_log(self):
+        template = self.TEMPLATE
+        return PacketLog([PacketRecord(*values) for values in template],
+                         [(len(template), Segment(template, 4, 10))])
+
+    @pytest.mark.parametrize("at", [30, 35, 40, 65, 66, 69, 70])
+    def test_bound_change_among_the_copies(self, at):
+        """Each pair's bound tightens at at: strictly inside a window, at a
+        first copy's delivery (35), at a last one's (65, 69) and around."""
+        changes = [SimpleNamespace(src=src, dst=dst, at=when,
+                                   active_ped=ped, strong_ped=ped)
+                   for src, dst in (("S1", "S8"), ("S8", "S1"))
+                   for when, ped in ((0, 8), (at, 6))]
+        packets = self.segment_log()
+        records = list(packets)
+        assert len(records) == 15
+        assert compute_success_rate(packets, changes) == \
+            reference_success_rate(records, changes)
+        logs = [RunLog(packets=p, ped_changes=changes)
+                for p in (packets, records)]
+        ours, theirs = (metrics_from_streams(log, "SDN-RM", 1, SECOND)
+                        for log in logs)
+        assert ours == theirs
+
+    @pytest.mark.parametrize("change, message", [
+        ({"actual_delay": 6}, "transit time"),
+        ({"delivered_at": None, "actual_delay": None},
+         "neither delivered nor dropped"),
+    ])
+    def test_corrupt_template_record_fails_the_check(self, change, message):
+        template = (self.TEMPLATE[0]._replace(**change),) + self.TEMPLATE[1:]
+        log = RunLog(packets=PacketLog([], [(0, Segment(template, 4, 10))]))
+        with pytest.raises(AssertionError, match=message):
+            verify_conservation(log)
 
 
 class TestThroughput:

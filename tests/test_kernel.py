@@ -24,7 +24,7 @@ from sdnsim.injections import (
 )
 from sdnsim.kernel import InjectionError, Kernel, ScheduleError
 from sdnsim.contracts import create_contract_pair
-from sdnsim import harness
+from sdnsim import harness, runlog
 from sdnsim.harness import run_single
 from sdnsim.resilience import VARIANT_ALIASES, variant_by_name
 from sdnsim.scenario import load_scenario
@@ -491,6 +491,49 @@ class TestFastForward:
         with counted_fast_forward() as counts:
             run_single(replace(scenario, flows=(flow, other)), "SDN-RM", 1)
         assert counts.calls == 0 and counts.packets == 0
+
+
+class TestSegments:
+    """Replicated periods stay run-length segments of the packet log."""
+
+    def test_a_run_builds_no_replicated_record(self):
+        def built(*args):
+            raise AssertionError("a record was built from a segment")
+
+        scenario = load_scenario(SCENARIOS / "industrial_ring_e1.scn")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(runlog, "PacketRecord", built)
+            done = run_single(scenario, "SDN-RM", 1)
+        packets = done.log.packets
+        assert packets.segments
+        assert len(packets) > 10 * len(packets.simulated)
+
+    def test_branch_shares_segments_and_both_go_on_as_fresh_runs(self):
+        """25 s is a multiple of the 250 ms period inside a steady stretch:
+        the last segment ends there, and after branching both kernels go
+        on from its last copy, each replacing it with a longer one."""
+        scenario = load_scenario(SCENARIOS / "industrial_ring_e1.scn")
+        injections = materialize_injections(scenario, 1)
+        kernel = harness._start_kernel(scenario, variant_by_name("SDN-RM"),
+                                       injections)
+        kernel.advance(25 * SECOND)
+        packets = kernel.log.packets
+        at, last = packets.segments[-1]
+        assert at == len(packets.simulated)
+        twin = kernel.branch(injections)
+        assert all(ours is theirs for (_, ours), (_, theirs) in zip(
+            packets.segments, twin.log.packets.segments, strict=True))
+        assert twin.log.packets.simulated is not packets.simulated
+
+        n = last.n
+        fresh = run_single(scenario, "SDN-RM", 1).log.to_jsonl()
+        for branched in (kernel, twin):
+            done = run_single(scenario, "SDN-RM", 1, injections=injections,
+                              kernel=branched)
+            assert done.log.to_jsonl() == fresh
+            longer = dict(done.log.packets.segments)[at]
+            assert longer is not last and longer.n > n
+        assert last.n == n
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.scn")),

@@ -19,15 +19,20 @@ state:
   fresh run_single, log and metrics alike;
 - every run whose flows share one gap, so that the kernel fast-forwards
   through repeated periods, equals the same run simulated in full;
+- a log holding those periods as segments reads, scores and checks as
+  the same records held in a plain list;
 - every run equals one whose transport is the four-handler reference in
   conftest, and numbers as many heap entries.
 """
+
+import dataclasses
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from sdnsim import resilience
-from sdnsim.harness import metrics_from_streams
+from sdnsim.harness import metrics_from_streams, verify_conservation
 from sdnsim.contracts import create_contract_pair
 from sdnsim.core import (
     ControlChannel,
@@ -195,6 +200,47 @@ def test_every_run_equals_the_run_simulated_in_full():
 
     check()
     assert any(fired)
+
+
+@settings(max_examples=100, deadline=None)
+@given(networks(max_packets=200, max_gap=10 * MS, shared_gap=True), st.data())
+def test_segments_read_as_the_records_they_stand_for(network, data):
+    """A log holding replicated periods as segments, against the same
+    records in a plain list: the same metrics, conservation check,
+    serialized log, length and records by index.  The metrics are also
+    compared under bound changes of the contract pair drawn at or near
+    the deliveries of replicated copies, so that some fall among a
+    segment's copies, as the run's own changes never do."""
+    _, _, [pair], _, variant, _ = network
+    kernel = network_kernel(network)
+    kernel.run_until(HORIZON)
+    log = kernel.log
+    plain = dataclasses.replace(log, packets=list(log.packets))
+    packets, records = log.packets, plain.packets
+    assert len(packets) == len(records)
+    assert packets == records
+    assert [packets[i] for i in range(-len(records), len(records))] == \
+        records + records
+    verify_conservation(log)
+    verify_conservation(plain)
+    assert log.to_jsonl() == plain.to_jsonl()
+
+    deliveries = sorted({r.delivered_at for _, segment in packets.segments
+                         for r in segment if r.covered} - {None}) or [0]
+    instants = st.sampled_from(deliveries).flatmap(
+        lambda at: st.integers(at - 1, at + 1))
+    drawn = [SimpleNamespace(src=pair.src, dst=pair.dst, at=at,
+                             active_ped=active, strong_ped=strong)
+             for at, active, strong in data.draw(st.lists(st.tuples(
+                 instants, st.integers(MS, 20 * MS),
+                 st.integers(MS, 20 * MS)), max_size=4))]
+    for changes in (log.ped_changes, drawn):
+        ours, theirs = (metrics_from_streams(
+            dataclasses.replace(each, ped_changes=changes), variant, 1,
+            HORIZON) for each in (log, plain))
+        assert ours == theirs
+    if packets.segments:
+        event("segments")
 
 
 def network_kernel(network):
