@@ -7,7 +7,7 @@ import sys
 from dataclasses import replace
 
 from .harness import ExperimentResult, emit_reports, run_experiment
-from .resilience import VARIANT_ALIASES, variant_by_name
+from .resilience import VARIANT_ALIASES, variants_by_name
 from .scenario import ScenarioError, load_scenario
 
 
@@ -30,8 +30,10 @@ def _parse_variants(text: str) -> list[str]:
     names = [v.strip() for v in text.split(",") if v.strip()]
     if not names:
         raise argparse.ArgumentTypeError("no variant given")
-    for name in names:
-        variant_by_name(name)  # raises for unknown names
+    try:
+        variants_by_name(names)
+    except ValueError as exc:  # an unknown name or a variant named twice
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return names
 
 

@@ -134,6 +134,20 @@ class ContractStore:
         self._by_endpoints[key] = pair
         self._record(pair, now)
 
+    def twin(self) -> ContractStore:
+        """A copy holding a new ContractPair for every pair, with the same
+        bounds and active kind, and its own list of the changes so far."""
+        twin = ContractStore.__new__(ContractStore)
+        twin._pairs = pairs = {
+            pair_id: ContractPair(pair.id, pair.src, pair.dst,
+                                  pair.strong_ped, pair.weak_ped,
+                                  pair.active_kind)
+            for pair_id, pair in self._pairs.items()}
+        twin._by_endpoints = {key: pairs[pair.id]
+                              for key, pair in self._by_endpoints.items()}
+        twin.ped_changes = list(self.ped_changes)
+        return twin
+
     def pair(self, pair_id: str) -> ContractPair:
         try:
             return self._pairs[pair_id]

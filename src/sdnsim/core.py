@@ -169,6 +169,23 @@ class Topology:
             link.state = state
             self.version += 1
 
+    def twin(self) -> Topology:
+        """A copy with a new Link, in its current state, for every link;
+        changing either topology's link states leaves the other's alone."""
+        twin = Topology.__new__(Topology)
+        twin.switches = list(self.switches)
+        twin.hosts = dict(self.hosts)
+        twin.version = self.version
+        twin._links = links = {
+            key: Link(link.a, link.b, link.capacity_bps,
+                      link.propagation_delay, link.state)
+            for key, link in self._links.items()}
+        twin._adjacency = {
+            switch: tuple((neighbor, links[link_key(switch, neighbor)])
+                          for neighbor, _ in adjacent)
+            for switch, adjacent in self._adjacency.items()}
+        return twin
+
     def spec(self) -> TopologySpec:
         """The declarations this topology was built from, in order."""
         return TopologySpec(

@@ -194,6 +194,17 @@ class ProbePlan:
         self.estimates: dict[tuple[SwitchId, SwitchId, int, int],
                              CostEntry] = {}
 
+    def twin(self, topology: Topology) -> ProbePlan:
+        """This plan over topology's Links, a copy of this plan's topology,
+        with the estimates seen so far (CostEntry is frozen, so shared)."""
+        twin = ProbePlan.__new__(ProbePlan)
+        twin.raw_mode = self.raw_mode
+        twin.probes = tuple((topology.link_between(*forward), forward, reverse,
+                             inputs)
+                            for _, forward, reverse, inputs in self.probes)
+        twin.estimates = dict(self.estimates)
+        return twin
+
     def estimate(self, probe: _Probe, forward_wait: int, reverse_wait: int,
                  now: int) -> CostEntry:
         """Estimate one link from probes sent at now behind the given

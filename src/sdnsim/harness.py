@@ -22,7 +22,8 @@ from .contracts import BoundTimeline
 from .core import ControlChannel, SECOND, build_topology
 from .injections import Injection, materialize_injections
 from .kernel import DROP_REASONS, Kernel
-from .resilience import MechanismVariant, variant_by_name
+from .resilience import (MechanismVariant, variant_by_name,
+                         variants_by_name)
 from .runlog import PacketLog, RunLog, Segment, record_to_dict
 from .scenario import Scenario
 
@@ -360,7 +361,8 @@ def run_experiment(scenario: Scenario, variants: list[str], seeds: list[int],
         raise ValueError("an experiment needs a variant and a seed")
     sweep_param, sweep_values = (None, (None,)) if sweep is None else (
         sweep[0], tuple(sweep[1]))
-    full_names = tuple(variant_by_name(v).name for v in variants)
+    full_names = tuple(variant.name
+                       for variant in variants_by_name(variants))
     result = ExperimentResult(
         scenario_name=scenario.name,
         scenario_sha256=_scenario_digest(scenario),

@@ -32,15 +32,27 @@ there: an injection landing on a boundary is seen by the following cycle.
 
 Branching.  A kernel's state once advance has reached t is therefore a
 pure function of its scenario without injections, its variant and the
-injections due before t.  branch copies a kernel part-way through a run
-for another injection list that agrees with its own before t, so runs
-whose lists agree up to t compute their common history once.  A branch
-shares finished packet records, the packet log's segments, every record
-of the other log streams and the applied injections; of the packet log
-it copies only the list of simulated records.  It copies the live
-state: the heap, in-flight packets, topology, forwarding and egress
-state, contracts, the controller with its memos and the last
-fast-forward snapshot.
+injections due before t.  branch builds a twin of a kernel part-way
+through a run for another injection list that agrees with its own before
+t, so runs whose lists agree up to t compute their common history once.
+The twin gets its own copy of every piece of state a run changes, and
+each owner copies its own: Topology.twin makes new Links in their
+current states, ContractStore.twin new pairs and its list of bound
+changes, and ResilienceManager.twin the controller's memos, its pending
+events and a probe plan over the twin's Links.  The kernel copies its
+egress, link-down and forwarding tables, the flows' states, each log
+stream's list and the heap.  The heap keeps its order and sequence
+numbers; each action is bound to the twin's kernel or controller, each
+flow's tick to the twin's flow state, and each packet in flight becomes
+a new packet with a copy of its record, in the same place of the twin's
+log, on a hop plan over the twin's Links (plans refill as packets ask).
+An argument of any other kind is refused, so that no new kind of heap
+entry is shared by accident.  What no run changes is shared: flows, the
+config and control channel, the variant, cost entries, routes, the
+fast-forward snapshot, segments, finished records and the applied
+injections.  Copies are built by their constructors or by plain
+attribute assignment, not by copy.deepcopy, whose generic walk of every
+reachable object cost several times a fresh kernel's set-up.
 
 Fast-forward.  When every flow sends with one positive gap P, traffic is
 periodic, and the kernel replicates whole periods instead of simulating
@@ -74,13 +86,12 @@ would; entries scheduled later number above all of them.
 
 from __future__ import annotations
 
-import copy
 import heapq
 import itertools
 import math
-import weakref
 from dataclasses import dataclass, replace
 from operator import attrgetter
+from types import MethodType
 from typing import Any, Callable
 
 from .contracts import ContractPair, ContractStore
@@ -154,6 +165,16 @@ class _Packet:
         self.hops = hops
         self.hop = 0
         self.entered = 0
+
+
+# The kinds of heap entry argument a branch maps to its twin's or shares:
+# an in-flight packet, a flow's state and an immutable tuple (an E1 delivery).
+_BRANCHED_ARGS = (_Packet, _FlowState, tuple)
+
+# The log streams a branch copies as plain lists: all but the packet log,
+# the contract store's changes and the injections.
+_LISTED_STREAMS = tuple(stream for stream in RunLog.STREAMS if stream not in
+                        ("packets", "ped_changes", "injections"))
 
 
 class Kernel:
@@ -356,7 +377,7 @@ class Kernel:
                 record.drop_reason = "end_of_run"
 
     def branch(self, injections: list[Injection]) -> "Kernel":
-        """A copy of this kernel that goes on as a fresh run with injections
+        """A twin of this kernel that goes on as a fresh run with injections
         would (see "Branching"); injections must agree with the applied
         ones and hold no other due before the time advance reached."""
         applied = self.log.injections[:self._applied]
@@ -364,30 +385,75 @@ class Kernel:
         if pending[:self._applied] != applied:
             raise ValueError("branch disagrees on an applied injection")
 
-        # Shared with the copy: the sentinel (compared by identity), the
-        # segments and every record but the in-flight packets'.  The weak
-        # proxy is re-pointed after copying; both kernels number on from seq.
-        memo: dict[int, Any] = {id(_NO_ARG): _NO_ARG,
-                                id(self.controller.kernel): None}
-        for _, _, _, arg in self._queue:
-            if type(arg) is _Packet:
-                memo[id(arg.record)] = copy.copy(arg.record)
+        twin = Kernel.__new__(Kernel)
+        topology = self.topology.twin()
+        store = self.store.twin()
         packets = self.log.packets
-        log = RunLog(**{stream: list(getattr(self.log, stream))
-                        for stream in RunLog.STREAMS if stream != "packets"})
-        log.packets = PacketLog([memo.get(id(record), record)
-                                 for record in packets.simulated],
-                                packets.segments)
-        log.injections = applied
-        for stream in RunLog.STREAMS:
-            memo[id(getattr(self.log, stream))] = getattr(log, stream)
-        memo[id(self.log)] = log
+        log = RunLog(PacketLog([], packets.segments),
+                     ped_changes=store.ped_changes, injections=applied,
+                     **{stream: list(getattr(self.log, stream))
+                        for stream in _LISTED_STREAMS})
+        flows = {flow_id: _FlowState(state.flow, state.pair, state.covered,
+                                     state.bits_sent, state.next_seq,
+                                     state.started)
+                 for flow_id, state in self._flows.items()}
+        controller = self.controller.twin(twin, topology, store, log)
+        # Both kernels number on from seq.
         seq = next(self._seq)
         self._seq = itertools.count(seq)
-        memo[id(self._seq)] = itertools.count(seq)
 
-        twin = copy.deepcopy(self, memo)
-        twin.controller.kernel = weakref.proxy(twin)
+        twin.topology = topology
+        twin.config = self.config
+        twin.control = self.control
+        twin.log = log
+        twin.now = self.now
+        twin._queue = queue = []
+        twin._seq = itertools.count(seq)
+        twin.egress_free = dict(self.egress_free)
+        twin._last_down = dict(self._last_down)
+        twin._forwarding = {key: list(entries)
+                            for key, entries in self._forwarding.items()}
+        twin._plans = {}  # refilled over the twin's Links as packets ask
+        twin._host_delay = self._host_delay
+        twin._queue_limit = self._queue_limit
+        twin._applied = self._applied
+        twin._reached = self._reached
+        twin._setup_end = self._setup_end
+        twin._period = self._period
+        twin._period_at = self._period_at
+        twin._snapshot = self._snapshot
+        twin.store = store
+        twin._flows = flows
+        twin.controller = controller
+
+        # The heap in the same order, each action bound to the twin's
+        # kernel or controller and each argument mapped to its twin.
+        owners = {id(self): twin, id(self.controller): controller}
+        in_flight: dict[int, PacketRecord] = {}
+        for at, number, action, arg in self._queue:
+            owner = owners.get(id(getattr(action, "__self__", None)))
+            kind = type(arg)
+            if owner is None or not (kind in _BRANCHED_ARGS or arg is _NO_ARG):
+                raise TypeError(f"cannot branch a heap entry running "
+                                f"{action!r} on {arg!r}")
+            if kind is _Packet:
+                record = arg.record
+                copied = in_flight[id(record)] = PacketRecord(
+                    record.flow_id, record.seq, record.pair, record.covered,
+                    record.length, record.sent_at, record.path,
+                    record.delivered_at, record.drop_reason,
+                    record.actual_delay, record.queue_wait)
+                packet = _Packet(copied, twin._hop_plan(record.path,
+                                                        record.length))
+                packet.hop, packet.entered = arg.hop, arg.entered
+                arg = packet
+            elif kind is _FlowState:
+                arg = flows[arg.flow.id]
+            queue.append((at, number, MethodType(action.__func__, owner),
+                          arg))
+        log.packets.simulated = [in_flight.get(id(record), record)
+                                 for record in packets.simulated]
+
         twin.inject_schedule(pending[self._applied:])
         return twin
 

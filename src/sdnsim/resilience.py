@@ -92,6 +92,18 @@ def variant_by_name(name: str) -> MechanismVariant:
         raise ValueError(f"unknown mechanism variant {name!r}") from None
 
 
+def variants_by_name(names: list[str]) -> list[MechanismVariant]:
+    """The named variants in order; ValueError for an unknown name or a
+    variant named twice, by its full name or an alias."""
+    variants: list[MechanismVariant] = []
+    for name in names:
+        variant = variant_by_name(name)
+        if variant in variants:
+            raise ValueError(f"variant {variant.name} named twice")
+        variants.append(variant)
+    return variants
+
+
 class EventKind(Enum):
     E1_LINK_FAILURE = "E1"
     E2_CONTRACT_CHANGE = "E2"
@@ -215,6 +227,28 @@ class ResilienceManager:
         # Events since the last cycle boundary, for detection-delay
         # attribution when a proactive-only configuration finds the fault.
         self._pending: list[tuple[int, EventKind, tuple]] = []
+
+    def twin(self, kernel, topology: Topology, store: ContractStore,
+             log) -> ResilienceManager:
+        """A copy of this manager for kernel, a twin of this one's kernel
+        with its topology, store and log: the same memos and pending
+        events, its own containers and a probe plan over topology."""
+        twin = ResilienceManager.__new__(ResilienceManager)
+        twin.variant = self.variant
+        twin.topology = topology
+        twin.control = self.control
+        twin.store = store
+        twin.kernel = weakref.proxy(kernel)
+        twin.config = self.config
+        twin.log = log
+        twin.matrix = dict(self.matrix)
+        twin._probe_plan = self._probe_plan.twin(topology)
+        twin._routes = dict(self._routes)
+        twin._routes_version = self._routes_version
+        twin.cycle_index = self.cycle_index
+        twin.routed_pairs = set(self.routed_pairs)
+        twin._pending = list(self._pending)
+        return twin
 
     # ------------------------------------------------------------------
     # estimation cycle

@@ -117,12 +117,18 @@ class PacketLog:
         return self._records()
 
     def _records(self):
+        for part in self.parts():
+            yield from part
+
+    def parts(self):
+        """The log in order as runs of simulated records, each a list, and
+        the Segments between them."""
         simulated, start = self.simulated, 0
         for at, segment in self.segments:
-            yield from simulated[start:at]
-            yield from segment
+            yield simulated[start:at]
+            yield segment
             start = at
-        yield from simulated[start:]
+        yield simulated[start:]
 
     def __getitem__(self, index: int) -> Any:
         size = len(self)
@@ -197,39 +203,31 @@ class RunLog:
         shape are laid out once as a str.format pattern; ints, None and
         booleans are written directly, strings and tuples of strings are
         encoded once per call, and everything else (enums as their values)
-        goes through one sort_keys encoder.
+        goes through one sort_keys encoder.  A segment of the packet log is
+        written from its template records (see _segment_lines).
         """
         lines = []
         memo: dict = {}  # str or tuple of str -> its JSON text
         for stream in self.STREAMS:
+            records = getattr(self, stream)
             patterns: dict[tuple, str] = {}
-            for record in getattr(self, stream):
-                fields = vars(record)
-                texts = []
-                for value in fields.values():
-                    kind = type(value)
-                    if kind is int:
-                        texts.append(str(value))
-                    elif value is None:
-                        texts.append("null")
-                    elif value is True:
-                        texts.append("true")
-                    elif value is False:
-                        texts.append("false")
-                    elif kind is str or kind is tuple:
-                        try:
-                            texts.append(memo[value])
-                        except KeyError:
-                            texts.append(_memoized(memo, value))
-                        except TypeError:  # a tuple holding a list
-                            texts.append(_encode(value))
-                    else:
-                        texts.append(_encode(_plain(value)))
-                names = tuple(fields)
-                pattern = patterns.get(names)
-                if pattern is None:
-                    pattern = patterns[names] = _line_pattern(stream, names)
-                lines.append(pattern.format(*texts))
+            for part in (records.parts() if isinstance(records, PacketLog)
+                         else (records,)):
+                if type(part) is Segment:
+                    names = PacketValues._fields
+                    if names not in patterns:
+                        patterns[names] = _line_pattern(stream, names)
+                    lines += _segment_lines(part, patterns[names], memo)
+                    continue
+                for record in part:
+                    fields = vars(record)
+                    names = tuple(fields)
+                    pattern = patterns.get(names)
+                    if pattern is None:
+                        pattern = patterns[names] = _line_pattern(stream,
+                                                                  names)
+                    lines.append(pattern.format(*_texts(fields.values(),
+                                                        memo)))
         return "\n".join(lines) + ("\n" if lines else "")
 
     @staticmethod
@@ -276,6 +274,62 @@ class RunLog:
 # parse_jsonl reuses.
 _encode = json.JSONEncoder(sort_keys=True).encode
 _decoder = json.JSONDecoder()
+
+
+def _texts(values: Iterable, memo: dict) -> list[str]:
+    """The JSON text of each of a record's field values, in order."""
+    texts = []
+    for value in values:
+        kind = type(value)
+        if kind is int:
+            texts.append(str(value))
+        elif value is None:
+            texts.append("null")
+        elif value is True:
+            texts.append("true")
+        elif value is False:
+            texts.append("false")
+        elif kind is str or kind is tuple:
+            try:
+                texts.append(memo[value])
+            except KeyError:
+                texts.append(_memoized(memo, value))
+            except TypeError:  # a tuple holding a list
+                texts.append(_encode(value))
+        else:
+            texts.append(_encode(_plain(value)))
+    return texts
+
+
+# Where a replicated copy differs from its template record: its seq,
+# sent_at and delivered_at, by field index, with a stand-in for each slot.
+# JSON text never holds a raw control character.
+_SHIFTED = {PacketValues._fields.index(name): mark for name, mark in (
+    ("seq", "\x00"), ("sent_at", "\x01"), ("delivered_at", "\x02"))}
+
+
+def _segment_lines(segment: Segment, pattern: str, memo: dict) -> list[str]:
+    """The lines of a segment's records, in log order.  Each template
+    record's line is laid out once as a str.format pattern with its fixed
+    fields written in and slots for the copy's seq, sent_at and
+    delivered_at, which stays null for a dropped record."""
+    copies = []
+    for values in segment.template:
+        texts = _texts(values, memo)
+        for index, mark in _SHIFTED.items():
+            if values[index] is not None:
+                texts[index] = mark
+        line = pattern.format(*texts).replace("{", "{{").replace("}", "}}")
+        copies.append((line.replace("\x00", "{0}").replace("\x01", "{1}")
+                       .replace("\x02", "{2}").format, values.seq,
+                       values.sent_at, values.delivered_at or 0))
+    lines = []
+    period = segment.period
+    for k in range(1, segment.n + 1):
+        shift = k * period
+        lines += [line(seq + k, sent + shift, delivered + shift)
+                  for line, seq, sent, delivered in copies]
+    return lines
 
 
 def _memoized(memo: dict, value: str | tuple) -> str:

@@ -113,3 +113,11 @@ def test_empty_run_rejected_by_parser(option, value, message, capsys):
         main(["run", "scenarios/linear_chain.scn", option, value])
     assert exited.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_variant_named_twice_rejected_by_parser(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["run", "scenarios/linear_chain.scn", "--variants",
+              "woRM,SDN-woRM", "--seeds", "1"])
+    assert exited.value.code == 2
+    assert "variant SDN-woRM named twice" in capsys.readouterr().err

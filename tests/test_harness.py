@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import gc
 import json
@@ -288,11 +289,23 @@ class TestRunSingle:
 
     def test_finished_run_is_freed_without_the_cyclic_collector(
             self, ring_scenario):
+        """A run, and a kernel and its twin branched with a packet in
+        flight, each run to the end."""
+        scenario = ring_scenario.with_flow_count(1)
+        injections = materialize_injections(scenario, 1)
         gc.collect()
         gc.disable()
         try:
-            run_single(ring_scenario.with_flow_count(1), "RM", 1,
-                       keep_log=False)
+            run_single(scenario, "RM", 1, keep_log=False)
+            kernel = harness._start_kernel(scenario, variant_by_name("RM"),
+                                           injections)
+            kernel.advance(20 * SECOND + MS)
+            twin = kernel.branch(injections)
+            assert twin.log.packets.simulated[-1].delivered_at is None
+            for each in (twin, kernel):
+                run_single(scenario, "RM", 1, keep_log=False,
+                           injections=injections, kernel=each)
+            del kernel, twin, each
             alive = [o for o in gc.get_objects() if isinstance(o, Kernel)]
         finally:
             gc.enable()
@@ -363,6 +376,10 @@ class TestRunExperiment:
         scenario = ring_scenario.with_flow_count(2)
         result = run_experiment(scenario, ["woRM"], [1])
         assert result.mean("SDN-woRM", None, "restoration_mean") is None
+
+    def test_a_variant_named_twice_is_rejected(self, ring_scenario):
+        with pytest.raises(ValueError, match="variant SDN-woRM named twice"):
+            run_experiment(ring_scenario, ["woRM", "SDN-woRM"], [1])
 
     @pytest.mark.parametrize("variants, seeds", [([], [1]), (["RM"], [])])
     def test_needs_a_variant_and_a_seed(self, ring_scenario, variants, seeds):
@@ -442,6 +459,22 @@ class TestSharedKernels:
         runs, kernels = self.runs_and_kernels(scenario, ["woRM", "RM"], [1],
                                               ("events", [1, 2, 3]))
         assert len(runs) == 6
+        assert kernels == 2
+        assert_runs_match_fresh_runs(runs)
+
+    def test_branches_without_the_copy_module(self, ring_scenario):
+        """A branch builds its twin: an events sweep runs with copy.copy
+        and copy.deepcopy refused, and every run equals a fresh one."""
+        def refused(*args, **kwargs):
+            raise AssertionError("the copy module was used")
+
+        scenario = ring_scenario.with_flow_count(2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(copy, "copy", refused)
+            patch.setattr(copy, "deepcopy", refused)
+            runs, kernels = self.runs_and_kernels(
+                scenario, ["woRM", "RM"], [1, 2], ("events", [1, 2, 3]))
+        assert len(runs) == 12
         assert kernels == 2
         assert_runs_match_fresh_runs(runs)
 

@@ -1,6 +1,10 @@
+import dataclasses
+import gc
 from contextlib import nullcontext
 from dataclasses import replace
+from enum import Enum
 from pathlib import Path
+from types import BuiltinFunctionType, CodeType, FunctionType, ModuleType
 
 import pytest
 
@@ -22,12 +26,24 @@ from sdnsim.injections import (
     PedChangeInjection,
     materialize_injections,
 )
-from sdnsim.kernel import InjectionError, Kernel, ScheduleError
+from sdnsim.kernel import (
+    InjectionError,
+    Kernel,
+    PacketRecord,
+    ScheduleError,
+    _NO_ARG,
+    _Packet,
+)
 from sdnsim.contracts import create_contract_pair
 from sdnsim import harness, runlog
 from sdnsim.harness import run_single
-from sdnsim.resilience import VARIANT_ALIASES, variant_by_name
-from sdnsim.scenario import load_scenario
+from sdnsim.resilience import (
+    ResilienceManager,
+    VARIANT_ALIASES,
+    variant_by_name,
+)
+from sdnsim.runlog import Segment
+from sdnsim.scenario import load_scenario, parse_scenario
 
 from conftest import (
     GBPS,
@@ -534,6 +550,96 @@ class TestSegments:
             longer = dict(done.log.packets.segments)[at]
             assert longer is not last and longer.n > n
         assert last.n == n
+
+
+class TestTwin:
+    """A branch is a twin: it holds its own copy of every piece of live
+    state and shares only what no run changes."""
+
+    split = 20 * SECOND + 600 * US
+    # Before the split: a bound change, and a failure of S1-S10, on the
+    # route S1 S10 S9 S8, while the packets sent at 20 s cross it.  The
+    # reactive controller hears of it 0.25 ms later, after the split.
+    common = [PedChangeInjection(at=15 * SECOND, pair_id="C1",
+                                 factor_ppm=700_000),
+              LinkDownInjection(at=20 * SECOND + 500 * US, a="S1", b="S10")]
+    trunk = common + [LinkDownInjection(at=30 * SECOND, a="S1", b="S2")]
+    branched = common + [LinkUpInjection(at=40 * SECOND, a="S1", b="S10")]
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        text = (SCENARIOS / "industrial_ring_e1.scn").read_text()
+        return parse_scenario(text.replace(
+            "auto_link_failures count=4 window=15s..140s", ""))
+
+    @staticmethod
+    def reachable(root, opaque) -> dict:
+        """Every object reachable from root by gc.get_referents, by id.
+        Classes, functions and modules are not walked into, nor opaque
+        ones and those that may be shared."""
+        seen = {}
+        stack = [root]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen:
+                continue
+            seen[id(obj)] = obj
+            if not (isinstance(obj, (type, ModuleType, FunctionType,
+                                     BuiltinFunctionType, CodeType, Enum))
+                    or id(obj) in opaque or TestTwin.frozen(obj)
+                    or type(obj) is PacketRecord):
+                stack.extend(gc.get_referents(obj))
+        return seen
+
+    @staticmethod
+    def frozen(obj) -> bool:
+        return (dataclasses.is_dataclass(obj) and not isinstance(obj, type)
+                and type(obj).__dataclass_params__.frozen)
+
+    def test_shares_no_mutable_object_with_its_parent(self, scenario):
+        kernel = harness._start_kernel(scenario, variant_by_name("RM"),
+                                       self.trunk)
+        kernel.advance(self.split)
+        args = [arg for _, _, _, arg in kernel._queue]
+        assert any(type(arg) is _Packet for arg in args)
+        assert not kernel.topology.link_between("S1", "S10").is_up
+        assert kernel.store.pair("C1").strong_ped != 3_200_000
+        assert any(action.__func__ is ResilienceManager._on_e1_delivered
+                   for _, _, action, _ in kernel._queue)
+
+        twin = kernel.branch(self.branched)
+        # The run's inputs, which nothing changes, and the kernel's marker.
+        opaque = {id(kernel.config), id(kernel.control), id(_NO_ARG)}
+        ours = self.reachable(kernel, opaque)
+        theirs = self.reachable(twin, opaque)
+        shared = [ours[key] for key in ours.keys() & theirs.keys()]
+        assert any(type(obj) is Segment for obj in shared)
+
+        def may_share(obj) -> bool:
+            if type(obj) is PacketRecord:  # finished records only
+                return (obj.delivered_at is not None
+                        or obj.drop_reason is not None)
+            return (type(obj) in (str, int, float, bool, type(None))
+                    or isinstance(obj, (tuple, frozenset, Enum, Segment, type,
+                                        ModuleType, FunctionType,
+                                        BuiltinFunctionType, CodeType))
+                    or self.frozen(obj) or id(obj) in opaque)
+
+        assert [obj for obj in shared if not may_share(obj)] == []
+
+        for done, injections in ((twin, self.branched),
+                                 (kernel, self.trunk)):
+            fresh = run_single(scenario, "RM", 1, injections=injections)
+            ran = run_single(scenario, "RM", 1, injections=injections,
+                             kernel=done)
+            assert ran.log.to_jsonl() == fresh.log.to_jsonl()
+
+    def test_a_heap_entry_of_an_unknown_kind_is_not_branched(self):
+        kernel = make_kernel(two_hop_spec(), [one_packet_flow()])
+        kernel.setup(2 * SECOND, [])
+        kernel.schedule_call(SECOND, kernel.forwarding_path, ["S1", "S3"])
+        with pytest.raises(TypeError, match="cannot branch a heap entry"):
+            kernel.branch([])
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.scn")),

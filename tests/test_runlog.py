@@ -17,7 +17,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdnsim.harness import run_single
-from sdnsim.runlog import RunLog, record_to_dict
+from sdnsim.runlog import (
+    PacketLog,
+    PacketRecord,
+    PacketValues,
+    RunLog,
+    Segment,
+    record_to_dict,
+)
 from sdnsim.scenario import load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -95,6 +102,21 @@ def test_equal_tuples_of_other_types_keep_their_own_text():
     assert log.to_jsonl() == reference_jsonl(log)
     assert '"path": [1, 2.0]' in log.to_jsonl()
     assert '"path": [true, 2]' in log.to_jsonl()
+
+
+def test_segment_lines_equal_json_dumps_of_their_records():
+    """Copies are written from their template's text: braces and escapes
+    in its fixed fields stay as they are, and a dropped record's
+    delivered_at stays null in every copy."""
+    delivered = PacketValues("F{0}", 3, ("S{1", "S2}"), True, 12_000, 100,
+                             ("S{1", "{}", "S2}"), 150, None, 50, 7)
+    dropped = PacketValues("F\u2028\"", 4, ("S1", "S2"), False, 8, 110,
+                           None, None, "no_route", None, 0)
+    log = RunLog(packets=PacketLog(
+        [PacketRecord(*delivered), PacketRecord(*dropped)],
+        [(1, Segment((delivered, dropped), 3, 1_000))]))
+    assert len(log.packets) == 8
+    assert log.to_jsonl() == reference_jsonl(log)
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.scn")),
