@@ -53,8 +53,6 @@ from .harness import (
     MetricsReport,
     RunResult,
     compute_restoration_stats,
-    compute_success_rate,
-    compute_throughput,
     emit_reports,
     run_experiment,
     run_single,

@@ -33,33 +33,11 @@ from .scenario import Scenario
 # run, or the SimpleNamespace records RunLog.parse_jsonl gives back)
 
 
-def compute_success_rate(packets: list,
-                         ped_changes: list) -> tuple[float, float]:
-    """Fraction of contract-covered packets meeting the active requirement.
-
-    Returns (rate vs active bound, rate vs strong bound).  Dropped packets
-    count as unsatisfied.
-    """
-    return _score_packets(packets, ped_changes)[2:]
-
-
-def compute_throughput(packets: list, emulation_time: int) -> float:
-    """Delivered bits across all flows divided by the emulation time."""
-    bits = sum(p.length for p in packets if p.delivered_at is not None)
-    return _throughput(bits, emulation_time)
-
-
-def _throughput(bits: int, emulation_time: int) -> float:
-    if emulation_time <= 0:
-        raise ValueError("emulation time must be positive")
-    return bits * SECOND / emulation_time
-
-
 # A span no instant falls in: (change, lo, hi) with lo > hi.
 _NO_SPAN = (None, math.inf, -math.inf)
 
 
-def _score_packets(packets: list, ped_changes: list,
+def _score_packets(packets: PacketLog | list, ped_changes: list,
                    ) -> tuple[int, int, float, float]:
     """(packets delivered, bits delivered, success rate, strong success
     rate) in one pass.
@@ -76,27 +54,31 @@ def _score_packets(packets: list, ped_changes: list,
     timeline = BoundTimeline(ped_changes)
     spans: dict[tuple, tuple] = {}
     delivered = bits = covered = hits = strong_hits = 0
-    if isinstance(packets, PacketLog) and packets.segments:
-        parts: list = [packets.simulated]
-        for _, segment in packets.segments:
-            n, period = segment.n, segment.period
-            for values in segment.template:
-                at = values.delivered_at
-                if values.covered and at is not None:
-                    change, _, hi = timeline.span(*values.pair, at + period)
-                    if at + n * period >= hi:  # a bound change among copies
-                        parts.append(Segment((values,), n, period))
-                        continue
-                    if change is not None:
-                        delay = values.actual_delay
-                        hits += n * (delay <= change.active_ped)
-                        strong_hits += n * (delay <= change.strong_ped)
-                if at is not None:
-                    delivered += n
-                    bits += n * values.length
-                covered += n * values.covered
-        packets = chain.from_iterable(parts)
-    for packet in packets:
+    # Scored record by record: the simulated parts, and the copies of each
+    # template record whose copies a bound change falls among.
+    listed = []
+    parts = packets.parts() if isinstance(packets, PacketLog) else (packets,)
+    for part in parts:
+        if type(part) is not Segment:
+            listed.append(part)
+            continue
+        n, period = part.n, part.period
+        for record in part.template:
+            at = record.delivered_at
+            if record.covered and at is not None:
+                change, _, hi = timeline.span(*record.pair, at + period)
+                if at + n * period >= hi:  # a bound change among copies
+                    listed.append(Segment((record,), n, period))
+                    continue
+                if change is not None:
+                    delay = record.actual_delay
+                    hits += n * (delay <= change.active_ped)
+                    strong_hits += n * (delay <= change.strong_ped)
+            if at is not None:
+                delivered += n
+                bits += n * record.length
+            covered += n * record.covered
+    for packet in chain.from_iterable(listed):
         at = packet.delivered_at
         if at is not None:
             delivered += 1
@@ -150,7 +132,6 @@ class MetricsReport:
 
 @dataclass
 class RunResult:
-    scenario_name: str
     variant: str
     seed: int
     metrics: MetricsReport
@@ -159,19 +140,25 @@ class RunResult:
 
 def metrics_from_streams(log: RunLog, variant: str, seed: int,
                          emulation_time: int) -> MetricsReport:
-    """Headline metrics from a run's log, live or from RunLog.parse_jsonl."""
-    packets = log.packets
+    """Headline metrics from a run's log, live or from RunLog.parse_jsonl.
+
+    Throughput is the delivered bits across all flows divided by the
+    emulation time.
+    """
+    if emulation_time <= 0:
+        raise ValueError("emulation time must be positive")
+    sent = len(log.packets)
     delivered, bits, success, success_strong = _score_packets(
-        packets, log.ped_changes)
+        log.packets, log.ped_changes)
     mean, totals = compute_restoration_stats(log.restorations)
     return MetricsReport(
         variant=variant, seed=seed,
-        packets_sent=len(packets),
+        packets_sent=sent,
         packets_delivered=delivered,
-        packets_dropped=len(packets) - delivered,
+        packets_dropped=sent - delivered,
         success_rate=success,
         success_rate_strong=success_strong,
-        throughput_bps=_throughput(bits, emulation_time),
+        throughput_bps=bits * SECOND / emulation_time,
         restoration_mean=mean,
         restoration_totals=tuple(totals),
         warning_count=len(log.warnings),
@@ -202,12 +189,12 @@ def verify_conservation(log: RunLog) -> None:
         if record.total != expected:
             raise AssertionError(f"restoration total mismatch: {record}")
     packets = log.packets
-    if isinstance(packets, PacketLog) and packets.segments:
-        # A copy differs from its template record only by a shift of its
-        # seq and times, which none of these checks sees.
-        packets = chain(packets.simulated, *(
-            segment.template for _, segment in packets.segments))
-    for packet in packets:
+    parts = packets.parts() if isinstance(packets, PacketLog) else (packets,)
+    # A copy differs from its template record only by a shift of its seq
+    # and times, which none of these checks sees.
+    for packet in chain.from_iterable(
+            part.template if type(part) is Segment else part
+            for part in parts):
         delivered = packet.delivered_at is not None
         if delivered == (packet.drop_reason is not None):
             raise AssertionError(f"packet neither delivered nor dropped: {packet}")
@@ -269,8 +256,7 @@ def run_single(scenario: Scenario, variant_name: str | None = None,
     verify_conservation(kernel.log)
     metrics = metrics_from_streams(
         kernel.log, variant.name, run_seed, scenario.emulation_time)
-    return RunResult(scenario_name=scenario.name, variant=variant.name,
-                     seed=run_seed, metrics=metrics,
+    return RunResult(variant=variant.name, seed=run_seed, metrics=metrics,
                      log=kernel.log if keep_log else None)
 
 

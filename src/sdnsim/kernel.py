@@ -41,15 +41,16 @@ current states, ContractStore.twin new pairs and its list of bound
 changes, and ResilienceManager.twin the controller's memos, its pending
 events and a probe plan over the twin's Links.  The kernel copies its
 egress, link-down and forwarding tables, the flows' states, each log
-stream's list and the heap.  The heap keeps its order and sequence
-numbers; each action is bound to the twin's kernel or controller, each
-flow's tick to the twin's flow state, and each packet in flight becomes
-a new packet with a copy of its record, in the same place of the twin's
-log, on a hop plan over the twin's Links (plans refill as packets ask).
-An argument of any other kind is refused, so that no new kind of heap
-entry is shared by accident.  What no run changes is shared: flows, the
-config and control channel, the variant, cost entries, routes, the
-fast-forward snapshot, segments, finished records and the applied
+stream's list, the packet log's open list and the heap.  The heap keeps
+its order and sequence numbers; each action is bound to the twin's
+kernel or controller, each flow's tick to the twin's flow state, and
+each packet in flight becomes a new packet with a copy of its record, in
+the same place of the twin's open list, on a hop plan over the twin's
+Links (plans refill as packets ask).  An argument of any other kind is
+refused, so that no new kind of heap entry is shared by accident.  What
+no run changes is shared: flows, the config and control channel, the
+variant, cost entries, routes, the fast-forward snapshot, the packet
+log's closed parts (finished records and segments) and the applied
 injections.  Copies are built by their constructors or by plain
 attribute assignment, not by copy.deepcopy, whose generic walk of every
 reachable object cost several times a fresh kernel's set-up.
@@ -73,15 +74,19 @@ The period from x therefore repeats the one from x - P shifted by P, and
 so does each whole period that ends by H.  The kernel logs n such
 periods, stopping short of each flow's last packet, as one segment of
 its packet log (runlog.PacketLog): the last period's records, n and P,
-with no record built.  A fast-forward that goes on from the previous
-one's last copy replaces that segment with a longer one; segments are
-never changed in place, as branches share them.  It moves the flows'
-counters, their ticks, each egress the period used and the clock on by
-nP.  Sequence order is kept without renumbering.  The pending ticks were
-all scheduled in the last period and every other pending entry before
-it, so the ticks' numbers already order them among themselves and after
-every other pending entry, as the numbers of the ticks they stand for
-would; entries scheduled later number above all of them.
+with no record built.  The segment closes the log's open list: no
+packet is in flight, so every record before the new open list is
+finished, branches share those closed parts as they are, and the
+end-of-run settle reads only the open list.  A fast-forward that goes on
+from the previous one's last copy replaces that segment with a longer
+one; segments are never changed in place, as branches share them.  It
+moves the flows' counters, their ticks, each egress the period used and
+the clock on by nP.  Sequence order is kept without renumbering.  The
+pending ticks were all scheduled in the last period and every other
+pending entry before it, so the ticks' numbers already order them among
+themselves and after every other pending entry, as the numbers of the
+ticks they stand for would; entries scheduled later number above all of
+them.
 """
 
 from __future__ import annotations
@@ -208,7 +213,7 @@ class Kernel:
         # Fast-forward (see "Fast-forward"): the common gap P, the next
         # multiple of it to snapshot at (never when the flows' gaps
         # differ), and the last snapshot as (instant, pending ticks,
-        # earliest other heap entry, injections applied, packets simulated).
+        # earliest other heap entry, injections applied, open packets).
         gaps = {flow.inter_packet_gap for flow in flows}
         self._period = gaps.pop() if len(gaps) == 1 else 0
         self._period_at: float = 0 if self._period > 0 else math.inf
@@ -326,8 +331,7 @@ class Kernel:
                       for at, _, index in ticks)
         last = self._snapshot
         packets = self.log.packets
-        self._snapshot = (x, shape, other, self._applied,
-                          len(packets.simulated))
+        self._snapshot = (x, shape, other, self._applied, len(packets.open))
         since = x - period
         if (not shape or last is None or last[:2] != (since, shape)
                 or last[3] != self._applied
@@ -359,7 +363,7 @@ class Kernel:
         self.now += span
         # The last period is now the segment's last copy.
         self._snapshot = (x + span - period, shape, other, self._applied,
-                          len(packets.simulated))
+                          len(packets.open))
         self._period_at = x + span
 
     def run_until(self, t_end: int) -> None:
@@ -372,7 +376,7 @@ class Kernel:
         self.advance(t_end + 1)
         self.now = t_end
         self._queue.clear()
-        for record in self.log.packets.simulated:  # segments hold none
+        for record in self.log.packets.open:  # closed parts are finished
             if record.delivered_at is None and record.drop_reason is None:
                 record.drop_reason = "end_of_run"
 
@@ -389,7 +393,7 @@ class Kernel:
         topology = self.topology.twin()
         store = self.store.twin()
         packets = self.log.packets
-        log = RunLog(PacketLog([], packets.segments),
+        log = RunLog(PacketLog(closed=packets.closed),
                      ped_changes=store.ped_changes, injections=applied,
                      **{stream: list(getattr(self.log, stream))
                         for stream in _LISTED_STREAMS})
@@ -451,8 +455,8 @@ class Kernel:
                 arg = flows[arg.flow.id]
             queue.append((at, number, MethodType(action.__func__, owner),
                           arg))
-        log.packets.simulated = [in_flight.get(id(record), record)
-                                 for record in packets.simulated]
+        log.packets.open = [in_flight.get(id(record), record)
+                            for record in packets.open]
 
         twin.inject_schedule(pending[self._applied:])
         return twin
@@ -505,7 +509,7 @@ class Kernel:
         path = self.forwarding_path(state.pair, at)
         record = PacketRecord(flow.id, state.next_seq, state.pair,
                               state.covered, length, at, path)
-        self.log.packets.simulated.append(record)
+        self.log.packets.open.append(record)
         if path is None:
             record.drop_reason = "no_route"
         else:

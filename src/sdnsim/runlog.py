@@ -4,18 +4,20 @@ The log is the single source of truth for metric computation.  In memory
 it holds the typed records the kernel and controller append; on disk it is
 JSON lines.  Parsing a serialized log gives back a RunLog whose records
 carry the same attribute names, so metrics recomputed from it must equal
-the ones computed online.  The packet stream is a PacketLog, which holds
-each stretch of periods that a kernel fast-forwarded through as one
-Segment and builds those records only when read.
+the ones computed online.  The packet stream is a PacketLog: finished
+parts, shared as they are by branched logs, then the one open list the
+kernel appends to.  Each stretch of periods that a kernel fast-forwarded
+through is one finished part, a Segment over the last period's records,
+whose copies are built only when read.
 """
 
 from __future__ import annotations
 
 import json
-from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from operator import attrgetter, eq
+from itertools import chain
+from operator import eq
 from types import SimpleNamespace
 from typing import Any, Iterable
 
@@ -51,22 +53,15 @@ class PacketRecord:
         return self.delivered_at is not None
 
 
-# A finished packet record's fields as one immutable tuple, read by the
-# same names.
-PacketValues = namedtuple("PacketValues",
-                          [f.name for f in fields(PacketRecord)])
-_values = attrgetter(*PacketValues._fields)
-
-
 class Segment:
-    """n copies of one period's packet records, template: the k-th copy of
-    a record adds k to its seq and k * period to its send and delivery
-    times, every other field unchanged.  Never changed once made, as
-    branched logs share it."""
+    """n copies of one period's finished packet records, template: the k-th
+    copy of a record adds k to its seq and k * period to its send and
+    delivery times, every other field unchanged.  Never changed once made,
+    as branched logs share it."""
 
     __slots__ = ("template", "n", "period")
 
-    def __init__(self, template: tuple[PacketValues, ...], n: int,
+    def __init__(self, template: tuple[PacketRecord, ...], n: int,
                  period: int) -> None:
         self.template, self.n, self.period = template, n, period
 
@@ -75,75 +70,44 @@ class Segment:
 
     def __iter__(self):
         for k in range(1, self.n + 1):
-            yield from [self._copy(values, k) for values in self.template]
+            yield from [self._copy(record, k) for record in self.template]
 
-    def __getitem__(self, index: int) -> PacketRecord:
-        k, i = divmod(index, len(self.template))
-        return self._copy(self.template[i], k + 1)
-
-    def _copy(self, values: PacketValues, k: int) -> PacketRecord:
-        (flow, seq, pair, covered, length, sent, path, delivered, reason,
-         delay, wait) = values
+    def _copy(self, record: PacketRecord, k: int) -> PacketRecord:
         shift = k * self.period
+        delivered = record.delivered_at
         return PacketRecord(
-            flow, seq + k, pair, covered, length, sent + shift, path,
-            None if delivered is None else delivered + shift, reason, delay,
-            wait)
+            record.flow_id, record.seq + k, record.pair, record.covered,
+            record.length, record.sent_at + shift, record.path,
+            None if delivered is None else delivered + shift,
+            record.drop_reason, record.actual_delay, record.queue_wait)
 
 
 class PacketLog:
-    """A run's packet records in log order: the simulated ones in the plain
-    list simulated, which the kernel appends to, and segments as
-    (position, Segment), a segment at position p following the first p
-    simulated records.  Sized, indexable and
-    iterable; a replicated record is built each time it is read, so it
-    equals the one read before but is another object, and changing it
-    changes nothing in the log."""
+    """A run's packet records in log order: closed, a tuple of finished
+    parts, each a tuple of simulated records or a Segment, then open, the
+    list the kernel appends to.  A segment is logged only with no packet
+    in flight, so every record before open is finished and branched logs
+    share closed as it is.  Sized and iterable; a replicated record is
+    built each time it is read, so it equals the one read before but is
+    another object, and changing it changes nothing in the log."""
 
-    __slots__ = ("simulated", "segments", "_replicated")
+    __slots__ = ("open", "closed")
 
-    def __init__(self, simulated: list | None = None,
-                 segments: Iterable[tuple[int, Segment]] = ()) -> None:
-        self.simulated = [] if simulated is None else simulated
-        self.segments = list(segments)
-        self._replicated = sum(len(segment) for _, segment in self.segments)
+    def __init__(self, open: list | None = None, closed: tuple = ()) -> None:
+        self.open = [] if open is None else open
+        self.closed = closed
 
     def __len__(self) -> int:
-        return len(self.simulated) + self._replicated
+        return sum(map(len, self.closed)) + len(self.open)
 
     def __iter__(self):
-        if not self.segments:
-            return iter(self.simulated)
-        return self._records()
+        if not self.closed:
+            return iter(self.open)
+        return chain.from_iterable(self.parts())
 
-    def _records(self):
-        for part in self.parts():
-            yield from part
-
-    def parts(self):
-        """The log in order as runs of simulated records, each a list, and
-        the Segments between them."""
-        simulated, start = self.simulated, 0
-        for at, segment in self.segments:
-            yield simulated[start:at]
-            yield segment
-            start = at
-        yield simulated[start:]
-
-    def __getitem__(self, index: int) -> Any:
-        size = len(self)
-        if index < 0:
-            index += size
-        if not 0 <= index < size:
-            raise IndexError("packet log index out of range")
-        skipped = 0  # replicated records before the current position
-        for at, segment in self.segments:
-            if index < at + skipped:
-                break
-            if index < at + skipped + len(segment):
-                return segment[index - at - skipped]
-            skipped += len(segment)
-        return self.simulated[index - skipped]
+    def parts(self) -> tuple:
+        """The log in order: the closed parts, then the open list."""
+        return self.closed + (self.open,)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (PacketLog, list, tuple)):
@@ -157,22 +121,19 @@ class PacketLog:
 
     def replicate(self, start: int, n: int, period: int) -> None:
         """Log n copies, shifted by 1 to n periods, of one period's records:
-        the simulated ones from position start on, or when none were
-        simulated since start, the last copy of the segment there.  That
-        segment is then replaced by a longer one, never changed: branched
-        logs share it."""
-        simulated, segments = self.simulated, self.segments
-        at = len(simulated)
-        if start < at:
-            segment = Segment(tuple(PacketValues._make(_values(record))
-                                    for record in simulated[start:]),
-                              n, period)
+        the open ones from position start on, which then close with the
+        rest of open, or when open is empty, the last copy of the last
+        segment.  That segment is then replaced by a longer one, never
+        changed: branched logs share it."""
+        open = self.open
+        if open:
+            records = tuple(open)
+            self.closed += (records, Segment(records[start:], n, period))
+            self.open = []
         else:
-            _, last = segments.pop()
-            self._replicated -= len(last)
-            segment = Segment(last.template, last.n + n, period)
-        segments.append((at, segment))
-        self._replicated += len(segment)
+            last = self.closed[-1]
+            self.closed = self.closed[:-1] + (
+                Segment(last.template, last.n + n, period),)
 
 
 @dataclass
@@ -214,7 +175,7 @@ class RunLog:
             for part in (records.parts() if isinstance(records, PacketLog)
                          else (records,)):
                 if type(part) is Segment:
-                    names = PacketValues._fields
+                    names = _PACKET_FIELDS
                     if names not in patterns:
                         patterns[names] = _line_pattern(stream, names)
                     lines += _segment_lines(part, patterns[names], memo)
@@ -238,7 +199,7 @@ class RunLog:
         stream raises ValueError naming its line number."""
         log = RunLog()
         streams = {stream: getattr(log, stream) for stream in RunLog.STREAMS}
-        streams["packets"] = log.packets.simulated
+        streams["packets"] = log.packets.open
         raw_decode, decode = _decoder.raw_decode, _decoder.decode
         # Lines end at "\n" alone: str.splitlines would also split inside
         # strings holding a raw U+2028, which JSON allows.
@@ -301,10 +262,12 @@ def _texts(values: Iterable, memo: dict) -> list[str]:
     return texts
 
 
-# Where a replicated copy differs from its template record: its seq,
-# sent_at and delivered_at, by field index, with a stand-in for each slot.
-# JSON text never holds a raw control character.
-_SHIFTED = {PacketValues._fields.index(name): mark for name, mark in (
+# A packet record's field names in order, as vars() gives them, and where
+# a replicated copy differs from its template record: its seq, sent_at and
+# delivered_at, by field index, with a stand-in for each slot.  JSON text
+# never holds a raw control character.
+_PACKET_FIELDS = tuple(f.name for f in fields(PacketRecord))
+_SHIFTED = {_PACKET_FIELDS.index(name): mark for name, mark in (
     ("seq", "\x00"), ("sent_at", "\x01"), ("delivered_at", "\x02"))}
 
 
@@ -314,15 +277,15 @@ def _segment_lines(segment: Segment, pattern: str, memo: dict) -> list[str]:
     fields written in and slots for the copy's seq, sent_at and
     delivered_at, which stays null for a dropped record."""
     copies = []
-    for values in segment.template:
-        texts = _texts(values, memo)
+    for record in segment.template:
+        texts = _texts(vars(record).values(), memo)
         for index, mark in _SHIFTED.items():
-            if values[index] is not None:
+            if texts[index] != "null":
                 texts[index] = mark
         line = pattern.format(*texts).replace("{", "{{").replace("}", "}}")
         copies.append((line.replace("\x00", "{0}").replace("\x01", "{1}")
-                       .replace("\x02", "{2}").format, values.seq,
-                       values.sent_at, values.delivered_at or 0))
+                       .replace("\x02", "{2}").format, record.seq,
+                       record.sent_at, record.delivered_at or 0))
     lines = []
     period = segment.period
     for k in range(1, segment.n + 1):

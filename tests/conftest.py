@@ -72,7 +72,7 @@ class ReferenceKernel(Kernel):
             flow_id=flow.id, seq=state.next_seq, pair=key,
             covered=state.covered, length=flow.packet_length,
             sent_at=at, path=path)
-        self.log.packets.simulated.append(record)
+        self.log.packets.open.append(record)
         if path is None:
             record.drop_reason = "no_route"
             return
@@ -149,11 +149,22 @@ def experiment_runs(scenario, variants, seeds, sweep=None):
     return runs
 
 
+def assert_same_jsonl(ours, theirs, label=None):
+    """Two serialized logs are equal, line for line.  A failure names the
+    first differing line alone: a diff of whole logs takes minutes."""
+    ours, theirs = ours.split("\n"), theirs.split("\n")
+    first = next((i for i, (a, b) in enumerate(zip_longest(ours, theirs))
+                  if a != b), None)
+    assert first is None, (label, f"line {first + 1}",
+                           ours[first:first + 1], theirs[first:first + 1])
+
+
 def assert_runs_match_fresh_runs(runs):
     """Each recorded run's log and metrics equal a fresh run_single's."""
     for swept, variant, seed, done in runs:
         fresh = harness.run_single(swept, variant, seed)
-        assert done.log.to_jsonl() == fresh.log.to_jsonl(), (variant, seed)
+        assert_same_jsonl(done.log.to_jsonl(), fresh.log.to_jsonl(),
+                          (variant, seed))
         assert done.metrics == fresh.metrics, (variant, seed)
 
 
@@ -194,12 +205,7 @@ def assert_fast_forward_exact(run):
         kernel = run()
     with no_fast_forward():
         simulated = run()
-    ours = kernel.log.to_jsonl().splitlines()
-    theirs = simulated.log.to_jsonl().splitlines()
-    # The first differing line alone: a diff of whole logs takes minutes.
-    first = next((i for i, (a, b) in enumerate(zip_longest(ours, theirs))
-                  if a != b), None)
-    assert first is None, (ours[first:first + 1], theirs[first:first + 1])
+    assert_same_jsonl(kernel.log.to_jsonl(), simulated.log.to_jsonl())
     assert kernel.log == simulated.log
     assert kernel.egress_free == simulated.egress_free
     assert kernel.now == simulated.now

@@ -15,8 +15,6 @@ from sdnsim.contracts import ContractKind, FaultCause, PedChange
 from sdnsim.core import MILLISECOND, SECOND
 from sdnsim.harness import (
     compute_restoration_stats,
-    compute_success_rate,
-    compute_throughput,
     emit_reports,
     metrics_from_streams,
     run_experiment,
@@ -30,7 +28,7 @@ from sdnsim.resilience import (
     RestorationRecord,
     variant_by_name,
 )
-from sdnsim.runlog import PacketLog, PacketValues, RunLog, Segment
+from sdnsim.runlog import PacketLog, RunLog, Segment
 from sdnsim.scenario import load_scenario, parse_scenario
 
 from conftest import assert_runs_match_fresh_runs, experiment_runs
@@ -62,27 +60,38 @@ def restoration(total):
         outcome=RestorationOutcome.RS1_APPLIED)
 
 
+def scored(packets, ped_changes=(), emulation_time=SECOND):
+    """The metrics of a log holding these packets and bound changes."""
+    log = RunLog(packets=packets, ped_changes=list(ped_changes))
+    return metrics_from_streams(log, "SDN-RM", 1, emulation_time)
+
+
+def success_rates(packets, ped_changes):
+    report = scored(packets, ped_changes)
+    return report.success_rate, report.success_rate_strong
+
+
 class TestSuccessRate:
     def test_three_of_four_within_bound(self):
         packets = [packet(0, 3 * MS), packet(1, 4 * MS), packet(2, 5 * MS),
                    packet(3, 6 * MS)]
-        rate, strong = compute_success_rate(packets, ped_history())
+        rate, strong = success_rates(packets, ped_history())
         assert rate == 0.75
         assert strong == 0.75
 
     def test_drops_count_as_unsatisfied(self):
         packets = [packet(0, 3 * MS), packet(1, 0, delivered=False)]
-        rate, _ = compute_success_rate(packets, ped_history())
+        rate, _ = success_rates(packets, ped_history())
         assert rate == 0.5
 
     def test_all_dropped_is_zero(self):
         packets = [packet(i, 0, delivered=False) for i in range(4)]
-        rate, _ = compute_success_rate(packets, ped_history())
+        rate, _ = success_rates(packets, ped_history())
         assert rate == 0.0
 
     def test_uncovered_packets_excluded(self):
         packets = [packet(0, 3 * MS), packet(1, 99 * MS, covered=False)]
-        rate, _ = compute_success_rate(packets, ped_history())
+        rate, _ = success_rates(packets, ped_history())
         assert rate == 1.0
 
     def test_scored_against_bound_active_at_delivery(self):
@@ -92,17 +101,17 @@ class TestSuccessRate:
                       strong_ped=5 * MS, weak_ped=9 * MS)]
         packets = [packet(0, 7 * MS, sent=SECOND),
                    packet(1, 7 * MS, sent=11 * SECOND)]
-        rate, strong = compute_success_rate(packets, history)
+        rate, strong = success_rates(packets, history)
         assert rate == 0.5       # second packet allowed by the weak bound
         assert strong == 0.0     # neither meets the strong bound
 
     def test_no_covered_packets_is_vacuously_one(self):
-        rate, strong = compute_success_rate([], ped_history())
+        rate, strong = success_rates([], ped_history())
         assert rate == 1.0 and strong == 1.0
 
 
 def reference_success_rate(packets, ped_changes):
-    """compute_success_rate as one bisection per covered delivery."""
+    """The success rates as one bisection per covered delivery."""
     changes = sorted(ped_changes, key=lambda c: c.at)
     covered = [p for p in packets if p.covered]
     if not covered:
@@ -154,13 +163,11 @@ def scored_streams(draw):
 @given(scored_streams())
 def test_success_rate_equals_a_bisection_per_packet(streams):
     packets, changes = streams
-    assert compute_success_rate(packets, changes) == \
-        reference_success_rate(packets, changes)
-    log = RunLog(packets=packets, ped_changes=changes)
-    report = metrics_from_streams(log, "SDN-RM", 1, SECOND)
+    report = scored(packets, changes)
     delivered = [p for p in packets if p.delivered_at is not None]
     assert report.packets_delivered == len(delivered)
-    assert report.throughput_bps == compute_throughput(packets, SECOND)
+    # Delivered bits over the one-second emulation time.
+    assert report.throughput_bps == sum(p.length for p in delivered)
     assert (report.success_rate, report.success_rate_strong) == \
         reference_success_rate(packets, changes)
 
@@ -172,18 +179,17 @@ class TestSegments:
     (F2)."""
 
     TEMPLATE = (
-        PacketValues("F1", 0, ("S1", "S8"), True, 100, 20, ("S1", "S8"), 25,
+        PacketRecord("F1", 0, ("S1", "S8"), True, 100, 20, ("S1", "S8"), 25,
                      None, 5, 0),
-        PacketValues("F2", 0, ("S8", "S1"), True, 100, 21, ("S8", "S1"), 29,
+        PacketRecord("F2", 0, ("S8", "S1"), True, 100, 21, ("S8", "S1"), 29,
                      None, 8, 0),
-        PacketValues("F3", 0, ("S1", "S8"), False, 100, 22, None, None,
+        PacketRecord("F3", 0, ("S1", "S8"), False, 100, 22, None, None,
                      "no_route", None, 0),
     )
 
     def segment_log(self):
         template = self.TEMPLATE
-        return PacketLog([PacketRecord(*values) for values in template],
-                         [(len(template), Segment(template, 4, 10))])
+        return PacketLog([], (template, Segment(template, 4, 10)))
 
     @pytest.mark.parametrize("at", [30, 35, 40, 65, 66, 69, 70])
     def test_bound_change_among_the_copies(self, at):
@@ -196,7 +202,7 @@ class TestSegments:
         packets = self.segment_log()
         records = list(packets)
         assert len(records) == 15
-        assert compute_success_rate(packets, changes) == \
+        assert success_rates(packets, changes) == \
             reference_success_rate(records, changes)
         logs = [RunLog(packets=p, ped_changes=changes)
                 for p in (packets, records)]
@@ -210,8 +216,9 @@ class TestSegments:
          "neither delivered nor dropped"),
     ])
     def test_corrupt_template_record_fails_the_check(self, change, message):
-        template = (self.TEMPLATE[0]._replace(**change),) + self.TEMPLATE[1:]
-        log = RunLog(packets=PacketLog([], [(0, Segment(template, 4, 10))]))
+        template = ((dataclasses.replace(self.TEMPLATE[0], **change),)
+                    + self.TEMPLATE[1:])
+        log = RunLog(packets=PacketLog([], (Segment(template, 4, 10),)))
         with pytest.raises(AssertionError, match=message):
             verify_conservation(log)
 
@@ -219,16 +226,22 @@ class TestSegments:
 class TestThroughput:
     def test_delivered_bits_over_time(self):
         packets = [packet(i, MS) for i in range(100)]
-        assert compute_throughput(packets, SECOND) == 1_200_000.0
+        assert scored(packets).throughput_bps == 1_200_000.0
 
     def test_zero_deliveries(self):
         packets = [packet(0, 0, delivered=False)]
-        assert compute_throughput(packets, SECOND) == 0.0
+        assert scored(packets).throughput_bps == 0.0
 
     def test_bounded_by_offered_volume(self):
         packets = [packet(i, MS) for i in range(100)]
         offered = sum(p.length for p in packets)
-        assert compute_throughput(packets, 10 * SECOND) <= offered
+        assert scored(packets, emulation_time=10 * SECOND).throughput_bps \
+            <= offered
+
+    @pytest.mark.parametrize("emulation_time", [0, -SECOND])
+    def test_emulation_time_must_be_positive(self, emulation_time):
+        with pytest.raises(ValueError, match="emulation time must be"):
+            scored([packet(0, MS)], emulation_time=emulation_time)
 
 
 class TestRestorationStats:
@@ -301,7 +314,7 @@ class TestRunSingle:
                                            injections)
             kernel.advance(20 * SECOND + MS)
             twin = kernel.branch(injections)
-            assert twin.log.packets.simulated[-1].delivered_at is None
+            assert twin.log.packets.open[-1].delivered_at is None
             for each in (twin, kernel):
                 run_single(scenario, "RM", 1, keep_log=False,
                            injections=injections, kernel=each)

@@ -341,7 +341,7 @@ class TestInjectionOrder:
         kernel.run_until(2 * SECOND)
         assert [name for name, at in seen if at == SECOND] == [
             "boundary", "tick", "injection", "hop"]
-        assert kernel.log.packets[0].drop_reason == "link_down"
+        assert list(kernel.log.packets)[0].drop_reason == "link_down"
 
 
 def periodic_flow(flow_id="F1", count=100, gap=10 * MS, start=SECOND,
@@ -414,7 +414,7 @@ class TestFastForward:
         assert detour == ("S1", "S2", "S3")
         lost = [r for r in kernel.log.packets if r.drop_reason == "link_down"]
         assert len(lost) == 34  # sent at 2.000 s .. 2.330 s
-        assert kernel.log.packets[-1].path == detour
+        assert list(kernel.log.packets)[-1].path == detour
         assert counts.packets > 200
 
     def test_link_that_went_down_inside_the_compared_period(self):
@@ -521,8 +521,9 @@ class TestSegments:
             patch.setattr(runlog, "PacketRecord", built)
             done = run_single(scenario, "SDN-RM", 1)
         packets = done.log.packets
-        assert packets.segments
-        assert len(packets) > 10 * len(packets.simulated)
+        assert any(type(part) is Segment for part in packets.closed)
+        assert len(packets) > 10 * sum(
+            len(part) for part in packets.parts() if type(part) is not Segment)
 
     def test_branch_shares_segments_and_both_go_on_as_fresh_runs(self):
         """25 s is a multiple of the 250 ms period inside a steady stretch:
@@ -534,12 +535,13 @@ class TestSegments:
                                        injections)
         kernel.advance(25 * SECOND)
         packets = kernel.log.packets
-        at, last = packets.segments[-1]
-        assert at == len(packets.simulated)
+        at = len(packets.closed) - 1
+        last = packets.closed[at]
+        assert type(last) is Segment and packets.open == []
         twin = kernel.branch(injections)
-        assert all(ours is theirs for (_, ours), (_, theirs) in zip(
-            packets.segments, twin.log.packets.segments, strict=True))
-        assert twin.log.packets.simulated is not packets.simulated
+        assert all(ours is theirs for ours, theirs in zip(
+            packets.closed, twin.log.packets.closed, strict=True))
+        assert twin.log.packets.open is not packets.open
 
         n = last.n
         fresh = run_single(scenario, "SDN-RM", 1).log.to_jsonl()
@@ -547,7 +549,7 @@ class TestSegments:
             done = run_single(scenario, "SDN-RM", 1, injections=injections,
                               kernel=branched)
             assert done.log.to_jsonl() == fresh
-            longer = dict(done.log.packets.segments)[at]
+            longer = done.log.packets.closed[at]
             assert longer is not last and longer.n > n
         assert last.n == n
 

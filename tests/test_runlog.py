@@ -20,7 +20,6 @@ from sdnsim.harness import run_single
 from sdnsim.runlog import (
     PacketLog,
     PacketRecord,
-    PacketValues,
     RunLog,
     Segment,
     record_to_dict,
@@ -108,13 +107,12 @@ def test_segment_lines_equal_json_dumps_of_their_records():
     """Copies are written from their template's text: braces and escapes
     in its fixed fields stay as they are, and a dropped record's
     delivered_at stays null in every copy."""
-    delivered = PacketValues("F{0}", 3, ("S{1", "S2}"), True, 12_000, 100,
+    delivered = PacketRecord("F{0}", 3, ("S{1", "S2}"), True, 12_000, 100,
                              ("S{1", "{}", "S2}"), 150, None, 50, 7)
-    dropped = PacketValues("F\u2028\"", 4, ("S1", "S2"), False, 8, 110,
+    dropped = PacketRecord("F\u2028\"", 4, ("S1", "S2"), False, 8, 110,
                            None, None, "no_route", None, 0)
     log = RunLog(packets=PacketLog(
-        [PacketRecord(*delivered), PacketRecord(*dropped)],
-        [(1, Segment((delivered, dropped), 3, 1_000))]))
+        [dropped], ((delivered,), Segment((delivered, dropped), 3, 1_000))))
     assert len(log.packets) == 8
     assert log.to_jsonl() == reference_jsonl(log)
 
