@@ -359,7 +359,9 @@ def run_experiment(scenario: Scenario, variants: list[str], seeds: list[int],
         eq1_raw_mode=scenario.config.eq1_raw_mode)
     swept = {value: _swept_scenario(scenario, sweep_param, value)
              for value in sweep_values}
-    injections = {(value, seed): materialize_injections(swept[value], seed)
+    diaries: dict = {}  # each master failure diary, drawn once per sweep
+    injections = {(value, seed): materialize_injections(swept[value], seed,
+                                                        diaries)
                   for value in sweep_values for seed in seeds}
     groups: list[tuple[Scenario, list]] = []
     for cell in injections:

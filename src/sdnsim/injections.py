@@ -156,7 +156,19 @@ def _severable(topology, pairs, a: str, b: str) -> bool:
         topology.set_link_state(a, b, LinkState.UP)
 
 
-def _expected_path_diary(scenario, rng: random.Random,
+def _measured_pairs(scenario) -> tuple[tuple[str, str], ...]:
+    """The contracts' (src, dst) pairs or, without contracts, each flow's
+    (ingress, egress) switch pair once, in flow order."""
+    if scenario.contracts:
+        return tuple((c.src, c.dst) for c in scenario.contracts)
+    attached = dict(scenario.topology_spec.hosts)
+    return tuple(dict.fromkeys(
+        (attached[flow.src_host], attached[flow.dst_host])
+        for flow in scenario.flows))
+
+
+def _expected_path_diary(topology_spec, pairs, probe_bits: int,
+                         rng: random.Random,
                          times: list[int]) -> list[LinkDownInjection]:
     """Pick one live link per failure, following expected traffic paths.
 
@@ -166,19 +178,10 @@ def _expected_path_diary(scenario, rng: random.Random,
     mechanism variant.  A pick never severs a measured pair: the tests
     probe fault handling, and a partition leaves nothing to handle.
     """
-    topology = build_topology(scenario.topology_spec)
-    pairs = [(c.src, c.dst) for c in scenario.contracts]
-    if not pairs:
-        seen = set()
-        for flow in scenario.flows:
-            key = (topology.attachment(flow.src_host),
-                   topology.attachment(flow.dst_host))
-            if key not in seen:
-                seen.add(key)
-                pairs.append(key)
+    topology = build_topology(topology_spec)
     # Idle costs do not depend on which links are down, and find_path skips
     # down links, so one matrix serves every pick.
-    matrix = _idle_matrix(topology, scenario.config.probe_length_bits)
+    matrix = _idle_matrix(topology, probe_bits)
     injections: list[LinkDownInjection] = []
     for at in times:
         candidates: list[tuple[str, str]] = []
@@ -207,7 +210,8 @@ def _expected_path_diary(scenario, rng: random.Random,
     return injections
 
 
-def materialize_injections(scenario, seed: int) -> list[Injection]:
+def materialize_injections(scenario, seed: int,
+                           diaries: dict | None = None) -> list[Injection]:
     """Expand a Scenario's auto specs into concrete injections for one
     seeded run, after its explicit ones, sorted by time.
 
@@ -219,15 +223,29 @@ def materialize_injections(scenario, seed: int) -> list[Injection]:
     events.  A larger count re-draws the master schedule, and per_pair
     draws each contract's times after the previous contract's count
     factors, so neither nests.
+
+    diaries, when given, keeps each master link-failure diary under every
+    input that draws it (topology, measured pairs, probe length, seed,
+    master length and window), so calls that share those inputs, as an
+    event-count sweep's do, draw it once.
     """
     injections: list[Injection] = list(scenario.explicit_injections)
 
     spec_e1 = scenario.auto_link_failures
     if spec_e1 is not None and spec_e1.count > 0:
-        rng = random.Random(f"{seed}:link-failures")
         master = max(spec_e1.count, MASTER_EVENT_POOL)
-        times = _sorted_times(rng, master, spec_e1.window)
-        diary = _expected_path_diary(scenario, rng, times)
+        pairs = _measured_pairs(scenario)
+        probe_bits = scenario.config.probe_length_bits
+        key = (scenario.topology_spec, pairs, probe_bits, seed, master,
+               spec_e1.window)
+        if diaries is None:
+            diaries = {}
+        diary = diaries.get(key)
+        if diary is None:
+            rng = random.Random(f"{seed}:link-failures")
+            times = _sorted_times(rng, master, spec_e1.window)
+            diary = diaries[key] = _expected_path_diary(
+                scenario.topology_spec, pairs, probe_bits, rng, times)
         injections.extend(diary[:spec_e1.count])
 
     spec_e2 = scenario.auto_ped_changes

@@ -40,38 +40,52 @@ each owner copies its own: Topology.twin makes new Links in their
 current states, ContractStore.twin new pairs and its list of bound
 changes, and ResilienceManager.twin the controller's memos, its pending
 events and a probe plan over the twin's Links.  The kernel copies its
-egress, link-down and forwarding tables, the flows' states, each log
-stream's list, the packet log's open list and the heap.  The heap keeps
-its order and sequence numbers; each action is bound to the twin's
-kernel or controller, each flow's tick to the twin's flow state, and
-each packet in flight becomes a new packet with a copy of its record, in
-the same place of the twin's open list, on a hop plan over the twin's
-Links (plans refill as packets ask).  An argument of any other kind is
-refused, so that no new kind of heap entry is shared by accident.  What
-no run changes is shared: flows, the config and control channel, the
-variant, cost entries, routes, the fast-forward snapshot, the packet
-log's closed parts (finished records and segments) and the applied
-injections.  Copies are built by their constructors or by plain
-attribute assignment, not by copy.deepcopy, whose generic walk of every
-reachable object cost several times a fresh kernel's set-up.
+egress, link-down and forwarding tables with the count of forwarding
+changes, the flows' states, each log stream's list, the packet log's
+open list and the heap.  The heap keeps its order and sequence numbers;
+each action is bound to the twin's kernel or controller, each flow's
+tick to the twin's flow state, and each packet in flight becomes a new
+packet with a copy of its record, in the same place of the twin's open
+list, on a hop plan over the twin's Links (plans refill as packets ask).
+An argument of any other kind is refused, so that no new kind of heap
+entry is shared by accident.  What no run changes is shared: flows, the
+config and control channel, the variant, cost entries, routes, the
+fast-forward snapshot, the packet log's closed parts (finished records
+and segments) and the applied injections.  Copies are built by their
+constructors or by plain attribute assignment, not by copy.deepcopy,
+whose generic walk of every reachable object cost several times a fresh
+kernel's set-up.
 
 Fast-forward.  When every flow sends with one positive gap P, traffic is
 periodic, and the kernel replicates whole periods instead of simulating
 them.  Whenever the heap's head passes a multiple of P, the kernel takes
-a snapshot at the last such multiple x, before any entry at or after x
-runs: the started flows' pending ticks as (time - x, flow id) in heap
-order; a packet on the heap spoils it.  Let the horizon H be the earliest
-of the heap entries other than a started flow's tick pending at x - P or
-at x, the forwarding entries active from x - P on, and the advance target
-(which never passes the next pending injection).  Suppose the snapshot at
-x - P equals the one at x, no injection was applied and no link went
-down since x - P, and H >= x: nothing but transport ran in [x - P, x).
-Between two non-transport events, transport is a pure function of the
-state relative to now: the pending ticks, the forwarding paths and link
-states (fixed until the next non-transport event), and egress busy-until
-times, which lie before the period on both sides and so delay nothing.
-The period from x therefore repeats the one from x - P shifted by P, and
-so does each whole period that ends by H.  The kernel logs n such
+a snapshot at the last such multiple x, before any heap entry at or after
+x runs: the started flows' pending ticks as (time - x, flow id) in heap
+order, the topology's version (its count of link state changes), the
+kernel's count of forwarding changes (set_forwarding is the one mutator),
+and the number of flows yet to start; a packet on the heap spoils it.
+Those are what transport reads, with three more: the forwarding entries'
+activation times, the instant each link last went down, and the egress
+busy-until times.  Replication from x needs the snapshot at x - P to
+equal the one at x: the same ticks, and no link state change, forwarding
+change or flow start in [x - P, x).  Let the horizon H be the earliest
+of the heap entries other than a started flow's tick pending at x, the
+forwarding activations from x - P on and the advance target (which never
+passes the next pending injection); no forwarding entry becomes active
+in [x - P, H).  Replication also needs no injection due in
+[x - P, x): advance applies an injection before the snapshot of its
+instant, so a link taken down at x - P by one leaves the version of both
+snapshots alike, yet it drops a packet of that period, which entered the
+link at x - P, and none of the next.  Other handlers may have run in
+[x - P, x), a cycle boundary's estimation and routing or a controller's
+pending delivery, but they changed nothing transport reads: estimation
+only reads the egress times, and a handler that changed a link or a
+route moved a count.  So the period from x - P ran under the state that
+holds until H: the same ticks, paths and link states, no link going down
+from then on, and egress busy-until times that lie before each period on
+both sides and so delay nothing.  The period from x therefore repeats it
+shifted by P, and so does each whole period that ends by H, as nothing
+but ticks and their packets runs before H.  The kernel logs n such
 periods, stopping short of each flow's last packet, as one segment of
 its packet log (runlog.PacketLog): the last period's records, n and P,
 with no record built.  The segment closes the log's open list: no
@@ -82,11 +96,15 @@ from the previous one's last copy replaces that segment with a longer
 one; segments are never changed in place, as branches share them.  It
 moves the flows' counters, their ticks, each egress the period used and
 the clock on by nP.  Sequence order is kept without renumbering.  The
-pending ticks were all scheduled in the last period and every other
-pending entry before it, so the ticks' numbers already order them among
-themselves and after every other pending entry, as the numbers of the
-ticks they stand for would; entries scheduled later number above all of
-them.
+pending ticks were all scheduled in the last period, so their numbers
+already order them among themselves, and above the entries scheduled
+before it, as the numbers of the ticks they stand for would.  An entry
+that a handler scheduled inside the compared period may number above
+some of them, though: simulated, it numbers below the tick it meets at
+a later instant, which the period before that instant schedules, and
+replicated it would run after that tick.  So the kernel replicates only
+when every pending entry other than a started flow's tick numbers below
+every such tick.  Entries scheduled later number above all of them.
 """
 
 from __future__ import annotations
@@ -212,8 +230,10 @@ class Kernel:
         self._setup_end = 0
         # Fast-forward (see "Fast-forward"): the common gap P, the next
         # multiple of it to snapshot at (never when the flows' gaps
-        # differ), and the last snapshot as (instant, pending ticks,
-        # earliest other heap entry, injections applied, open packets).
+        # differ), the last snapshot as (instant, pending ticks, (link
+        # state changes, forwarding changes, flows yet to start), open
+        # packets), and the number of forwarding changes so far.
+        self._reroutes = 0
         gaps = {flow.inter_packet_gap for flow in flows}
         self._period = gaps.pop() if len(gaps) == 1 else 0
         self._period_at: float = 0 if self._period > 0 else math.inf
@@ -310,35 +330,44 @@ class Kernel:
     def _fast_forward(self, until: int) -> None:
         """Snapshot at the last multiple x of the period that the heap's
         head has reached, and replicate the whole periods from x that end
-        by until when the snapshot repeats the one at x - P (see
-        "Fast-forward")."""
+        by until when nothing transport reads changed since the snapshot
+        at x - P (see "Fast-forward")."""
         queue, period = self._queue, self._period
         head = queue[0][0]
         x = head - head % period
         self._period_at = x + period
         ticks = []
         other: float = math.inf
+        latest = -1  # the highest number of a pending non-tick entry
+        unstarted = 0  # pending first ticks
         for index, (at, seq, _, arg) in enumerate(queue):
-            if type(arg) is _Packet:
+            kind = type(arg)
+            if kind is _Packet:
                 self._snapshot = None
                 return
-            if type(arg) is _FlowState and arg.started:
-                ticks.append((at, seq, index))
-            elif at < other:
+            if kind is _FlowState:
+                if arg.started:
+                    ticks.append((at, seq, index))
+                    continue
+                unstarted += 1
+            if at < other:
                 other = at
+            if seq > latest:
+                latest = seq
         ticks.sort()
         shape = tuple((at - x, queue[index][3].flow.id)
                       for at, _, index in ticks)
         last = self._snapshot
         packets = self.log.packets
-        self._snapshot = (x, shape, other, self._applied, len(packets.open))
+        counts = (self.topology.version, self._reroutes, unstarted)
+        self._snapshot = (x, shape, counts, len(packets.open))
         since = x - period
-        if (not shape or last is None or last[:2] != (since, shape)
-                or last[3] != self._applied
-                or any(down >= since for down in self._last_down.values())):
+        applied = self._applied
+        if (not shape or last is None or last[:3] != (since, shape, counts)
+                or applied and self.log.injections[applied - 1].at >= since
+                or min(seq for _, seq, _ in ticks) < latest):
             return
-        # Below x when something other than transport ran since x - P.
-        horizon = min(last[2], other, until, *(
+        horizon = min(other, until, *(
             active_at for entries in self._forwarding.values()
             for active_at, _ in entries if active_at >= since))
         states = [queue[index][3] for _, _, index in ticks]
@@ -348,7 +377,7 @@ class Kernel:
         if n <= 0:
             return
 
-        packets.replicate(last[4], n, period)
+        packets.replicate(last[3], n, period)
         span = n * period
         for state in states:
             state.bits_sent += n * state.flow.packet_length
@@ -362,7 +391,7 @@ class Kernel:
                 self.egress_free[egress] = free + span
         self.now += span
         # The last period is now the segment's last copy.
-        self._snapshot = (x + span - period, shape, other, self._applied,
+        self._snapshot = (x + span - period, shape, counts,
                           len(packets.open))
         self._period_at = x + span
 
@@ -426,6 +455,7 @@ class Kernel:
         twin._period = self._period
         twin._period_at = self._period_at
         twin._snapshot = self._snapshot
+        twin._reroutes = self._reroutes
         twin.store = store
         twin._flows = flows
         twin.controller = controller
@@ -474,6 +504,7 @@ class Kernel:
     def set_forwarding(self, key: tuple[SwitchId, SwitchId],
                        path: tuple[SwitchId, ...], active_at: int) -> None:
         self._forwarding.setdefault(key, []).append((active_at, tuple(path)))
+        self._reroutes += 1
 
     # ------------------------------------------------------------------
     # injections

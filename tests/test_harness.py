@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sdnsim
-from sdnsim import harness
+from sdnsim import harness, injections
 from sdnsim.contracts import ContractKind, FaultCause, PedChange
 from sdnsim.core import MILLISECOND, SECOND
 from sdnsim.harness import (
@@ -389,6 +389,42 @@ class TestRunExperiment:
         scenario = ring_scenario.with_flow_count(2)
         result = run_experiment(scenario, ["woRM"], [1])
         assert result.mean("SDN-woRM", None, "restoration_mean") is None
+
+    def test_draws_each_master_failure_diary_once_per_call(
+            self, ring_scenario):
+        """Every (value, seed) still gets materialize_injections' own list,
+        but a seed's master diary is drawn once per run_experiment call:
+        once for every event count, and once per set of measured pairs
+        when a flows sweep without contracts changes them."""
+        asked, drawn = [], []
+        materialize = harness.materialize_injections
+        diary = injections._expected_path_diary
+
+        def recorded(scenario, seed, *args):
+            asked.append((scenario, seed, materialize(scenario, seed, *args)))
+            return asked[-1][2]
+
+        def counted(*args):
+            drawn.append(args[:2])
+            return diary(*args)
+
+        first, second = ring_scenario.flows[:2]
+        uncontracted = dataclasses.replace(
+            ring_scenario, contracts=(), flows=(
+                first, dataclasses.replace(second, dst_host="H7")))
+        events = (ring_scenario.with_flow_count(1), ("events", [1, 2, 3]))
+        experiments = [events, events, (uncontracted, ("flows", [1, 2]))]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "materialize_injections", recorded)
+            patch.setattr(injections, "_expected_path_diary", counted)
+            for scenario, sweep in experiments:
+                run_experiment(scenario, ["woRM"], [1, 2], sweep=sweep)
+        assert len(asked) == 3 * 2 + 3 * 2 + 2 * 2
+        assert len(drawn) == 2 + 2 + 2 * 2
+        assert {pairs for _, pairs in drawn[4:]} == {
+            (("S1", "S8"),), (("S1", "S8"), ("S1", "S7"))}
+        for scenario, seed, listed in asked:
+            assert listed == materialize_injections(scenario, seed)
 
     def test_a_variant_named_twice_is_rejected(self, ring_scenario):
         with pytest.raises(ValueError, match="variant SDN-woRM named twice"):

@@ -18,7 +18,8 @@ state:
 - every run of an experiment, whose runs share kernel work, equals a
   fresh run_single, log and metrics alike;
 - every run whose flows share one gap, so that the kernel fast-forwards
-  through repeated periods, equals the same run simulated in full;
+  through repeated periods, equals the same run simulated in full, also
+  when handlers schedule reroutes and link toggles onto the flows' ticks;
 - a log holding those periods as segments reads, scores and checks as
   the same records held in a plain list;
 - every run equals one whose transport is the four-handler reference in
@@ -181,26 +182,104 @@ def test_packets_delivered_xor_dropped_no_faster_than_their_path(
             spec, record.path, record.length, config.host_link_delay)
 
 
+def simple_paths(spec, src, dst):
+    """Every loop-free switch path from src to dst over spec's links."""
+    neighbors = {}
+    for link in spec.links:
+        neighbors.setdefault(link.a, []).append(link.b)
+        neighbors.setdefault(link.b, []).append(link.a)
+    paths, stack = [], [(src,)]
+    while stack:
+        path = stack.pop()
+        if path[-1] == dst:
+            paths.append(path)
+            continue
+        stack.extend(path + (neighbor,) for neighbor in neighbors[path[-1]]
+                     if neighbor not in path)
+    return sorted(paths)
+
+
+@st.composite
+def controller_entries(draw, network):
+    """(at, later, kind, args) entries like a controller's: each runs up to
+    a gap after one of a flow's ticks and schedules, for a later tick of
+    that flow or an instant between two of them, a reroute of the flow's
+    pair onto another of its paths (active from then or from an instant
+    drawn before it) or a toggle of a link's state."""
+    spec, flows = network[:2]
+    attached = dict(spec.hosts)
+    entries = []
+    for _ in range(draw(st.integers(0, 5))):
+        flow = draw(st.sampled_from(flows))
+        gap = flow.inter_packet_gap
+        tick = flow.start_time + gap * draw(st.integers(
+            0, flow.total_volume // flow.packet_length - 1))
+        at = tick + draw(st.integers(1, gap))
+        later = tick + gap * draw(st.integers(1, 30)) + draw(
+            st.just(0) | st.integers(0, gap - 1))
+        if draw(st.booleans()):
+            pair = (attached[flow.src_host], attached[flow.dst_host])
+            active = draw(st.one_of(st.just(later), st.integers(0, later)))
+            entries.append((at, later, "reroute",
+                            (pair, simple_paths(spec, *pair), active)))
+        else:
+            link = draw(st.sampled_from(spec.links))
+            entries.append((at, later, "toggle", (link.a, link.b)))
+    return entries
+
+
+def schedule_entries(kernel, entries):
+    """Schedule each entry's first call; it schedules the second."""
+    def reroute(args, at):
+        pair, paths, active = args
+        current = kernel.forwarding_path(pair, at)
+        path = next((path for path in paths if path != current), current)
+        kernel.set_forwarding(pair, path, active)
+
+    def toggle(ends, at):
+        up = kernel.topology.link_between(*ends).is_up
+        kernel.topology.set_link_state(
+            *ends, LinkState.DOWN if up else LinkState.UP)
+
+    actions = {"reroute": reroute, "toggle": toggle}
+    for at, later, kind, args in entries:
+        kernel.schedule_call(at, lambda now, later=later, action=actions[kind],
+                             args=args: kernel.schedule_call(
+                                 later, action, args))
+
+
 def test_every_run_equals_the_run_simulated_in_full():
-    """Flows of one gap, links that flap, reroutes and queue overflows: the
-    kernel fast-forwards some runs, and each equals the run with
-    Kernel._fast_forward patched to a no-op."""
+    """Flows of one gap, links that flap, reroutes and queue overflows, and
+    entries that a handler schedules onto the flows' tick instants: the
+    kernel fast-forwards some runs, some with entries among them, and
+    each equals the run with Kernel._fast_forward patched to a no-op."""
     fired = []
 
-    @settings(max_examples=80, deadline=None)
-    @given(networks(max_packets=200, max_gap=10 * MS, shared_gap=True))
-    def check(network):
+    shared = networks(max_packets=200, max_gap=10 * MS, shared_gap=True)
+    # Rings are drawn more often: only there has a pair a second path.
+    rings = shared.filter(
+        lambda network: len(network[0].links) == len(network[0].switches))
+
+    @settings(max_examples=200, deadline=None)
+    @given(shared | rings, st.data())
+    def check(network, data):
+        entries = data.draw(controller_entries(network))
+
         def run():
             kernel = network_kernel(network)
+            schedule_entries(kernel, entries)
             kernel.run_until(HORIZON)
             return kernel
         counts = assert_fast_forward_exact(run)
-        fired.append(counts.packets > 0)
+        fired.append((bool(entries), counts.packets > 0))
+        if entries:
+            event("controller entries")
         if counts.packets:
-            event("fast-forwarded")
+            event("fast-forwarded" + (" with controller entries"
+                                      if entries else ""))
 
     check()
-    assert any(fired)
+    assert (False, True) in fired and (True, True) in fired
 
 
 @settings(max_examples=100, deadline=None)

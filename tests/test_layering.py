@@ -16,7 +16,7 @@ INJECTION_NAMES = {
     "LinkDownInjection", "LinkUpInjection", "PedChangeInjection",
     "Injection", "first_events", "MASTER_EVENT_POOL",
     "materialize_injections", "_sorted_times", "_components", "_severable",
-    "_idle_matrix", "_expected_path_diary"}
+    "_idle_matrix", "_expected_path_diary", "_measured_pairs"}
 
 
 def _imported_modules(tree: ast.Module) -> list[tuple[int, str]]:
