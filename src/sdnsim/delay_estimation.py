@@ -19,11 +19,22 @@ the live Link so a cycle still sees its current state; the plan, with its
 probe length and raw mode, is a cycle's only source of fixed inputs.  The
 send time cancels out of every difference the estimator takes, so an
 estimate is a pure function of (near, far, forward wait, reverse wait);
-the plan keeps the CostEntry of each such input and builds the
-ProbeObservation and calls estimate_link_delay only for an input it has
-not seen.  A negative-residual warning would thus be logged once per
+the plan keeps the two records it logged for each such input and builds
+the ProbeObservation and calls estimate_link_delay only for an input it
+has not seen.  A negative-residual warning would thus be logged once per
 distinct input, not once per cycle; none arises here, since every term of
 the residual is non-negative.
+
+Idle templates.  A cycle is logged as one runlog.Cycle: a template of
+records, read with the cycle's index and time in place of their own.  In
+a cycle at which every egress busy-until time is at or before now, every
+wait is 0, so its matrix and template depend only on which links are Up.
+set_link_state, the only mutator of link state, moves Topology.version.
+So the plan keeps the last idle cycle's template and matrix with the
+version they were computed at, and an idle cycle at that same version
+reuses them, with one pass over the busy-until times and no per-link
+work.  Any other cycle is computed link by link; a busy one leaves the
+idle template in place, and an idle one replaces it.
 """
 
 from __future__ import annotations
@@ -39,6 +50,7 @@ from .core import (
     Topology,
     transmission_delay,
 )
+from .runlog import Cycle
 
 logger = logging.getLogger(__name__)
 
@@ -103,13 +115,6 @@ class MissingCostError(LookupError):
     """A path references a directed link absent from the cost matrix."""
 
 
-@dataclass(frozen=True)
-class CostEntry:
-    link_delay: int
-    transmission_delay: int
-    cost: int
-
-
 # Directed link costs (src, dst) -> cost, as last refreshed by the
 # estimation cycle.  Entries exist only for links that were Up when the
 # cycle ran; a missing entry therefore means "do not route here with this
@@ -132,14 +137,9 @@ def estimate_path_delay(path: list[SwitchId], costs: CostMatrix) -> int:
     return total
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class EstimationRecord:
-    """One refreshed directed-link entry, for the structured run log.
-
-    A cycle logs two per Up link, so __init__ is written out: it fills the
-    instance dict directly instead of going through object.__setattr__
-    once per field, as a frozen dataclass's generated __init__ does.
-    """
+    """One refreshed directed-link entry, for the structured run log."""
 
     cycle: int
     src: SwitchId
@@ -150,19 +150,6 @@ class EstimationRecord:
     at: int
     noise_clamped: bool = False
 
-    def __init__(self, cycle: int, src: SwitchId, dst: SwitchId,
-                 link_delay: int, transmission_delay: int, cost: int,
-                 at: int, noise_clamped: bool = False) -> None:
-        fields = self.__dict__
-        fields["cycle"] = cycle
-        fields["src"] = src
-        fields["dst"] = dst
-        fields["link_delay"] = link_delay
-        fields["transmission_delay"] = transmission_delay
-        fields["cost"] = cost
-        fields["at"] = at
-        fields["noise_clamped"] = noise_clamped
-
 
 # One link's probe inputs: (link, (near, far), (far, near), (c2s(near),
 # s2c(far), c2s(far), s2c(near), echo RTT of near, echo RTT of far, probe
@@ -172,15 +159,20 @@ _Probe = tuple[Link, tuple[SwitchId, SwitchId], tuple[SwitchId, SwitchId],
 
 
 class ProbePlan:
-    """Every link's fixed probe inputs, and the estimates seen so far.
+    """Every link's fixed probe inputs, the records logged so far and the
+    last idle cycle's template.
 
-    probes follows topology.links() order.  The estimates are keyed by
-    (near, far, forward wait, reverse wait); see "Probe plans" above.
+    probes follows topology.links() order.  estimates maps (near, far,
+    forward wait, reverse wait) to the records logged for it, forward
+    then reverse; idle is the last idle cycle's (topology version,
+    matrix, template), or None.  See "Probe plans" and "Idle templates"
+    above.
     """
 
     def __init__(self, topology: Topology, control: ControlChannel,
                  probe_length_bits: int = 12_000,
                  raw_mode: bool = False) -> None:
+        self.topology = topology
         self.raw_mode = raw_mode
         probes = []
         for link in topology.links():
@@ -192,23 +184,31 @@ class ProbePlan:
                 transmission_delay(probe_length_bits, link.capacity_bps))))
         self.probes: tuple[_Probe, ...] = tuple(probes)
         self.estimates: dict[tuple[SwitchId, SwitchId, int, int],
-                             CostEntry] = {}
+                             tuple[EstimationRecord, EstimationRecord]] = {}
+        self.idle: tuple[int, CostMatrix,
+                         tuple[EstimationRecord, ...]] | None = None
 
     def twin(self, topology: Topology) -> ProbePlan:
         """This plan over topology's Links, a copy of this plan's topology,
-        with the estimates seen so far (CostEntry is frozen, so shared)."""
+        with the records logged so far and the idle template, which are
+        frozen and so shared, and a copy of the idle matrix."""
         twin = ProbePlan.__new__(ProbePlan)
+        twin.topology = topology
         twin.raw_mode = self.raw_mode
         twin.probes = tuple((topology.link_between(*forward), forward, reverse,
                              inputs)
                             for _, forward, reverse, inputs in self.probes)
         twin.estimates = dict(self.estimates)
+        idle = self.idle
+        twin.idle = None if idle is None else (idle[0], dict(idle[1]),
+                                               idle[2])
         return twin
 
     def estimate(self, probe: _Probe, forward_wait: int, reverse_wait: int,
-                 now: int) -> CostEntry:
+                 now: int, cycle_index: int
+                 ) -> tuple[EstimationRecord, EstimationRecord]:
         """Estimate one link from probes sent at now behind the given
-        egress waits, and remember the entry for those waits."""
+        egress waits, and remember its two records for those waits."""
         link, (near, far), _, inputs = probe
         c2s_near, s2c_far, c2s_far, s2c_near, rtt_near, rtt_far, td = inputs
         forward_travel = forward_wait + link.propagation_delay
@@ -224,9 +224,11 @@ class ProbePlan:
             rtt_far=rtt_far,
         )
         estimated = estimate_link_delay(obs, raw_mode=self.raw_mode)
-        entry = CostEntry(estimated, td, link_cost(td, estimated))
-        self.estimates[(near, far, forward_wait, reverse_wait)] = entry
-        return entry
+        cost = link_cost(td, estimated)
+        records = self.estimates[(near, far, forward_wait, reverse_wait)] = (
+            EstimationRecord(cycle_index, near, far, estimated, td, cost, now),
+            EstimationRecord(cycle_index, far, near, estimated, td, cost, now))
+        return records
 
 
 def run_estimation_cycle(
@@ -235,8 +237,9 @@ def run_estimation_cycle(
     *,
     egress_free: dict[tuple[SwitchId, SwitchId], int] | None = None,
     cycle_index: int = 0,
-) -> tuple[CostMatrix, list[EstimationRecord]]:
-    """Probe every Up link of the plan's topology; return a fresh cost matrix.
+) -> tuple[CostMatrix, Cycle]:
+    """Probe every Up link of the plan's topology; return a fresh cost
+    matrix and the cycle's records as one log part.
 
     Probes ride the links as zero-size control frames: they wait behind any
     queued data traffic on the egress (until its busy-until time in
@@ -244,13 +247,19 @@ def run_estimation_cycle(
     idle network the estimate equals the configured link delay exactly.
     Down links get no entry.  The sender transmission delay uses the
     plan's probe length over the egress link capacity.  A caller that runs
-    many cycles passes one plan to all of them.
+    many cycles passes one plan to all of them; an idle cycle then reuses
+    the plan's idle template (see "Idle templates").
     """
+    idle = not egress_free or max(egress_free.values()) <= now
+    version = plan.topology.version
+    if idle and plan.idle is not None and plan.idle[0] == version:
+        _, matrix, template = plan.idle
+        return dict(matrix), Cycle(template, cycle_index, now)
+
     matrix: CostMatrix = {}
     records: list[EstimationRecord] = []
     busy_until = (egress_free or {}).get
     estimates = plan.estimates
-
     for probe in plan.probes:
         link, forward, reverse, _ = probe
         if link.state is not LINK_UP:
@@ -258,14 +267,13 @@ def run_estimation_cycle(
         near, far = forward
         forward_wait = max(0, busy_until(forward, 0) - now)
         reverse_wait = max(0, busy_until(reverse, 0) - now)
-        entry = estimates.get((near, far, forward_wait, reverse_wait))
-        if entry is None:
-            entry = plan.estimate(probe, forward_wait, reverse_wait, now)
-        matrix[forward] = matrix[reverse] = entry.cost
-        link_delay, td, cost = (entry.link_delay, entry.transmission_delay,
-                                entry.cost)
-        records.append(EstimationRecord(
-            cycle_index, near, far, link_delay, td, cost, now))
-        records.append(EstimationRecord(
-            cycle_index, far, near, link_delay, td, cost, now))
-    return matrix, records
+        logged = estimates.get((near, far, forward_wait, reverse_wait))
+        if logged is None:
+            logged = plan.estimate(probe, forward_wait, reverse_wait, now,
+                                   cycle_index)
+        matrix[forward] = matrix[reverse] = logged[0].cost
+        records += logged
+    template = tuple(records)
+    if idle:
+        plan.idle = (version, dict(matrix), template)
+    return matrix, Cycle(template, cycle_index, now)

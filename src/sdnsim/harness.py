@@ -24,7 +24,14 @@ from .injections import Injection, materialize_injections
 from .kernel import DROP_REASONS, Kernel
 from .resilience import (MechanismVariant, variant_by_name,
                          variants_by_name)
-from .runlog import PacketLog, RunLog, Segment, record_to_dict
+from .runlog import (
+    Cycle,
+    PacketLog,
+    RunLog,
+    Segment,
+    record_to_dict,
+    templates,
+)
 from .scenario import Scenario
 
 
@@ -173,9 +180,12 @@ def verify_conservation(log: RunLog) -> None:
     every logged route's delay must equal the sum of its link costs.  A
     packet is delivered or dropped, not both: a delivered one's delay is
     its non-negative transit time, a dropped one has a known reason.
-    Runs call this unconditionally, keeping the arithmetic honest.
+    Runs call this unconditionally, keeping the arithmetic honest.  A
+    Segment's or a Cycle's copies differ from their template records only
+    in fields none of these checks reads (seq, times, cycle index), so
+    each template record is checked once.
     """
-    for record in log.estimation:
+    for record in templates(log.estimation):
         if record.cost != record.transmission_delay + record.link_delay:
             raise AssertionError(f"cost entry violates additivity: {record}")
         if record.link_delay < 0 or record.transmission_delay <= 0:
@@ -188,13 +198,7 @@ def verify_conservation(log: RunLog) -> None:
                     + record.reassignment_delay)
         if record.total != expected:
             raise AssertionError(f"restoration total mismatch: {record}")
-    packets = log.packets
-    parts = packets.parts() if isinstance(packets, PacketLog) else (packets,)
-    # A copy differs from its template record only by a shift of its seq
-    # and times, which none of these checks sees.
-    for packet in chain.from_iterable(
-            part.template if type(part) is Segment else part
-            for part in parts):
+    for packet in templates(log.packets):
         delivered = packet.delivered_at is not None
         if delivered == (packet.drop_reason is not None):
             raise AssertionError(f"packet neither delivered nor dropped: {packet}")
@@ -507,13 +511,33 @@ def emit_reports(result: ExperimentResult, out_dir: str) -> list[str]:
         with open(cycles_path, "w", encoding="utf-8") as handle:
             handle.write("cycle,src,dst,link_delay_ns,transmission_delay_ns,"
                          "cost_ns,at_ns\n")
-            for record in result.sample_log.estimation:
-                handle.write(f"{record.cycle},{record.src},{record.dst},"
-                             f"{record.link_delay},{record.transmission_delay},"
-                             f"{record.cost},{record.at}\n")
+            rows: dict[int, str] = {}  # id of a Cycle's template -> its rows
+            for part in result.sample_log.estimation.parts():
+                if type(part) is not Cycle:
+                    for record in part:
+                        handle.write(_cycle_rows((record,)).format(
+                            record.cycle, record.at))
+                    continue
+                text = rows.get(id(part.template))
+                if text is None:
+                    text = rows[id(part.template)] = _cycle_rows(
+                        part.template)
+                handle.write(text.format(part.cycle, part.at))
         written.append(cycles_path)
         events_path = os.path.join(out_dir, "events.jsonl")
         with open(events_path, "w", encoding="utf-8") as handle:
             handle.write(result.sample_log.to_jsonl())
         written.append(events_path)
     return written
+
+
+def _cycle_rows(records) -> str:
+    """The llde_cycles.csv rows of records, as a str.format pattern with
+    slot {0} for each row's cycle index and {1} for its time."""
+    rows = []
+    for r in records:
+        fixed = (f"{r.src},{r.dst},{r.link_delay},{r.transmission_delay},"
+                 f"{r.cost}")
+        rows.append("{0},%s,{1}\n"
+                    % fixed.replace("{", "{{").replace("}", "}}"))
+    return "".join(rows)

@@ -49,9 +49,10 @@ packet with a copy of its record, in the same place of the twin's open
 list, on a hop plan over the twin's Links (plans refill as packets ask).
 An argument of any other kind is refused, so that no new kind of heap
 entry is shared by accident.  What no run changes is shared: flows, the
-config and control channel, the variant, cost entries, routes, the
+config and control channel, the variant, estimation records, routes, the
 fast-forward snapshot, the packet log's closed parts (finished records
-and segments) and the applied injections.  Copies are built by their
+and segments), the estimation log's cycle parts with the plan's idle
+template, and the applied injections.  Copies are built by their
 constructors or by plain attribute assignment, not by copy.deepcopy,
 whose generic walk of every reachable object cost several times a fresh
 kernel's set-up.
@@ -136,7 +137,7 @@ from .injections import (
     PedChangeInjection,
 )
 from .resilience import MechanismVariant, ResilienceManager
-from .runlog import PacketLog, PacketRecord, RunLog
+from .runlog import PacketLog, PacketRecord, PartLog, RunLog
 
 
 class ScheduleError(ValueError):
@@ -194,10 +195,10 @@ class _Packet:
 # an in-flight packet, a flow's state and an immutable tuple (an E1 delivery).
 _BRANCHED_ARGS = (_Packet, _FlowState, tuple)
 
-# The log streams a branch copies as plain lists: all but the packet log,
-# the contract store's changes and the injections.
+# The log streams a branch copies as plain lists: all but the packet and
+# estimation logs, the contract store's changes and the injections.
 _LISTED_STREAMS = tuple(stream for stream in RunLog.STREAMS if stream not in
-                        ("packets", "ped_changes", "injections"))
+                        ("packets", "estimation", "ped_changes", "injections"))
 
 
 class Kernel:
@@ -422,7 +423,9 @@ class Kernel:
         topology = self.topology.twin()
         store = self.store.twin()
         packets = self.log.packets
+        # The controller only closes cycles into the estimation log.
         log = RunLog(PacketLog(closed=packets.closed),
+                     PartLog(closed=self.log.estimation.closed),
                      ped_changes=store.ped_changes, injections=applied,
                      **{stream: list(getattr(self.log, stream))
                         for stream in _LISTED_STREAMS})

@@ -255,7 +255,7 @@ class ResilienceManager:
 
     def on_cycle_boundary(self, now: int) -> None:
         self.cycle_index += 1
-        matrix, records = run_estimation_cycle(
+        matrix, cycle = run_estimation_cycle(
             self._probe_plan, now,
             egress_free=self.kernel.egress_free,
             cycle_index=self.cycle_index,
@@ -263,7 +263,7 @@ class ResilienceManager:
         if matrix != self.matrix:
             self._routes.clear()
         self.matrix = matrix
-        self.log.estimation.extend(records)
+        self.log.estimation.close(cycle)
         if self.variant.proactive:
             self._proactive_cycle(now)
         self._pending.clear()

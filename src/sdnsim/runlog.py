@@ -4,11 +4,14 @@ The log is the single source of truth for metric computation.  In memory
 it holds the typed records the kernel and controller append; on disk it is
 JSON lines.  Parsing a serialized log gives back a RunLog whose records
 carry the same attribute names, so metrics recomputed from it must equal
-the ones computed online.  The packet stream is a PacketLog: finished
-parts, shared as they are by branched logs, then the one open list the
-kernel appends to.  Each stretch of periods that a kernel fast-forwarded
-through is one finished part, a Segment over the last period's records,
-whose copies are built only when read.
+the ones computed online.  The packet and estimation streams are
+PartLogs: finished parts, shared as they are by branched logs, then one
+open list.  Each stretch of periods that a kernel fast-forwarded through
+is one finished part of the packet log, a Segment over the last period's
+records, and each estimation cycle one part of the estimation log, a
+Cycle over a template that idle cycles share; the records of both are
+built only when read, and neither log has index access.  A parsed log's
+estimation stream is a plain list.
 """
 
 from __future__ import annotations
@@ -82,14 +85,46 @@ class Segment:
             record.drop_reason, record.actual_delay, record.queue_wait)
 
 
-class PacketLog:
-    """A run's packet records in log order: closed, a tuple of finished
-    parts, each a tuple of simulated records or a Segment, then open, the
-    list the kernel appends to.  A segment is logged only with no packet
-    in flight, so every record before open is finished and branched logs
-    share closed as it is.  Sized and iterable; a replicated record is
-    built each time it is read, so it equals the one read before but is
-    another object, and changing it changes nothing in the log."""
+class Cycle:
+    """One estimation cycle's records: template read with each record's
+    cycle and at replaced by this cycle's index and time, every other
+    field unchanged.  Never changed once made, as branched logs share it
+    and later cycles its template."""
+
+    __slots__ = ("template", "cycle", "at")
+
+    def __init__(self, template: tuple, cycle: int, at: int) -> None:
+        self.template, self.cycle, self.at = template, cycle, at
+
+    def __len__(self) -> int:
+        return len(self.template)
+
+    def __iter__(self):
+        for record in self.template:
+            kind = type(record)
+            copy = kind.__new__(kind)
+            vars(copy).update(vars(record), cycle=self.cycle, at=self.at)
+            yield copy
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (Cycle, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Cycle({list(self)!r})"
+
+
+class PartLog:
+    """A stream's records in log order: closed, a tuple of finished parts,
+    each a tuple of records, a Segment or a Cycle, then open, the list of
+    records still appended to.  Branched logs share closed as it is.
+    Sized and iterable, and compared with == as the list of its records;
+    there is no index access.  A record of a Segment or a Cycle is built
+    each time it is read, so it equals the one read before but is another
+    object, and changing it changes nothing in the log."""
 
     __slots__ = ("open", "closed")
 
@@ -109,15 +144,34 @@ class PacketLog:
         """The log in order: the closed parts, then the open list."""
         return self.closed + (self.open,)
 
+    def close(self, part) -> None:
+        """Log a finished part after every record so far: the open records
+        close first, as one part, and open starts empty."""
+        open = self.open
+        if open:
+            self.closed += (tuple(open), part)
+            self.open = []
+        else:
+            self.closed += (part,)
+
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (PacketLog, list, tuple)):
+        if not isinstance(other, (PartLog, list, tuple)):
             return NotImplemented
         return len(self) == len(other) and all(map(eq, self, other))
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return f"PacketLog({list(self)!r})"
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+class PacketLog(PartLog):
+    """A run's packet records: a PartLog whose finished parts are tuples of
+    simulated records and Segments over those same records.  A segment is
+    logged only with no packet in flight, so every record before open is
+    finished."""
+
+    __slots__ = ()
 
     def replicate(self, start: int, n: int, period: int) -> None:
         """Log n copies, shifted by 1 to n periods, of one period's records:
@@ -125,15 +179,26 @@ class PacketLog:
         rest of open, or when open is empty, the last copy of the last
         segment.  That segment is then replaced by a longer one, never
         changed: branched logs share it."""
-        open = self.open
-        if open:
-            records = tuple(open)
-            self.closed += (records, Segment(records[start:], n, period))
-            self.open = []
+        if self.open:
+            self.close(Segment(tuple(self.open[start:]), n, period))
         else:
             last = self.closed[-1]
             self.closed = self.closed[:-1] + (
                 Segment(last.template, last.n + n, period),)
+
+
+def _parts(records) -> tuple:
+    """A stream's parts in log order: a PartLog's, or a plain list of
+    records, as a parsed log holds, as one part."""
+    return records.parts() if isinstance(records, PartLog) else (records,)
+
+
+def templates(records) -> Iterable:
+    """Each record of a stream once per part it stands for: a Segment's or
+    a Cycle's template records in place of their copies."""
+    return chain.from_iterable(
+        part.template if type(part) in (Segment, Cycle) else part
+        for part in _parts(records))
 
 
 @dataclass
@@ -141,7 +206,7 @@ class RunLog:
     """Append-only record streams produced by one kernel run."""
 
     packets: PacketLog = field(default_factory=PacketLog)
-    estimation: list = field(default_factory=list)
+    estimation: PartLog = field(default_factory=PartLog)
     routes: list = field(default_factory=list)
     notifications: list = field(default_factory=list)
     faults: list = field(default_factory=list)
@@ -164,21 +229,30 @@ class RunLog:
         shape are laid out once as a str.format pattern; ints, None and
         booleans are written directly, strings and tuples of strings are
         encoded once per call, and everything else (enums as their values)
-        goes through one sort_keys encoder.  A segment of the packet log is
-        written from its template records (see _segment_lines).
+        goes through one sort_keys encoder.  A Segment of the packet log
+        and a Cycle of the estimation log are written from their template
+        records' text (see _segment_lines and _cycle_lines).
         """
         lines = []
         memo: dict = {}  # str or tuple of str -> its JSON text
         for stream in self.STREAMS:
-            records = getattr(self, stream)
             patterns: dict[tuple, str] = {}
-            for part in (records.parts() if isinstance(records, PacketLog)
-                         else (records,)):
-                if type(part) is Segment:
-                    names = _PACKET_FIELDS
-                    if names not in patterns:
-                        patterns[names] = _line_pattern(stream, names)
-                    lines += _segment_lines(part, patterns[names], memo)
+            # id of a Cycle's template, and of its records -> their text
+            cycles: dict[int, str] = {}
+            entries: dict[int, str] = {}
+            for part in _parts(getattr(self, stream)):
+                kind = type(part)
+                if kind is Segment:
+                    lines += _segment_lines(part, _pattern(
+                        patterns, stream, _PACKET_FIELDS), memo)
+                    continue
+                if kind is Cycle:
+                    text = cycles.get(id(part.template))
+                    if text is None:
+                        text = cycles[id(part.template)] = _cycle_lines(
+                            part.template, stream, patterns, entries, memo)
+                    if text:
+                        lines.append(text.format(part.cycle, part.at))
                     continue
                 for record in part:
                     fields = vars(record)
@@ -197,7 +271,7 @@ class RunLog:
         same field names, enums as their values, tuples as lists.  Blank
         lines are skipped; a line that is not a JSON object of a known
         stream raises ValueError naming its line number."""
-        log = RunLog()
+        log = RunLog(estimation=[])
         streams = {stream: getattr(log, stream) for stream in RunLog.STREAMS}
         streams["packets"] = log.packets.open
         raw_decode, decode = _decoder.raw_decode, _decoder.decode
@@ -263,12 +337,11 @@ def _texts(values: Iterable, memo: dict) -> list[str]:
 
 
 # A packet record's field names in order, as vars() gives them, and where
-# a replicated copy differs from its template record: its seq, sent_at and
-# delivered_at, by field index, with a stand-in for each slot.  JSON text
-# never holds a raw control character.
+# a replicated copy differs from its template record: the slot of its
+# seq, sent_at and delivered_at, by field index.
 _PACKET_FIELDS = tuple(f.name for f in fields(PacketRecord))
-_SHIFTED = {_PACKET_FIELDS.index(name): mark for name, mark in (
-    ("seq", "\x00"), ("sent_at", "\x01"), ("delivered_at", "\x02"))}
+_SHIFTED = {_PACKET_FIELDS.index(name): slot for slot, name in enumerate(
+    ("seq", "sent_at", "delivered_at"))}
 
 
 def _segment_lines(segment: Segment, pattern: str, memo: dict) -> list[str]:
@@ -279,13 +352,10 @@ def _segment_lines(segment: Segment, pattern: str, memo: dict) -> list[str]:
     copies = []
     for record in segment.template:
         texts = _texts(vars(record).values(), memo)
-        for index, mark in _SHIFTED.items():
-            if texts[index] != "null":
-                texts[index] = mark
-        line = pattern.format(*texts).replace("{", "{{").replace("}", "}}")
-        copies.append((line.replace("\x00", "{0}").replace("\x01", "{1}")
-                       .replace("\x02", "{2}").format, record.seq,
-                       record.sent_at, record.delivered_at or 0))
+        copies.append((_slotted(pattern, texts, {
+            index: slot for index, slot in _SHIFTED.items()
+            if texts[index] != "null"}).format, record.seq,
+            record.sent_at, record.delivered_at or 0))
     lines = []
     period = segment.period
     for k in range(1, segment.n + 1):
@@ -293,6 +363,47 @@ def _segment_lines(segment: Segment, pattern: str, memo: dict) -> list[str]:
         lines += [line(seq + k, sent + shift, delivered + shift)
                   for line, seq, sent, delivered in copies]
     return lines
+
+
+def _cycle_lines(template: tuple, stream: str, patterns: dict,
+                 entries: dict, memo: dict) -> str:
+    """The lines of a cycle over template, joined, as a str.format pattern
+    with slots {0} for the cycle's index and {1} for its time.  Each
+    template record's line is laid out once and kept in entries by the
+    record's id, so templates that share records share their text."""
+    lines = []
+    for record in template:
+        line = entries.get(id(record))
+        if line is None:
+            fields = vars(record)
+            names = tuple(fields)
+            line = entries[id(record)] = _slotted(
+                _pattern(patterns, stream, names),
+                _texts(fields.values(), memo),
+                {names.index("cycle"): 0, names.index("at"): 1})
+        lines.append(line)
+    return "\n".join(lines)
+
+
+def _slotted(pattern: str, texts: list[str], slots: dict[int, int]) -> str:
+    """pattern filled in with texts, laid out as a str.format pattern in
+    which field i is left as slot {slots[i]}.  JSON text never holds a raw
+    control character, so chr(slot) marks each slot until the braces of
+    the text are escaped."""
+    for index, slot in slots.items():
+        texts[index] = chr(slot)
+    line = pattern.format(*texts).replace("{", "{{").replace("}", "}}")
+    for slot in slots.values():
+        line = line.replace(chr(slot), "{%d}" % slot)
+    return line
+
+
+def _pattern(patterns: dict, stream: str, names: tuple) -> str:
+    """The line pattern of names in stream, kept in patterns."""
+    pattern = patterns.get(names)
+    if pattern is None:
+        pattern = patterns[names] = _line_pattern(stream, names)
+    return pattern
 
 
 def _memoized(memo: dict, value: str | tuple) -> str:

@@ -243,6 +243,69 @@ class TestProbePlan:
         assert entry_of(records, "S3", "S4").link_delay == MILLISECOND
 
 
+    def test_egress_freeing_at_now_reuses_the_idle_template(
+            self, chain10, symmetric_control):
+        plan = ProbePlan(chain10, symmetric_control)
+        _, first = run_estimation_cycle(plan, 0)
+        free = {("S1", "S2"): SECOND, ("S2", "S1"): SECOND - MS}
+        matrix, cycle = run_estimation_cycle(plan, SECOND, egress_free=free,
+                                             cycle_index=1)
+        assert cycle.template is first.template
+        assert {(record.cycle, record.at) for record in cycle} == {(1, SECOND)}
+        fresh_matrix, fresh = run_estimation_cycle(
+            ProbePlan(chain10, symmetric_control), SECOND, egress_free=free,
+            cycle_index=1)
+        assert matrix == fresh_matrix
+        assert cycle == fresh and list(cycle) == list(fresh)
+
+    def test_busy_cycle_leaves_the_idle_template(self, chain10,
+                                                 symmetric_control):
+        plan = ProbePlan(chain10, symmetric_control)
+        _, first = run_estimation_cycle(plan, 0)
+        _, busy = run_estimation_cycle(
+            plan, SECOND, cycle_index=1,
+            egress_free={("S1", "S2"): SECOND + 300 * MICROSECOND})
+        assert busy.template is not first.template
+        assert entry_of(busy, "S1", "S2").link_delay == \
+            MILLISECOND + 150 * MICROSECOND
+        matrix, third = run_estimation_cycle(
+            plan, 2 * SECOND, cycle_index=2,
+            egress_free={("S1", "S2"): SECOND + 300 * MICROSECOND})
+        assert third.template is first.template
+        assert matrix == run_estimation_cycle(
+            ProbePlan(chain10, symmetric_control), 2 * SECOND)[0]
+
+    def test_link_flap_moves_the_version_and_rebuilds_the_template(
+            self, chain10, symmetric_control):
+        plan = ProbePlan(chain10, symmetric_control)
+        first_matrix, first = run_estimation_cycle(plan, 0)
+        version = chain10.version
+        chain10.set_link_state("S3", "S4", LinkState.DOWN)
+        chain10.set_link_state("S3", "S4", LinkState.UP)
+        assert chain10.version == version + 2
+        matrix, again = run_estimation_cycle(plan, SECOND, cycle_index=1)
+        assert again.template is not first.template
+        assert again.template == first.template
+        assert matrix == first_matrix and matrix is not first_matrix
+
+    def test_twin_reuses_its_parents_template(self, chain10,
+                                              symmetric_control):
+        plan = ProbePlan(chain10, symmetric_control)
+        first_matrix, first = run_estimation_cycle(plan, 0)
+        topology = chain10.twin()
+        twin = plan.twin(topology)
+        matrix, cycle = run_estimation_cycle(twin, SECOND, cycle_index=1)
+        assert cycle.template is first.template
+        assert matrix == first_matrix
+        assert twin.idle[1] is not plan.idle[1]
+        # A link flap in the twin's topology leaves the parent's plan alone.
+        topology.set_link_state("S3", "S4", LinkState.DOWN)
+        matrix, _ = run_estimation_cycle(twin, 2 * SECOND, cycle_index=2)
+        assert len(matrix) == 16
+        assert run_estimation_cycle(plan, 2 * SECOND)[1].template \
+            is first.template
+
+
 class TestEstimationRecord:
     def test_frozen(self):
         record = EstimationRecord(2, "S1", "S2", 5, 12, 17, 9)

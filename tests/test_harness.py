@@ -13,6 +13,7 @@ import sdnsim
 from sdnsim import harness, injections
 from sdnsim.contracts import ContractKind, FaultCause, PedChange
 from sdnsim.core import MILLISECOND, SECOND
+from sdnsim.delay_estimation import EstimationRecord
 from sdnsim.harness import (
     compute_restoration_stats,
     emit_reports,
@@ -28,7 +29,7 @@ from sdnsim.resilience import (
     RestorationRecord,
     variant_by_name,
 )
-from sdnsim.runlog import PacketLog, RunLog, Segment
+from sdnsim.runlog import Cycle, PacketLog, PartLog, RunLog, Segment
 from sdnsim.scenario import load_scenario, parse_scenario
 
 from conftest import assert_runs_match_fresh_runs, experiment_runs
@@ -367,10 +368,14 @@ class TestVerifyConservation:
     def test_estimation_record_in_range(self, log, link_delay,
                                         transmission_delay):
         # The doctored cost stays their sum, so only the range check fires.
-        log.estimation[3] = dataclasses.replace(
-            log.estimation[3], link_delay=link_delay,
+        first, *rest = log.estimation.closed
+        template = list(first.template)
+        template[3] = dataclasses.replace(
+            template[3], link_delay=link_delay,
             transmission_delay=transmission_delay,
             cost=link_delay + transmission_delay)
+        log.estimation = PartLog(closed=(
+            Cycle(tuple(template), first.cycle, first.at), *rest))
         with pytest.raises(AssertionError, match="out of range"):
             verify_conservation(log)
 
@@ -595,12 +600,34 @@ class TestEmitReports:
         # 12 links, both directions, 16 cycle boundaries over 150 s
         assert len(lines) - 1 >= 12 * 2
 
+    def test_estimation_cycle_csv_is_one_row_per_record(self, ring_scenario,
+                                                        tmp_path):
+        """Rows written from cycle templates equal rows written record by
+        record, on a run whose links go down and up and on a hand-made log
+        with braces in its switch names and a record in its open list."""
+        result = run_experiment(ring_scenario.with_flow_count(2), ["RM"], [1])
+        record = EstimationRecord(7, "S{0}", "S}", 5, 12, 17, 70)
+        made = RunLog(estimation=PartLog([record], (
+            Cycle((record,), 5, 50), Cycle((), 6, 60))))
+        for log in (result.sample_log, made):
+            assert len({id(part.template)
+                        for part in log.estimation.closed}) > 1
+            out = tmp_path / str(id(log))
+            emit_reports(dataclasses.replace(result, sample_log=log),
+                         str(out))
+            assert (out / "llde_cycles.csv").read_text() == "".join(
+                ["cycle,src,dst,link_delay_ns,transmission_delay_ns,"
+                 "cost_ns,at_ns\n"]
+                + [f"{r.cycle},{r.src},{r.dst},{r.link_delay},"
+                   f"{r.transmission_delay},{r.cost},{r.at}\n"
+                   for r in log.estimation])
+
     def test_eq1_raw_mode_doubles_link_delay_estimates(self, ring_scenario):
         scenario = ring_scenario.with_flow_count(2)
         normal = run_single(scenario, "RM", 1)
         config = dataclasses.replace(scenario.config, eq1_raw_mode=True)
         raw = run_single(dataclasses.replace(scenario, config=config), "RM", 1)
-        entry = normal.log.estimation[0]
-        raw_entry = raw.log.estimation[0]
+        entry = next(iter(normal.log.estimation))
+        raw_entry = next(iter(raw.log.estimation))
         assert (entry.src, entry.dst) == (raw_entry.src, raw_entry.dst)
         assert raw_entry.link_delay == 2 * entry.link_delay

@@ -42,7 +42,7 @@ from sdnsim.resilience import (
     VARIANT_ALIASES,
     variant_by_name,
 )
-from sdnsim.runlog import Segment
+from sdnsim.runlog import Cycle, Segment
 from sdnsim.scenario import load_scenario, parse_scenario
 
 from conftest import (
@@ -682,8 +682,8 @@ class TestTwin:
                 return (obj.delivered_at is not None
                         or obj.drop_reason is not None)
             return (type(obj) in (str, int, float, bool, type(None))
-                    or isinstance(obj, (tuple, frozenset, Enum, Segment, type,
-                                        ModuleType, FunctionType,
+                    or isinstance(obj, (tuple, frozenset, Enum, Segment,
+                                        Cycle, type, ModuleType, FunctionType,
                                         BuiltinFunctionType, CodeType))
                     or self.frozen(obj) or id(obj) in opaque)
 

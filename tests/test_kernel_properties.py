@@ -19,7 +19,8 @@ state:
   fresh run_single, log and metrics alike;
 - every run whose flows share one gap, so that the kernel fast-forwards
   through repeated periods, equals the same run simulated in full, also
-  when handlers schedule reroutes and link toggles onto the flows' ticks;
+  when handlers schedule reroutes and link toggles, and injections and
+  flow starts fall, on or next to the flows' ticks;
 - a log holding those periods as segments reads, scores and checks as
   the same records held in a plain list;
 - every run equals one whose transport is the four-handler reference in
@@ -84,7 +85,13 @@ def networks(draw, max_packets=30, max_gap=50 * MS, interval=SECOND,
     """(TopologySpec, flows, contract pairs, injections, variant, config).
 
     With shared_gap every flow sends with one drawn gap, single-packet
-    flows too, so that the kernel may fast-forward."""
+    flows too, so that the kernel may fast-forward.  Its periods start at
+    multiples of the gap, so there flows often start on or next to such
+    a multiple, often send one packet, and injections often fall on or
+    next to a flow's tick, often a link down and up at one instant, with
+    no host delay in some networks: then a flow may start and end, or a
+    packet enter a link as it goes down, inside a period that would
+    otherwise be replicated."""
     n = draw(st.integers(2, 6))
     ring = n >= 3 and draw(st.booleans())
     switches = tuple(f"S{i}" for i in range(1, n + 1))
@@ -96,17 +103,40 @@ def networks(draw, max_packets=30, max_gap=50 * MS, interval=SECOND,
                   for a, b in ends)
     hosts = tuple((f"H{i}", f"S{i}") for i in range(1, n + 1))
 
-    gap = draw(st.integers(MICROSECOND, max_gap)) if shared_gap else None
+    # Half of the shared gaps are long enough for packets to arrive within
+    # one period, which integers() alone rarely draws.
+    gap = draw(st.integers(MICROSECOND, max_gap)
+               | st.integers(max_gap // 2, max_gap)) if shared_gap else None
+
+    def near(instant: int) -> int:
+        return max(0, instant + draw(st.just(0) | st.sampled_from((1, -1))))
+
+    def tick(flow: Flow) -> int:
+        return flow.start_time + gap * draw(st.sampled_from(range(
+            flow.total_volume // flow.packet_length)))
+
     flows = []
     for index in range(draw(st.integers(1, 4))):
         src, dst = draw(st.lists(st.sampled_from([h for h, _ in hosts]),
                                  min_size=2, max_size=2, unique=True))
         length = draw(st.integers(1_000, 12_000))
         count = draw(st.integers(1, max_packets))
+        start = draw(st.integers(0, SECOND))
+        if gap:
+            if index:
+                count = draw(st.just(1) | st.integers(1, max_packets))
+            where = draw(st.just("tick") | st.sampled_from((
+                "period", "any"))) if flows else "period"
+            if where == "tick":
+                anchor = draw(st.sampled_from(flows))
+                start = near(tick(anchor))
+                if draw(st.booleans()):  # the anchor's pair, already routed
+                    src, dst = anchor.src_host, anchor.dst_host
+            elif where == "period":
+                start = near(start - start % gap)
         flows.append(Flow(
             id=f"F{index}", src_host=src, dst_host=dst, packet_length=length,
-            total_volume=count * length,
-            start_time=draw(st.integers(0, SECOND)),
+            total_volume=count * length, start_time=start,
             inter_packet_gap=gap or (0 if count == 1 else draw(
                 st.integers(MICROSECOND, max_gap)))))
 
@@ -119,16 +149,24 @@ def networks(draw, max_packets=30, max_gap=50 * MS, interval=SECOND,
     for _ in range(draw(st.integers(0, 4))):
         a, b = draw(st.sampled_from(ends))
         down = draw(st.integers(0, HORIZON))
+        up = down + draw(st.integers(0, SECOND))
+        if gap:
+            flow = draw(st.sampled_from(flows))
+            source = dict(hosts)[flow.src_host]
+            a, b = draw(st.sampled_from([e for e in ends if source in e])
+                        | st.sampled_from(ends))
+            down = near(tick(flow))
+            up = down + draw(st.just(0) | st.integers(0, SECOND))
         injections.append(LinkDownInjection(at=down, a=a, b=b))
-        if draw(st.booleans()):
-            injections.append(LinkUpInjection(
-                at=down + draw(st.integers(0, SECOND)), a=a, b=b))
+        if gap and up == down or draw(st.booleans()):
+            injections.append(LinkUpInjection(at=up, a=a, b=b))
     injections.sort(key=lambda inj: inj.at)
 
     variant = draw(st.sampled_from(sorted(VARIANT_ALIASES)))
     config = SimConfig(estimation_interval=interval,
                        queue_limit=draw(st.integers(0, 5 * MS)),
-                       host_link_delay=draw(st.integers(0, MS)))
+                       host_link_delay=draw(st.integers(0, MS)) if not gap
+                       else draw(st.just(0) | st.integers(0, MS)))
     return (TopologySpec(switches, hosts, links), flows, contracts,
             injections, variant, config)
 
@@ -219,7 +257,8 @@ def controller_entries(draw, network):
             st.just(0) | st.integers(0, gap - 1))
         if draw(st.booleans()):
             pair = (attached[flow.src_host], attached[flow.dst_host])
-            active = draw(st.one_of(st.just(later), st.integers(0, later)))
+            active = draw(st.one_of(st.just(later), st.integers(0, later),
+                                    st.integers(later, later + 2 * gap)))
             entries.append((at, later, "reroute",
                             (pair, simple_paths(spec, *pair), active)))
         else:

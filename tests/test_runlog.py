@@ -16,10 +16,13 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sdnsim.delay_estimation import EstimationRecord
 from sdnsim.harness import run_single
 from sdnsim.runlog import (
+    Cycle,
     PacketLog,
     PacketRecord,
+    PartLog,
     RunLog,
     Segment,
     record_to_dict,
@@ -115,6 +118,29 @@ def test_segment_lines_equal_json_dumps_of_their_records():
         [dropped], ((delivered,), Segment((delivered, dropped), 3, 1_000))))
     assert len(log.packets) == 8
     assert log.to_jsonl() == reference_jsonl(log)
+
+
+def test_cycle_lines_equal_json_dumps_of_their_records():
+    """A cycle is written from its template's text, with braces and escapes
+    kept in the fixed fields; templates that share a record, an empty
+    cycle and a record still in the open list are written alike."""
+    forward = EstimationRecord(0, "S{0}", 'S"2', 5, 12, 17, 0)
+    reverse = EstimationRecord(0, 'S"2', "S{0}", 5, 12, 17, 0)
+    other = EstimationRecord(3, "S\u2028", "S}", 7, 12, 19, 40)
+    first, second = (forward, reverse), (forward, other, reverse)
+    log = RunLog(estimation=PartLog([other], (
+        Cycle(first, 0, 0), Cycle(second, 1, 10**12), Cycle((), 2, 20),
+        Cycle(first, 3, 30))))
+    assert len(log.estimation) == 8
+    text = log.to_jsonl()
+    assert text.split("\n")[:-1] == [
+        json.dumps({"stream": "estimation", **record_to_dict(record)},
+                   sort_keys=True)
+        for record in log.estimation]
+    assert text == reference_jsonl(log)
+    parsed = RunLog.parse_jsonl(text)
+    assert type(parsed.estimation) is list
+    assert parsed.to_jsonl() == text
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.scn")),
