@@ -38,8 +38,8 @@ t, so runs whose lists agree up to t compute their common history once.
 The twin gets its own copy of every piece of state a run changes, and
 each owner copies its own: Topology.twin makes new Links in their
 current states, ContractStore.twin new pairs and its list of bound
-changes, and ResilienceManager.twin the controller's memos, its pending
-events and a probe plan over the twin's Links.  The kernel copies its
+changes, and ResilienceManager.twin the controller's cost matrix, routed
+pairs and pending events and a probe plan over the twin's Links.  The kernel copies its
 egress, link-down and forwarding tables with the count of forwarding
 changes, the flows' states, each log stream's list, the packet log's
 open list and the heap.  The heap keeps its order and sequence numbers;
@@ -49,13 +49,13 @@ packet with a copy of its record, in the same place of the twin's open
 list, on a hop plan over the twin's Links (plans refill as packets ask).
 An argument of any other kind is refused, so that no new kind of heap
 entry is shared by accident.  What no run changes is shared: flows, the
-config and control channel, the variant, estimation records, routes, the
-fast-forward snapshot, the packet log's closed parts (finished records
-and segments), the estimation log's cycle parts with the plan's idle
-template, and the applied injections.  Copies are built by their
-constructors or by plain attribute assignment, not by copy.deepcopy,
-whose generic walk of every reachable object cost several times a fresh
-kernel's set-up.
+config and control channel, the variant, estimation records, routes and
+the route memo (keyed by content, see resilience), the fast-forward
+snapshot, the packet log's closed parts (finished records and segments),
+the estimation log's cycle parts with the plan's idle template, and the
+applied injections.  Copies are built by their constructors or by plain
+attribute assignment, not by copy.deepcopy, whose generic walk of every
+reachable object cost several times a fresh kernel's set-up.
 
 Fast-forward.  When every flow sends with one positive gap P, traffic is
 periodic, and the kernel replicates whole periods instead of simulating
@@ -207,7 +207,7 @@ class Kernel:
     def __init__(self, topology: Topology, flows: list[Flow],
                  contract_pairs: list[ContractPair],
                  variant: MechanismVariant, config: SimConfig,
-                 control: ControlChannel) -> None:
+                 control: ControlChannel, routes: dict | None = None) -> None:
         self.topology = topology
         self.config = config
         self.control = control
@@ -254,7 +254,8 @@ class Kernel:
                    topology.attachment(flow.dst_host))
             self._flows[flow.id] = _FlowState(flow, key, key in covered)
         self.controller = ResilienceManager(
-            variant, topology, control, self.store, self, config, self.log)
+            variant, topology, control, self.store, self, config, self.log,
+            routes)
 
     def setup(self, t_end: int, injections: list[Injection]) -> None:
         """Schedule cycle boundaries and flow starts; take the injections."""

@@ -20,14 +20,22 @@ back to the weak contract (RS2), or issue a warning when even the weak
 requirement is out of reach (RS3).  A warning does not touch forwarding
 state; rules persist as last installed.
 
-Route memo.  find_path is a pure function of the Up links and the cost
-matrix, so the manager keeps its answer per (src, dst), "no path"
-included, and reuses it until one of the two inputs changes: a link
-changes state (Topology.version moves; set_link_state is its only
-mutator) or an estimation cycle yields costs that differ from the previous
-cycle's.  Capacities, propagation delays and the switch set are fixed at
-build time, so nothing else can change a route.  Each request still logs
-its own RouteRecord, so a run's log is the same with the memo as without.
+Route memo.  find_path reads only the Up links, the cost matrix, src and
+dst.  Capacities, propagation delays and the switch and link sets are
+fixed by the topology spec, and one run_experiment call sweeps a single
+spec, so within a call a route is a function of the set of Down links,
+the matrix's content, src and dst alone.  The memo is keyed by that
+content: for each (Down links, matrix items) state met so far, the answer
+per (src, dst), "no path" included.  run_experiment hands one such dict
+to every kernel it starts, so sibling variants, seeds and sweep values,
+and their twins, solve each path once; run_single's kernel keeps its
+own.  Topology.version is never part of the key, as twins and siblings
+reach one version with different links down; the manager only looks the
+state up again when the version moves (set_link_state is the only
+mutator of link state) or a cycle's costs differ from the previous
+cycle's, so a request stays one (src, dst) lookup.  Each request still
+logs its own RouteRecord, so a run's log is the same with the memo as
+without.
 """
 
 from __future__ import annotations
@@ -202,7 +210,7 @@ class ResilienceManager:
 
     def __init__(self, variant: MechanismVariant, topology: Topology,
                  control: ControlChannel, store: ContractStore,
-                 kernel, config, log) -> None:
+                 kernel, config, log, routes: dict | None = None) -> None:
         self.variant = variant
         self.topology = topology
         self.control = control
@@ -216,12 +224,15 @@ class ResilienceManager:
         self._probe_plan = ProbePlan(topology, control,
                                      config.probe_length_bits,
                                      config.eq1_raw_mode)
-        # Route memo: (src, dst) -> (route, its link costs), or None when
-        # unreachable; valid for self.matrix at topology version
-        # self._routes_version.
+        # Route memo (see "Route memo"): routes maps each state to its memo,
+        # (src, dst) -> (route, its link costs), or None when unreachable.
+        # self._routes is the memo of the state at topology version
+        # self._picked_at; None there makes the next request pick again.
+        self._route_memos: dict[tuple[frozenset, frozenset], dict] = (
+            {} if routes is None else routes)
         self._routes: dict[tuple[SwitchId, SwitchId],
                            tuple[RouteResult, tuple[int, ...]] | None] = {}
-        self._routes_version = topology.version
+        self._picked_at: int | None = None
         self.cycle_index = -1
         self.routed_pairs: set[tuple[SwitchId, SwitchId]] = set()
         # Events since the last cycle boundary, for detection-delay
@@ -231,8 +242,9 @@ class ResilienceManager:
     def twin(self, kernel, topology: Topology, store: ContractStore,
              log) -> ResilienceManager:
         """A copy of this manager for kernel, a twin of this one's kernel
-        with its topology, store and log: the same memos and pending
-        events, its own containers and a probe plan over topology."""
+        with its topology, store and log: the same pending events, its own
+        containers and a probe plan over topology.  The route memo, which
+        caches a pure function of its key, is shared."""
         twin = ResilienceManager.__new__(ResilienceManager)
         twin.variant = self.variant
         twin.topology = topology
@@ -243,8 +255,9 @@ class ResilienceManager:
         twin.log = log
         twin.matrix = dict(self.matrix)
         twin._probe_plan = self._probe_plan.twin(topology)
-        twin._routes = dict(self._routes)
-        twin._routes_version = self._routes_version
+        twin._route_memos = self._route_memos
+        twin._routes = self._routes
+        twin._picked_at = self._picked_at
         twin.cycle_index = self.cycle_index
         twin.routed_pairs = set(self.routed_pairs)
         twin._pending = list(self._pending)
@@ -261,7 +274,7 @@ class ResilienceManager:
             cycle_index=self.cycle_index,
         )
         if matrix != self.matrix:
-            self._routes.clear()
+            self._picked_at = None
         self.matrix = matrix
         self.log.estimation.close(cycle)
         if self.variant.proactive:
@@ -494,9 +507,8 @@ class ResilienceManager:
     def _compute_route(self, key: tuple[SwitchId, SwitchId], now: int,
                        purpose: str) -> RouteResult | None:
         """Best route for a pair under the current network state, logged."""
-        if self._routes_version != self.topology.version:
-            self._routes.clear()
-            self._routes_version = self.topology.version
+        if self._picked_at != self.topology.version:
+            self._pick_routes()
         try:
             memo = self._routes[key]
         except KeyError:
@@ -515,6 +527,15 @@ class ResilienceManager:
             at=now, src=key[0], dst=key[1], path=route.path, ed=route.ed,
             link_costs=costs, purpose=purpose))
         return route
+
+    def _pick_routes(self) -> None:
+        """Point self._routes at the memo of the current Down links and
+        costs, shared with every kernel that has met the same state."""
+        down = frozenset(link.key for link in self.topology.links()
+                         if link.state is not LINK_UP)
+        state = (down, frozenset(self.matrix.items()))
+        self._routes = self._route_memos.setdefault(state, {})
+        self._picked_at = self.topology.version
 
     def _reassignment_delay(self, path: tuple[SwitchId, ...]) -> int:
         return max(self.control.c2s(s) for s in path)

@@ -1,3 +1,4 @@
+import json
 import math
 from contextlib import contextmanager
 from itertools import zip_longest
@@ -5,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from sdnsim import harness
+from sdnsim import harness, resilience
 from sdnsim.core import (
     ControlChannel,
     LinkSpec,
@@ -15,7 +16,12 @@ from sdnsim.core import (
     TopologySpec,
     build_topology,
 )
+from sdnsim.delay_estimation import ProbePlan
+from sdnsim.injections import materialize_injections
 from sdnsim.kernel import Kernel, PacketRecord, _Packet
+from sdnsim.resilience import ResilienceManager, RouteRecord, variants_by_name
+from sdnsim.routing import NoPathError, find_path
+from sdnsim.runlog import RunLog, record_to_dict
 
 GBPS = 1_000_000_000
 MBPS = 1_000_000
@@ -131,9 +137,10 @@ def symmetric_control():
                           default_s2c=250 * MICROSECOND)
 
 
-def experiment_runs(scenario, variants, seeds, sweep=None):
-    """(swept scenario, variant, seed, RunResult with its log) of every run
-    that run_experiment makes, in the order it makes them."""
+def recorded_experiment(scenario, variants, seeds, sweep=None):
+    """run_experiment's result, and (swept scenario, variant, seed,
+    RunResult with its log) of every run it makes, in the order it makes
+    them."""
     run_single = harness.run_single
     runs = []
 
@@ -145,8 +152,14 @@ def experiment_runs(scenario, variants, seeds, sweep=None):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "run_single", recorded)
-        harness.run_experiment(scenario, variants, seeds, sweep=sweep)
-    return runs
+        result = harness.run_experiment(scenario, variants, seeds,
+                                        sweep=sweep)
+    return result, runs
+
+
+def experiment_runs(scenario, variants, seeds, sweep=None):
+    """The runs of recorded_experiment."""
+    return recorded_experiment(scenario, variants, seeds, sweep)[1]
 
 
 def assert_same_jsonl(ours, theirs, label=None):
@@ -210,3 +223,69 @@ def assert_fast_forward_exact(run):
     assert kernel.egress_free == simulated.egress_free
     assert kernel.now == simulated.now
     return counts
+
+
+def reference_compute_route(manager, key, now, purpose):
+    """ResilienceManager._compute_route without a memo: find_path on every
+    request, logged the same way."""
+    try:
+        route = find_path(manager.topology, manager.matrix, *key)
+    except NoPathError:
+        return None
+    costs = tuple(manager.matrix[hop] for hop in zip(route.path,
+                                                      route.path[1:]))
+    manager.log.routes.append(RouteRecord(
+        at=now, src=key[0], dst=key[1], path=route.path, ed=route.ed,
+        link_costs=costs, purpose=purpose))
+    return route
+
+
+def reference_jsonl(log: RunLog) -> str:
+    """The rule RunLog.to_jsonl implements: json.dumps of each record."""
+    lines = [json.dumps({"stream": stream, **record_to_dict(record)},
+                        sort_keys=True)
+             for stream in RunLog.STREAMS for record in getattr(log, stream)]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def naive_experiment(scenario, variants, seeds, sweep=None):
+    """recorded_experiment by the plainest pipeline: per cell, freshly
+    materialized injections and a fresh ReferenceKernel that simulates
+    every period, estimates each cycle with a fresh ProbePlan and solves
+    every route request, so no kernel work, diary, estimate or route is
+    shared and nothing is fast-forwarded."""
+    sweep_param, sweep_values = (None, (None,)) if sweep is None else (
+        sweep[0], tuple(sweep[1]))
+    names = tuple(variant.name for variant in variants_by_name(variants))
+    runs = []
+    result = harness.ExperimentResult(
+        scenario_name=scenario.name,
+        scenario_sha256=harness._scenario_digest(scenario),
+        sweep_param=sweep_param, sweep_values=sweep_values, variants=names,
+        seeds=tuple(seeds), eq1_raw_mode=scenario.config.eq1_raw_mode)
+    cycle = resilience.run_estimation_cycle
+    with no_fast_forward(), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "Kernel", ReferenceKernel)
+        patch.setattr(ResilienceManager, "_compute_route",
+                      reference_compute_route)
+        for value in sweep_values:
+            swept = harness._swept_scenario(scenario, sweep_param, value)
+
+            def afresh(plan, now, swept=swept, **kwargs):
+                return cycle(ProbePlan(
+                    plan.topology, swept.control,
+                    swept.config.probe_length_bits, plan.raw_mode),
+                    now, **kwargs)
+
+            patch.setattr(resilience, "run_estimation_cycle", afresh)
+            for variant in names:
+                reports = result.cells[(variant, value)] = []
+                for seed in seeds:
+                    done = harness.run_single(
+                        swept, variant, seed,
+                        injections=materialize_injections(swept, seed))
+                    if result.sample_log is None:
+                        result.sample_log = done.log
+                    reports.append(done.metrics)
+                    runs.append((swept, variant, seed, done))
+    return result, runs

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sdnsim
-from sdnsim import harness, injections
+from sdnsim import harness, injections, resilience
 from sdnsim.contracts import ContractKind, FaultCause, PedChange
 from sdnsim.core import MILLISECOND, SECOND
 from sdnsim.delay_estimation import EstimationRecord
@@ -542,6 +542,47 @@ class TestSharedKernels:
             run_single(scenario, "woRM", 1, kernel=kernel)
         assert run_single(scenario, "RM", 1, kernel=kernel).metrics == \
             run_single(scenario, "RM", 1).metrics
+
+
+class TestSharedRoutes:
+    """Every kernel of one run_experiment call shares one route memo, and
+    no later call sees it."""
+
+    VARIANTS = ["woRM", "sRM", "pRM", "RM"]
+
+    @staticmethod
+    def solved(run):
+        """run()'s result and the number of find_path calls it made."""
+        calls = []
+        find_path = resilience.find_path
+
+        def counted(*args):
+            calls.append(args[2:])
+            return find_path(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(resilience, "find_path", counted)
+            return run(), len(calls)
+
+    def test_runs_solve_fewer_paths_together_than_alone(self, ring_scenario):
+        """Fewer than the runs solve alone, and fewer than each variant's
+        experiment, whose runs already share kernel work, solves alone."""
+        scenario = ring_scenario.with_flow_count(2)
+        sweep = ("events", [1, 2])
+        runs, together = self.solved(lambda: experiment_runs(
+            scenario, self.VARIANTS, [1, 2], sweep))
+        assert len(runs) == 16
+        _, alone = self.solved(lambda: assert_runs_match_fresh_runs(runs))
+        per_variant = sum(self.solved(lambda: run_experiment(
+            scenario, [variant], [1, 2], sweep))[1]
+            for variant in self.VARIANTS)
+        assert together < per_variant < alone
+
+    def test_the_memo_does_not_outlive_its_call(self, ring_scenario):
+        scenario = ring_scenario.with_flow_count(2)
+        counts = [self.solved(lambda: run_experiment(
+            scenario, self.VARIANTS, [1, 2]))[1] for _ in range(2)]
+        assert counts[0] == counts[1] > 0
 
 
 class TestEmitReports:

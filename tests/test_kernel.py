@@ -670,8 +670,12 @@ class TestTwin:
                    for _, _, action, _ in kernel._queue)
 
         twin = kernel.branch(self.branched)
-        # The run's inputs, which nothing changes, and the kernel's marker.
-        opaque = {id(kernel.config), id(kernel.control), id(_NO_ARG)}
+        # The run's inputs, which nothing changes, the kernel's marker, and
+        # the route memo, which caches a pure function of its key.
+        memos = kernel.controller._route_memos
+        assert twin.controller._route_memos is memos
+        opaque = {id(kernel.config), id(kernel.control), id(_NO_ARG),
+                  id(memos), *map(id, memos.values())}
         ours = self.reachable(kernel, opaque)
         theirs = self.reachable(twin, opaque)
         shared = [ours[key] for key in ours.keys() & theirs.keys()]

@@ -17,6 +17,9 @@ state:
   and records of a cycle with a fresh plan at the same instant and waits;
 - every run of an experiment, whose runs share kernel work, equals a
   fresh run_single, log and metrics alike;
+- every experiment, with all its shortcuts, equals the naive oracle in
+  conftest in its reports, report files, sample log and run logs, also
+  when packets ask for routes just after the runs' failures;
 - every run whose flows share one gap, so that the kernel fast-forwards
   through repeated periods, equals the same run simulated in full, also
   when handlers schedule reroutes and link toggles, and injections and
@@ -28,13 +31,20 @@ state:
 """
 
 import dataclasses
+import os
+import tempfile
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from sdnsim import resilience
-from sdnsim.harness import metrics_from_streams, verify_conservation
+from sdnsim.harness import (
+    emit_reports,
+    metrics_from_streams,
+    run_experiment,
+    verify_conservation,
+)
 from sdnsim.contracts import create_contract_pair
 from sdnsim.core import (
     ControlChannel,
@@ -54,6 +64,7 @@ from sdnsim.injections import (
     LinkDownInjection,
     LinkUpInjection,
     PedChangeInjection,
+    materialize_injections,
 )
 from sdnsim.kernel import Kernel, ScheduleError
 from sdnsim.resilience import VARIANT_ALIASES, variant_by_name
@@ -71,6 +82,9 @@ from conftest import (
     assert_fast_forward_exact,
     assert_runs_match_fresh_runs,
     experiment_runs,
+    naive_experiment,
+    recorded_experiment,
+    reference_jsonl,
 )
 
 MS = MILLISECOND
@@ -558,3 +572,63 @@ def test_every_shared_run_equals_a_fresh_run(scenario, data):
     assert_runs_match_fresh_runs(sweep_runs + seed_runs)
     event("queued egress at a branch" if any(queued)
           else "branches, idle egresses" if queued else "no branch")
+
+
+def report_files(result) -> dict[str, bytes]:
+    """emit_reports' files for result, by name."""
+    with tempfile.TemporaryDirectory() as out:
+        written = emit_reports(result, out)
+        files = {}
+        for path in written:
+            with open(path, "rb") as handle:
+                files[os.path.basename(path)] = handle.read()
+        return files
+
+
+@settings(max_examples=80, deadline=None)
+@given(scenarios(), st.data())
+def test_every_experiment_equals_the_naive_oracle(scenario, data):
+    """Shared kernels, branches, fast-forward, idle estimation templates,
+    the shared route memo, the diary memo and the slotted log writer
+    together: the same reports, report bytes, sample log and run logs as
+    naive_experiment, with each log written by json.dumps per record."""
+    variants = data.draw(st.lists(st.sampled_from(sorted(VARIANT_ALIASES)),
+                                  min_size=1, max_size=4, unique=True))
+    seeds = [1, 2, 3]
+    sweep = data.draw(st.none() | st.builds(
+        lambda counts: ("events", sorted(counts)),
+        st.sets(st.integers(0, 5), min_size=2, max_size=3)))
+    # Only an auto spec fails different links under different seeds.
+    if scenario.auto_link_failures is None:
+        scenario = dataclasses.replace(scenario, auto_link_failures=(
+            AutoLinkFailures(count=data.draw(st.integers(1, 3)),
+                             window=(0, HORIZON))))
+    # A packet sent just after each failure of any run asks for a route
+    # where runs may stand at one topology version with other links down.
+    # It keeps the first flow's gap, so flows that share one still do.
+    per_value = [scenario] if sweep is None else [
+        scenario.with_event_count(count) for count in sweep[1]]
+    failures = sorted({inj.at for each in per_value for seed in seeds
+                       for inj in materialize_injections(each, seed)
+                       if type(inj) is LinkDownInjection})
+    hosts = [host for host, _ in scenario.topology_spec.hosts]
+    late = tuple(Flow(id=f"L{index}", src_host=src, dst_host=dst,
+                      packet_length=1_000, total_volume=1_000,
+                      start_time=at + 1,
+                      inter_packet_gap=scenario.flows[0].inter_packet_gap)
+                 for index, at in enumerate(failures)
+                 for src, dst in [data.draw(st.lists(
+                     st.sampled_from(hosts), min_size=2, max_size=2,
+                     unique=True))])
+    scenario = dataclasses.replace(scenario, flows=scenario.flows + late)
+    ours, runs = recorded_experiment(scenario, variants, seeds, sweep)
+    naive, naive_runs = naive_experiment(scenario, variants, seeds, sweep)
+    assert ours.cells == naive.cells
+    assert report_files(ours) == report_files(naive)
+    assert ours.sample_log.to_jsonl() == reference_jsonl(naive.sample_log)
+    # Two sweep values may give one scenario, so runs match by their inputs.
+    logs = [(variant, seed, swept, reference_jsonl(done.log))
+            for swept, variant, seed, done in naive_runs]
+    assert len(runs) == len(logs)
+    for swept, variant, seed, done in runs:
+        assert (variant, seed, swept, done.log.to_jsonl()) in logs

@@ -354,17 +354,24 @@ class TestPhaseSum:
 
 
 class TestRouteMemo:
-    """A pair's route is computed once per link states and cycle costs."""
+    """A pair's route is computed once per Down links and cycle costs, in
+    every kernel on one memo."""
 
     PAIR = ("S1", "S8")
+
+    @staticmethod
+    def idle_kernel(routes=None):
+        """An idle ring kernel after cycle 0, on the route memo routes."""
+        kernel = Kernel(
+            topology=build_topology(ring_with_chords_spec()), flows=[],
+            contract_pairs=[], variant=variant_by_name("SDN-RM"),
+            config=SimConfig(), control=ControlChannel(), routes=routes)
+        kernel.controller.on_cycle_boundary(0)
+        return kernel
 
     @pytest.fixture
     def memo(self, monkeypatch):
         """An idle ring kernel after cycle 0, and the find_path calls made."""
-        kernel = Kernel(
-            topology=build_topology(ring_with_chords_spec()), flows=[],
-            contract_pairs=[], variant=variant_by_name("SDN-RM"),
-            config=SimConfig(), control=ControlChannel())
         calls = []
         real = resilience.find_path
 
@@ -373,8 +380,7 @@ class TestRouteMemo:
             return real(topology, costs, src, dst)
 
         monkeypatch.setattr(resilience, "find_path", counting)
-        kernel.controller.on_cycle_boundary(0)
-        return kernel, calls
+        return self.idle_kernel(), calls
 
     def route(self, kernel, now=0):
         return kernel.controller._compute_route(self.PAIR, now, "test")
@@ -396,7 +402,8 @@ class TestRouteMemo:
         assert len(calls) == 1
         assert kernel.log.routes == []
 
-    def test_link_down_and_link_up_each_clear_the_memo(self, memo):
+    def test_link_down_misses_and_link_up_returns_to_the_memoized_route(
+            self, memo):
         kernel, calls = memo
         self.route(kernel)
         kernel.topology.set_link_state("S9", "S10", LinkState.DOWN)
@@ -404,7 +411,38 @@ class TestRouteMemo:
         assert len(calls) == 2
         kernel.topology.set_link_state("S9", "S10", LinkState.UP)
         assert self.route(kernel).path == ROUTE_0
-        assert len(calls) == 3
+        assert len(calls) == 2
+
+    def test_one_version_with_other_links_down_is_another_state(self, memo):
+        """Two kernels on one memo, each one link state change in, so at
+        the same Topology.version, with different links down."""
+        kernel, calls = memo
+        sibling = self.idle_kernel(kernel.controller._route_memos)
+        kernel.topology.set_link_state("S9", "S10", LinkState.DOWN)
+        sibling.topology.set_link_state("S3", "S8", LinkState.DOWN)
+        assert kernel.topology.version == sibling.topology.version
+        assert self.route(kernel).path == ROUTE_1
+        assert self.route(sibling).path == ROUTE_0
+        assert len(calls) == 2
+
+    def test_equal_costs_of_another_kernel_hit_and_a_changed_cost_misses(
+            self, memo):
+        kernel, calls = memo
+        self.route(kernel)
+        sibling = self.idle_kernel(kernel.controller._route_memos)
+        ours, theirs = kernel.controller.matrix, sibling.controller.matrix
+        assert theirs == ours and theirs is not ours
+        assert self.route(sibling).path == ROUTE_0
+        assert len(calls) == 1
+        # A queued probe makes the next cycle estimate link S1-S10, both
+        # ways, slower; every other cost stays.
+        sibling.egress_free[("S1", "S10")] = 10 * SECOND + MS
+        sibling.controller.on_cycle_boundary(10 * SECOND)
+        theirs = sibling.controller.matrix
+        assert [link for link in theirs if theirs[link] != ours[link]] == [
+            ("S1", "S10"), ("S10", "S1")]
+        assert self.route(sibling, 10 * SECOND).path == ROUTE_1
+        assert len(calls) == 2
 
     def test_equal_cycle_costs_keep_the_memo(self, memo):
         kernel, calls = memo

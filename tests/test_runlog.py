@@ -29,14 +29,9 @@ from sdnsim.runlog import (
 )
 from sdnsim.scenario import load_scenario
 
+from conftest import reference_jsonl
+
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
-
-
-def reference_jsonl(log: RunLog) -> str:
-    lines = [json.dumps({"stream": stream, **record_to_dict(record)},
-                        sort_keys=True)
-             for stream in RunLog.STREAMS for record in getattr(log, stream)]
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 class Mode(Enum):
