@@ -17,13 +17,23 @@ capacities and propagation delays are fixed at build time, and a plan
 holds the live Link objects, so a hop still sees the link's current state.
 
 Heap entries are (time, sequence, action, argument), with bound methods
-as actions, so no closure is built per event.  Each hop of a packet is one
-entry and one handler, _hop: at ingress or on arrival it delivers the
-packet or reserves its next egress and pushes its arrival there.  Setup
+as actions, so no closure is built per event.  One handler, _hop, takes
+each hop of a packet: at ingress or on arrival it delivers the packet or
+reserves its next egress and pushes its arrival there.  Setup
 and the controller use the checked schedule_call; transport pushes
 directly, as its times are never past: a tick is a positive gap ahead, an
 ingress the host delay, an arrival the egress wait, transmission and
-propagation delay (SimConfig, Link and Flow reject negatives).
+propagation delay (SimConfig, Link and Flow reject negatives).  An
+entry transport makes is run on at once, in the call that made it, when
+it sorts below both the heap's head and the bound _run_before drains to:
+the advance target, the (instant, number) that an injection waits
+behind, or the next multiple of the fast-forward period.  Such an entry
+is the very next one the loop would pop, and nothing reads the heap in
+between, so handlers run in the same order at the same clock and draw
+the same sequence numbers.  A packet that leads the queue, as the
+packets of sparse flows mostly do, thus crosses its hops in one call;
+_flow_tick numbers the ingress, pushes the next tick and then runs the
+ingress on if it would pop next.
 
 Injections never enter the heap.  The log holds them as one time-sorted
 list, and advance applies each after the heap entries setup numbered at
@@ -229,12 +239,14 @@ class Kernel:
         self._applied = 0
         self._reached = 0
         self._setup_end = 0
+        # The number of set_forwarding calls so far, which fast-forward and
+        # the controller's idle cycles compare.
+        self.forwarding_changes = 0
         # Fast-forward (see "Fast-forward"): the common gap P, the next
         # multiple of it to snapshot at (never when the flows' gaps
-        # differ), the last snapshot as (instant, pending ticks, (link
+        # differ), and the last snapshot as (instant, pending ticks, (link
         # state changes, forwarding changes, flows yet to start), open
-        # packets), and the number of forwarding changes so far.
-        self._reroutes = 0
+        # packets).
         gaps = {flow.inter_packet_gap for flow in flows}
         self._period = gaps.pop() if len(gaps) == 1 else 0
         self._period_at: float = 0 if self._period > 0 else math.inf
@@ -315,8 +327,10 @@ class Kernel:
         # so that a finished kernel holds no reference cycle.
         self._on_hop = self._hop
         while True:
-            # Stop at the next multiple of the period to fast-forward there.
-            stop = min(until, (self._period_at, -1))
+            # Stop at the next multiple of the period to fast-forward there;
+            # transport runs an entry below this bound on inline when it
+            # would pop next (see "Heap entries").
+            stop = self._bound = min(until, (self._period_at, -1))
             while queue and queue[0] < stop:
                 at, _, action, arg = pop(queue)
                 self.now = at
@@ -327,7 +341,7 @@ class Kernel:
             if not queue or queue[0] >= until:
                 break
             self._fast_forward(until[0])
-        del self._on_hop
+        del self._on_hop, self._bound
 
     def _fast_forward(self, until: int) -> None:
         """Snapshot at the last multiple x of the period that the heap's
@@ -361,7 +375,7 @@ class Kernel:
                       for at, _, index in ticks)
         last = self._snapshot
         packets = self.log.packets
-        counts = (self.topology.version, self._reroutes, unstarted)
+        counts = (self.topology.version, self.forwarding_changes, unstarted)
         self._snapshot = (x, shape, counts, len(packets.open))
         since = x - period
         applied = self._applied
@@ -459,7 +473,7 @@ class Kernel:
         twin._period = self._period
         twin._period_at = self._period_at
         twin._snapshot = self._snapshot
-        twin._reroutes = self._reroutes
+        twin.forwarding_changes = self.forwarding_changes
         twin.store = store
         twin._flows = flows
         twin.controller = controller
@@ -508,7 +522,14 @@ class Kernel:
     def set_forwarding(self, key: tuple[SwitchId, SwitchId],
                        path: tuple[SwitchId, ...], active_at: int) -> None:
         self._forwarding.setdefault(key, []).append((active_at, tuple(path)))
-        self._reroutes += 1
+        self.forwarding_changes += 1
+
+    def forwarding_settled(self, now: int) -> bool:
+        """Whether every forwarding entry is active by now, so that
+        forwarding_path gives the same answers at every later instant
+        until the next set_forwarding."""
+        return all(active_at <= now for entries in self._forwarding.values()
+                   for active_at, _ in entries)
 
     # ------------------------------------------------------------------
     # injections
@@ -545,18 +566,25 @@ class Kernel:
         record = PacketRecord(flow.id, state.next_seq, state.pair,
                               state.covered, length, at, path)
         self.log.packets.open.append(record)
+        ingress = None
         if path is None:
             record.drop_reason = "no_route"
         else:
-            heapq.heappush(self._queue, (
-                at + self._host_delay, next(self._seq), self._on_hop,
-                _Packet(record, self._hop_plan(path, length))))
+            ingress = (at + self._host_delay, next(self._seq), self._on_hop,
+                       _Packet(record, self._hop_plan(path, length)))
         state.next_seq += 1
+        queue = self._queue
         # Flow guarantees a positive gap whenever another packet fits.
         if state.bits_sent + length <= flow.total_volume:
-            heapq.heappush(self._queue, (at + flow.inter_packet_gap,
-                                         next(self._seq), self._flow_tick,
-                                         state))
+            heapq.heappush(queue, (at + flow.inter_packet_gap,
+                                   next(self._seq), self._flow_tick, state))
+        if ingress is not None:
+            if queue and queue[0] < ingress or not ingress < self._bound:
+                heapq.heappush(queue, ingress)
+            else:
+                at, _, hop, packet = ingress
+                self.now = at
+                hop(packet, at)
 
     def _hop_plan(self, path: tuple[SwitchId, ...],
                   length: int) -> tuple[_Hop, ...]:
@@ -573,30 +601,38 @@ class Kernel:
         return plan
 
     def _hop(self, packet: _Packet, at: int) -> None:
-        """A packet's ingress or arrival (see "Heap entries")."""
-        record, hops, hop = packet.record, packet.hops, packet.hop
-        if hop:
-            link, _, key, _, _ = hops[hop - 1]
-            if link.state is not LINK_UP or self._last_down and (
-                    packet.entered <= self._last_down.get(key, -1) < at):
+        """A packet's ingress or arrival, and each next arrival that would
+        pop next (see "Heap entries")."""
+        record, hops = packet.record, packet.hops
+        queue, bound, egress_free = self._queue, self._bound, self.egress_free
+        while True:
+            hop = packet.hop
+            if hop:
+                link, _, key, _, _ = hops[hop - 1]
+                if link.state is not LINK_UP or self._last_down and (
+                        packet.entered <= self._last_down.get(key, -1) < at):
+                    record.drop_reason = "link_down"
+                    return
+            if hop == len(hops):
+                record.delivered_at = delivered = at + self._host_delay
+                record.actual_delay = delivered - record.sent_at
+                return
+            link, egress, _, td, propagation = hops[hop]
+            if link.state is not LINK_UP:
                 record.drop_reason = "link_down"
                 return
-        if hop == len(hops):
-            record.delivered_at = delivered = at + self._host_delay
-            record.actual_delay = delivered - record.sent_at
-            return
-        link, egress, _, td, propagation = hops[hop]
-        if link.state is not LINK_UP:
-            record.drop_reason = "link_down"
-            return
-        free = self.egress_free.get(egress, 0)
-        start = at if at >= free else free
-        wait = start - at
-        if wait > self._queue_limit:
-            record.drop_reason = "queue_overflow"
-            return
-        self.egress_free[egress] = start + td
-        record.queue_wait += wait
-        packet.hop, packet.entered = hop + 1, at
-        heapq.heappush(self._queue, (start + td + propagation,
-                                     next(self._seq), self._on_hop, packet))
+            free = egress_free.get(egress, 0)
+            start = at if at >= free else free
+            wait = start - at
+            if wait > self._queue_limit:
+                record.drop_reason = "queue_overflow"
+                return
+            egress_free[egress] = start + td
+            record.queue_wait += wait
+            packet.hop, packet.entered = hop + 1, at
+            arrival = (start + td + propagation, next(self._seq),
+                       self._on_hop, packet)
+            if queue and queue[0] < arrival or not arrival < bound:
+                heapq.heappush(queue, arrival)
+                return
+            at = self.now = arrival[0]

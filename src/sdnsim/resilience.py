@@ -36,6 +36,28 @@ mutator of link state) or a cycle's costs differ from the previous
 cycle's, so a request stays one (src, dst) lookup.  Each request still
 logs its own RouteRecord, so a run's log is the same with the memo as
 without.
+
+Idle cycles.  A proactive cycle reads the placed pairs, each pair's
+bounds and active kind, its forwarding path at now with the states of
+that path's links, the cost matrix and the route memo's answers, which
+are a function of the Down links and the matrix.  Call a cycle idle when
+it logged no fault and left the topology version, the kernel's count of
+forwarding changes, the count of bound changes and the count of routed
+pairs as it found them, with every forwarding entry active by its
+instant.  Suppose the next cycle finds those four counts and the matrix
+as the idle one left them, and no event pending.  Then it reads the same
+inputs: link states change only with the version, bounds and active
+kinds only with a bound change, forwarding entries only with a
+forwarding change, and a forwarding path answers alike at both instants
+since no entry becomes active between them; routed pairs are only ever
+added.  So it makes the same choices: no weak-to-strong switch and no
+fault, as the idle cycle made none, and the same routes, none
+installed.  observe, the weak-to-strong switch, _attribute and the
+installs read now, but only on the paths that a switch, a fault or an
+install takes, so now enters the cycle's output only as the at of its
+RouteRecords.  Such a cycle therefore logs the idle cycle's route
+records with at replaced, evaluates nothing and is itself idle.  A
+boundary whose matrix differs from the last one forgets the idle cycle.
 """
 
 from __future__ import annotations
@@ -238,6 +260,10 @@ class ResilienceManager:
         # Events since the last cycle boundary, for detection-delay
         # attribution when a proactive-only configuration finds the fault.
         self._pending: list[tuple[int, EventKind, tuple]] = []
+        # The last proactive cycle when it was idle (see "Idle cycles"):
+        # the counts it left and the route records it logged; else None.
+        self._idle: tuple[tuple[int, int, int, int],
+                          tuple[RouteRecord, ...]] | None = None
 
     def twin(self, kernel, topology: Topology, store: ContractStore,
              log) -> ResilienceManager:
@@ -261,6 +287,7 @@ class ResilienceManager:
         twin.cycle_index = self.cycle_index
         twin.routed_pairs = set(self.routed_pairs)
         twin._pending = list(self._pending)
+        twin._idle = self._idle
         return twin
 
     # ------------------------------------------------------------------
@@ -275,6 +302,7 @@ class ResilienceManager:
         )
         if matrix != self.matrix:
             self._picked_at = None
+            self._idle = None
         self.matrix = matrix
         self.log.estimation.close(cycle)
         if self.variant.proactive:
@@ -282,6 +310,28 @@ class ResilienceManager:
         self._pending.clear()
 
     def _proactive_cycle(self, now: int) -> None:
+        """Evaluate the placed pairs, or replay the previous cycle when it
+        was idle and nothing it read has changed (see "Idle cycles")."""
+        counts = self._cycle_counts()
+        idle = self._idle
+        if idle is not None and idle[0] == counts and not self._pending:
+            self.log.routes.extend(
+                RouteRecord(now, r.src, r.dst, r.path, r.ed, r.link_costs,
+                            r.purpose) for r in idle[1])
+            return
+        faults, routes = len(self.log.faults), len(self.log.routes)
+        self._evaluate_pairs(now)
+        self._idle = None
+        if (len(self.log.faults) == faults and self._cycle_counts() == counts
+                and self.kernel.forwarding_settled(now)):
+            self._idle = (counts, tuple(self.log.routes[routes:]))
+
+    def _cycle_counts(self) -> tuple[int, int, int, int]:
+        """What an idle cycle must find unchanged besides the matrix."""
+        return (self.topology.version, self.kernel.forwarding_changes,
+                len(self.store.ped_changes), len(self.routed_pairs))
+
+    def _evaluate_pairs(self, now: int) -> None:
         """Evaluate each placed pair's contract, then re-optimize.
 
         Contract pairs that have no flows yet carry no traffic to defend

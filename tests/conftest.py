@@ -1,5 +1,6 @@
 import json
 import math
+from bisect import bisect_right
 from contextlib import contextmanager
 from itertools import zip_longest
 from types import SimpleNamespace
@@ -248,12 +249,40 @@ def reference_jsonl(log: RunLog) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def reference_success_rate(packets, ped_changes):
+    """The success rates as one bisection per covered delivery."""
+    changes = sorted(ped_changes, key=lambda c: c.at)
+    covered = [p for p in packets if p.covered]
+    if not covered:
+        return 1.0, 1.0
+    hits = strong_hits = 0
+    for p in covered:
+        if p.delivered_at is None:
+            continue
+        mine = [c for c in changes if (c.src, c.dst) == tuple(p.pair)]
+        index = bisect_right([c.at for c in mine], p.delivered_at)
+        if index:
+            hits += p.actual_delay <= mine[index - 1].active_ped
+            strong_hits += p.actual_delay <= mine[index - 1].strong_ped
+    return hits / len(covered), strong_hits / len(covered)
+
+
+def reference_score_packets(packets, ped_changes):
+    """harness._score_packets record by record, each copy of a segment
+    built, with the success rates by bisection."""
+    packets = list(packets)
+    delivered = [p for p in packets if p.delivered_at is not None]
+    return (len(delivered), sum(p.length for p in delivered),
+            *reference_success_rate(packets, ped_changes))
+
+
 def naive_experiment(scenario, variants, seeds, sweep=None):
     """recorded_experiment by the plainest pipeline: per cell, freshly
     materialized injections and a fresh ReferenceKernel that simulates
-    every period, estimates each cycle with a fresh ProbePlan and solves
-    every route request, so no kernel work, diary, estimate or route is
-    shared and nothing is fast-forwarded."""
+    every period, estimates each cycle with a fresh ProbePlan, evaluates
+    every proactive cycle in full and solves every route request, so no
+    kernel work, diary, estimate, cycle or route is shared and nothing is
+    fast-forwarded; packets are scored by bisection, one by one."""
     sweep_param, sweep_values = (None, (None,)) if sweep is None else (
         sweep[0], tuple(sweep[1]))
     names = tuple(variant.name for variant in variants_by_name(variants))
@@ -268,6 +297,9 @@ def naive_experiment(scenario, variants, seeds, sweep=None):
         patch.setattr(harness, "Kernel", ReferenceKernel)
         patch.setattr(ResilienceManager, "_compute_route",
                       reference_compute_route)
+        patch.setattr(ResilienceManager, "_proactive_cycle",
+                      ResilienceManager._evaluate_pairs)
+        patch.setattr(harness, "_score_packets", reference_score_packets)
         for value in sweep_values:
             swept = harness._swept_scenario(scenario, sweep_param, value)
 

@@ -3,7 +3,6 @@ import dataclasses
 import gc
 import json
 import os
-from bisect import bisect_right
 from types import SimpleNamespace
 
 import pytest
@@ -32,7 +31,11 @@ from sdnsim.resilience import (
 from sdnsim.runlog import Cycle, PacketLog, PartLog, RunLog, Segment
 from sdnsim.scenario import load_scenario, parse_scenario
 
-from conftest import assert_runs_match_fresh_runs, experiment_runs
+from conftest import (
+    assert_runs_match_fresh_runs,
+    experiment_runs,
+    reference_success_rate,
+)
 
 MS = MILLISECOND
 
@@ -109,24 +112,6 @@ class TestSuccessRate:
     def test_no_covered_packets_is_vacuously_one(self):
         rate, strong = success_rates([], ped_history())
         assert rate == 1.0 and strong == 1.0
-
-
-def reference_success_rate(packets, ped_changes):
-    """The success rates as one bisection per covered delivery."""
-    changes = sorted(ped_changes, key=lambda c: c.at)
-    covered = [p for p in packets if p.covered]
-    if not covered:
-        return 1.0, 1.0
-    hits = strong_hits = 0
-    for p in covered:
-        if p.delivered_at is None:
-            continue
-        mine = [c for c in changes if (c.src, c.dst) == tuple(p.pair)]
-        index = bisect_right([c.at for c in mine], p.delivered_at)
-        if index:
-            hits += p.actual_delay <= mine[index - 1].active_ped
-            strong_hits += p.actual_delay <= mine[index - 1].strong_ped
-    return hits / len(covered), strong_hits / len(covered)
 
 
 # Two pairs with bound changes and one without; instants come from a small

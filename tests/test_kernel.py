@@ -569,6 +569,82 @@ class TestComparedPeriod:
         assert counts.packets > 100
 
 
+def heap_state(kernel):
+    """The kernel's heap as (time, number, kind of argument) in order, and
+    the number it draws next, left undrawn."""
+    return (sorted((at, number, type(arg).__name__)
+                   for at, number, _, arg in kernel._queue),
+            int(repr(kernel._seq)[len("count("):-1]))
+
+
+class TestRunOn:
+    """Transport runs a packet's next hop inline only when its entry would
+    pop next: below the heap's head and below the bound being drained to.
+    A kernel advanced step by step holds the heap ReferenceKernel holds,
+    which schedules every hop, after each step and at each fast-forward
+    snapshot; an arrival at each instant below is pushed, not run on."""
+
+    @staticmethod
+    def stepped(spec, flows, injections, steps, interval=10 * SECOND):
+        """Per kernel kind: its heap states and its serialized log."""
+        runs = []
+        for kind in (Kernel, ReferenceKernel):
+            states = []
+            fast_forward = kind._fast_forward
+
+            def snapshot(kernel, until):
+                states.append(("snapshot", kernel.now, heap_state(kernel)))
+                fast_forward(kernel, until)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(kind, "_fast_forward", snapshot)
+                kernel = kind(build_topology(spec), list(flows), [],
+                              variant_by_name("SDN-woRM"),
+                              SimConfig(estimation_interval=interval),
+                              ControlChannel())
+                kernel.setup(steps[-1], list(injections))
+                for t in steps:
+                    kernel.advance(t)
+                    states.append(("advance", t, heap_state(kernel)))
+            runs.append((states, kernel.log.to_jsonl()))
+        assert runs[0] == runs[1]
+        return kernel.log
+
+    def test_arrival_tied_with_a_cycle_boundary(self):
+        """F1's packet reaches S2 at 1 s, when the cycle boundary that
+        setup numbered first runs: the boundary's probes find S2->S3 idle."""
+        log = self.stepped(two_hop_spec(), [one_packet_flow(
+            start=SECOND - MS - 12 * US)], [], [SECOND + 1, 2 * SECOND],
+            interval=SECOND)
+        costs = {record.at: record.cost for record in log.estimation
+                 if (record.src, record.dst) == ("S2", "S3")}
+        assert costs[SECOND] == costs[0]
+
+    def test_arrival_at_an_injection_instant(self):
+        """F1's packet reaches S2 at 0.5 s, as S2-S3 goes down: the
+        injection comes first, and the packet is dropped at S2."""
+        log = self.stepped(two_hop_spec(), [one_packet_flow(
+            start=SECOND // 2 - MS - 12 * US)],
+            [LinkDownInjection(at=SECOND // 2, a="S2", b="S3")],
+            [SECOND, 2 * SECOND])
+        [record] = log.packets
+        assert record.drop_reason == "link_down"
+        assert record.delivered_at is None
+
+    def test_arrival_at_a_fast_forward_period_instant(self):
+        """F1 sends every 10 ms from 5 ms, and each packet reaches S2 5 ms
+        later, at a multiple of the period: each snapshot sees that packet
+        in flight, before its arrival runs."""
+        spec = TopologySpec(
+            ("S1", "S2", "S3"), (("H1", "S1"), ("H3", "S3")),
+            (LinkSpec("S1", "S2", GBPS, 5 * MS - 12 * US),
+             LinkSpec("S2", "S3", GBPS, MS)))
+        log = self.stepped(spec, [periodic_flow(count=50, start=5 * MS)],
+                           [], [100 * MS, 200 * MS, SECOND])
+        assert len(log.packets) == 50
+        assert all(record.delivered_at for record in log.packets)
+
+
 class TestSegments:
     """Replicated periods stay run-length segments of the packet log."""
 

@@ -19,7 +19,8 @@ state:
   fresh run_single, log and metrics alike;
 - every experiment, with all its shortcuts, equals the naive oracle in
   conftest in its reports, report files, sample log and run logs, also
-  when packets ask for routes just after the runs' failures;
+  when packets ask for routes just after the runs' failures, and when a
+  link flap or an unmet bound falls between proactive cycles;
 - every run whose flows share one gap, so that the kernel fast-forwards
   through repeated periods, equals the same run simulated in full, also
   when handlers schedule reroutes and link toggles, and injections and
@@ -585,24 +586,65 @@ def report_files(result) -> dict[str, bytes]:
         return files
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=160, deadline=None)
 @given(scenarios(), st.data())
 def test_every_experiment_equals_the_naive_oracle(scenario, data):
-    """Shared kernels, branches, fast-forward, idle estimation templates,
-    the shared route memo, the diary memo and the slotted log writer
-    together: the same reports, report bytes, sample log and run logs as
-    naive_experiment, with each log written by json.dumps per record."""
+    """Shared kernels, branches, fast-forward, packets run on inline, idle
+    estimation templates, replayed proactive cycles, the shared route
+    memo, the diary memo, scoring by bound spans and the slotted log
+    writer together: the same reports, report bytes, sample log and run
+    logs as naive_experiment, with each log written by json.dumps per
+    record."""
     variants = data.draw(st.lists(st.sampled_from(sorted(VARIANT_ALIASES)),
                                   min_size=1, max_size=4, unique=True))
     seeds = [1, 2, 3]
     sweep = data.draw(st.none() | st.builds(
         lambda counts: ("events", sorted(counts)),
         st.sets(st.integers(0, 5), min_size=2, max_size=3)))
+    # What an idle cycle's replay must notice.  On a ring, a flap of the
+    # first link of the first flow's route in the idle network, ending
+    # just before the boundary at 1 s: a reactive reroute answers it and
+    # becomes active only after the boundary, whose cycle may find the old
+    # path up and stay idle; the second packet of a flow on the first
+    # flow's pair, sent after the next boundary, takes the path that cycle
+    # leaves.  The ring's other link failures come after that packet, as
+    # links left down across the flap mostly hide it.  On a chain, which
+    # has one path per pair, a requirement change between later
+    # boundaries to a bound that no path meets, which the following cycles
+    # must each find.
+    spec, first = scenario.topology_spec, scenario.flows[0]
+    latency = scenario.control.default_c2s
+    explicit, probes, after = list(scenario.explicit_injections), (), 0
+    if len(spec.links) == len(spec.switches):  # a ring
+        after = 2 * SECOND + 4 * latency
+        if not {"RM", "sRM"} & set(variants):
+            variants.append("RM")  # a reactive variant answers the flap
+        topology = build_topology(spec)
+        idle, _ = resilience.run_estimation_cycle(ProbePlan(
+            topology, scenario.control, scenario.config.probe_length_bits,
+            scenario.config.eq1_raw_mode), 0)
+        hosts = dict(spec.hosts)
+        a, b = find_path(topology, idle, hosts[first.src_host],
+                         hosts[first.dst_host]).path[:2]
+        explicit = [inj for inj in explicit if inj.at >= after] + [
+            LinkDownInjection(at=SECOND - 2 * latency + 1, a=a, b=b),
+            LinkUpInjection(at=SECOND - 1, a=a, b=b)]
+        probes = (dataclasses.replace(
+            first, id="R", total_volume=2 * first.packet_length,
+            start_time=SECOND - 2 * latency,
+            inter_packet_gap=SECOND + 5 * latency),)
+    elif data.draw(st.booleans()):
+        explicit.append(PedChangeInjection(
+            at=data.draw(st.integers(SECOND + 1, HORIZON - 1)),
+            pair_id="C1", new_ped=1))
     # Only an auto spec fails different links under different seeds.
-    if scenario.auto_link_failures is None:
-        scenario = dataclasses.replace(scenario, auto_link_failures=(
-            AutoLinkFailures(count=data.draw(st.integers(1, 3)),
-                             window=(0, HORIZON))))
+    auto = scenario.auto_link_failures or AutoLinkFailures(
+        count=data.draw(st.integers(1, 3)), window=(0, HORIZON))
+    scenario = dataclasses.replace(
+        scenario, flows=scenario.flows + probes,
+        explicit_injections=tuple(explicit),
+        auto_link_failures=dataclasses.replace(auto,
+                                               window=(after, HORIZON)))
     # A packet sent just after each failure of any run asks for a route
     # where runs may stand at one topology version with other links down.
     # It keeps the first flow's gap, so flows that share one still do.

@@ -99,3 +99,17 @@ def test_harness_reads_the_packet_log_through_its_parts():
                   if isinstance(node, ast.Attribute)}
     assert "parts" in attributes
     assert attributes.isdisjoint({"open", "closed", "simulated", "segments"})
+
+
+def test_resilience_reads_the_kernel_through_named_services():
+    """The controller reads no private kernel attribute (self.kernel._*):
+    what it compares across cycles comes through named kernel services."""
+    private = [(node.lineno, node.attr)
+               for node in ast.walk(_tree("resilience"))
+               if isinstance(node, ast.Attribute)
+               and node.attr.startswith("_")
+               and isinstance(node.value, ast.Attribute)
+               and node.value.attr == "kernel"
+               and isinstance(node.value.value, ast.Name)
+               and node.value.value.id == "self"]
+    assert private == []

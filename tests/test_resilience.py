@@ -460,3 +460,104 @@ class TestRouteMemo:
         kernel.controller.on_cycle_boundary(10 * SECOND)
         assert self.route(kernel, 10 * SECOND).path == ROUTE_1
         assert len(calls) == 2
+
+
+class TestIdleCycles:
+    """A proactive cycle that finds what an idle cycle left logs that
+    cycle's route records again, at its own instant, and evaluates
+    nothing; any change it reads makes it evaluate every pair."""
+
+    PAIR = ("S1", "S8")
+
+    @staticmethod
+    def flow(flow_id="F1", dst="H8"):
+        return Flow(id=flow_id, src_host="H1", dst_host=dst,
+                    packet_length=12_000, total_volume=12_000,
+                    start_time=0, inter_packet_gap=0)
+
+    @pytest.fixture
+    def idle(self, monkeypatch):
+        """A ring kernel under SDN-RM with S1->S8 placed on ROUTE_0, whose
+        cycle at 1 s was idle, and the evaluation calls made since."""
+        kernel = Kernel(
+            topology=build_topology(ring_with_chords_spec()), flows=[],
+            contract_pairs=[create_contract_pair("C1", "S1", "S8", 12 * MS)],
+            variant=variant_by_name("SDN-RM"), config=SimConfig(),
+            control=ControlChannel())
+        controller = kernel.controller
+        controller.on_cycle_boundary(0)
+        controller.on_flow_arrival(self.flow(), 0)
+        controller.on_cycle_boundary(SECOND)
+        assert kernel.log.faults == []
+        calls = []
+        for name in ("_current_ed", "_compute_route"):
+            real = getattr(resilience.ResilienceManager, name)
+
+            def counted(*args, name=name, real=real, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(resilience.ResilienceManager, name, counted)
+        real_find_path = resilience.find_path
+
+        def counted_find_path(*args):
+            calls.append("find_path")
+            return real_find_path(*args)
+
+        monkeypatch.setattr(resilience, "find_path", counted_find_path)
+        return kernel, calls
+
+    def test_logs_the_idle_cycle_routes_at_its_own_instant(self, idle):
+        kernel, calls = idle
+        before = list(kernel.log.routes)
+        idle_routes = [r for r in before if r.at == SECOND]
+        assert [r.purpose for r in idle_routes] == ["reoptimize"]
+        kernel.controller.on_cycle_boundary(2 * SECOND)
+        kernel.controller.on_cycle_boundary(3 * SECOND)
+        assert calls == []
+        assert kernel.log.routes == before + [
+            dataclasses.replace(r, at=at) for at in (2 * SECOND, 3 * SECOND)
+            for r in idle_routes]
+
+    def evaluates(self, kernel, calls, at=2 * SECOND):
+        kernel.controller.on_cycle_boundary(at)
+        return "_current_ed" in calls
+
+    def test_a_bound_change_is_evaluated(self, idle):
+        kernel, calls = idle
+        kernel.store.modify("C1", 11 * MS, SECOND + 1)
+        assert self.evaluates(kernel, calls)
+
+    def test_a_link_down_and_up_is_evaluated(self, idle):
+        """The version moves by 2 though the same links are down."""
+        kernel, calls = idle
+        version = kernel.topology.version
+        kernel.topology.set_link_state("S2", "S3", LinkState.DOWN)
+        kernel.topology.set_link_state("S2", "S3", LinkState.UP)
+        assert kernel.topology.version == version + 2
+        assert self.evaluates(kernel, calls)
+
+    def test_a_forwarding_activation_is_evaluated(self, idle):
+        """An entry set before the cycle at 2 s and active from 2.5 s: that
+        cycle changes nothing, yet the next finds ROUTE_1 in force."""
+        kernel, calls = idle
+        kernel.set_forwarding(self.PAIR, ROUTE_1, 2_500 * MS)
+        assert self.evaluates(kernel, calls)
+        calls.clear()
+        assert self.evaluates(kernel, calls, 3 * SECOND)
+        assert kernel.forwarding_path(self.PAIR, 3 * SECOND) == ROUTE_1
+
+    def test_a_new_routed_pair_is_evaluated(self, idle):
+        """F2's pair has its route installed already, so F2's arrival
+        installs nothing: only the count of routed pairs moves."""
+        kernel, calls = idle
+        route = resilience.find_path(kernel.topology,
+                                     kernel.controller.matrix, "S1", "S5")
+        kernel.set_forwarding(("S1", "S5"), route.path, SECOND + 1)
+        assert self.evaluates(kernel, calls)
+        installed = kernel.forwarding_changes
+        kernel.controller.on_flow_arrival(self.flow("F2", "H5"),
+                                          2 * SECOND + 1)
+        assert kernel.forwarding_changes == installed
+        calls.clear()
+        assert self.evaluates(kernel, calls, 3 * SECOND)
