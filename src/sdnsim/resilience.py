@@ -45,14 +45,15 @@ it logged no fault and left the topology version, the kernel's count of
 forwarding changes, the count of bound changes and the count of routed
 pairs as it found them, with every forwarding entry active by its
 instant.  Suppose the next cycle finds those four counts and the matrix
-as the idle one left them, and no event pending.  Then it reads the same
-inputs: link states change only with the version, bounds and active
-kinds only with a bound change, forwarding entries only with a
-forwarding change, and a forwarding path answers alike at both instants
-since no entry becomes active between them; routed pairs are only ever
-added.  So it makes the same choices: no weak-to-strong switch and no
-fault, as the idle cycle made none, and the same routes, none
-installed.  observe, the weak-to-strong switch, _attribute and the
+as the idle one left them.  No event is pending then, as a link failure
+is queued only with a version change and a requirement change only with
+a bound change.  The cycle reads the same inputs: link states change
+only with the version, bounds and active kinds only with a bound
+change, forwarding entries only with a forwarding change, and a
+forwarding path answers alike at both instants since no entry becomes
+active between them; routed pairs are only ever added.  So it makes
+the same choices: no weak-to-strong switch and no fault, as the idle
+cycle made none, and the same routes, none installed.  observe, the weak-to-strong switch, _attribute and the
 installs read now, but only on the paths that a switch, a fault or an
 install takes, so now enters the cycle's output only as the at of its
 RouteRecords.  Such a cycle therefore logs the idle cycle's route
@@ -314,7 +315,7 @@ class ResilienceManager:
         was idle and nothing it read has changed (see "Idle cycles")."""
         counts = self._cycle_counts()
         idle = self._idle
-        if idle is not None and idle[0] == counts and not self._pending:
+        if idle is not None and idle[0] == counts:
             self.log.routes.extend(
                 RouteRecord(now, r.src, r.dst, r.path, r.ed, r.link_costs,
                             r.purpose) for r in idle[1])

@@ -19,8 +19,9 @@ state:
   fresh run_single, log and metrics alike;
 - every experiment, with all its shortcuts, equals the naive oracle in
   conftest in its reports, report files, sample log and run logs, also
-  when packets ask for routes just after the runs' failures, and when a
-  link flap or an unmet bound falls between proactive cycles;
+  when packets ask for routes just after the runs' failures, and, as an
+  extra case, when a link flap or an unmet bound falls between proactive
+  cycles;
 - every run whose flows share one gap, so that the kernel fast-forwards
   through repeated periods, equals the same run simulated in full, also
   when handlers schedule reroutes and link toggles, and injections and
@@ -601,21 +602,23 @@ def test_every_experiment_equals_the_naive_oracle(scenario, data):
     sweep = data.draw(st.none() | st.builds(
         lambda counts: ("events", sorted(counts)),
         st.sets(st.integers(0, 5), min_size=2, max_size=3)))
-    # What an idle cycle's replay must notice.  On a ring, a flap of the
-    # first link of the first flow's route in the idle network, ending
-    # just before the boundary at 1 s: a reactive reroute answers it and
-    # becomes active only after the boundary, whose cycle may find the old
-    # path up and stay idle; the second packet of a flow on the first
-    # flow's pair, sent after the next boundary, takes the path that cycle
-    # leaves.  The ring's other link failures come after that packet, as
-    # links left down across the flap mostly hide it.  On a chain, which
-    # has one path per pair, a requirement change between later
-    # boundaries to a bound that no path meets, which the following cycles
-    # must each find.
+    # What an idle cycle's replay must notice, drawn as an extra case.  On
+    # a ring, a flap of the first link of the first flow's route in the
+    # idle network, ending just before the boundary at 1 s: a reactive
+    # reroute answers it and becomes active only after the boundary,
+    # whose cycle may find the old path up and stay idle; the second
+    # packet of a flow on the first flow's pair, sent after the next
+    # boundary, takes the path that cycle leaves.  In this case the ring's
+    # other link failures come after that packet, as links left down
+    # across the flap mostly hide it.  On a chain, which has one path per
+    # pair, a requirement change between later boundaries to a bound that
+    # no path meets, which the following cycles must each find.
     spec, first = scenario.topology_spec, scenario.flows[0]
     latency = scenario.control.default_c2s
-    explicit, probes, after = list(scenario.explicit_injections), (), 0
-    if len(spec.links) == len(spec.switches):  # a ring
+    explicit, probes = list(scenario.explicit_injections), ()
+    auto = scenario.auto_link_failures
+    extra = data.draw(st.booleans())
+    if extra and len(spec.links) == len(spec.switches):  # a ring
         after = 2 * SECOND + 4 * latency
         if not {"RM", "sRM"} & set(variants):
             variants.append("RM")  # a reactive variant answers the flap
@@ -633,18 +636,20 @@ def test_every_experiment_equals_the_naive_oracle(scenario, data):
             first, id="R", total_volume=2 * first.packet_length,
             start_time=SECOND - 2 * latency,
             inter_packet_gap=SECOND + 5 * latency),)
-    elif data.draw(st.booleans()):
+        auto = AutoLinkFailures(
+            count=auto.count if auto else data.draw(st.integers(1, 3)),
+            window=(after, HORIZON))
+    elif extra:
         explicit.append(PedChangeInjection(
             at=data.draw(st.integers(SECOND + 1, HORIZON - 1)),
             pair_id="C1", new_ped=1))
     # Only an auto spec fails different links under different seeds.
-    auto = scenario.auto_link_failures or AutoLinkFailures(
-        count=data.draw(st.integers(1, 3)), window=(0, HORIZON))
+    if auto is None:
+        auto = AutoLinkFailures(count=data.draw(st.integers(1, 3)),
+                                window=(0, HORIZON))
     scenario = dataclasses.replace(
         scenario, flows=scenario.flows + probes,
-        explicit_injections=tuple(explicit),
-        auto_link_failures=dataclasses.replace(auto,
-                                               window=(after, HORIZON)))
+        explicit_injections=tuple(explicit), auto_link_failures=auto)
     # A packet sent just after each failure of any run asks for a route
     # where runs may stand at one topology version with other links down.
     # It keeps the first flow's gap, so flows that share one still do.
