@@ -25,16 +25,20 @@ has not seen.  A negative-residual warning would thus be logged once per
 distinct input, not once per cycle; none arises here, since every term of
 the residual is non-negative.
 
-Idle templates.  A cycle is logged as one runlog.Cycle: a template of
-records, read with the cycle's index and time in place of their own.  In
-a cycle at which every egress busy-until time is at or before now, every
-wait is 0, so its matrix and template depend only on which links are Up.
-set_link_state, the only mutator of link state, moves Topology.version.
-So the plan keeps the last idle cycle's template and matrix with the
-version they were computed at, and an idle cycle at that same version
-reuses them, with one pass over the busy-until times and no per-link
-work.  Any other cycle is computed link by link; a busy one leaves the
-idle template in place, and an idle one replaces it.
+Idle templates.  A cycle's records are logged relative to it, with cycle
+and at 0, and the controller closes them into the log as copy c of a
+runlog.Part that steps cycle by 1 and at by the estimation interval.
+That is exact, as Kernel.setup puts cycle c at c times the interval.  So
+a record does not depend on the cycle that logged it, and any cycle may
+reuse the records and templates of another.  In a cycle at which every
+egress busy-until time is at or before now, every wait is 0, so its
+matrix and template depend only on which links are Up.  set_link_state,
+the only mutator of link state, moves Topology.version.  So the plan
+keeps the last idle cycle's template and matrix with the version they
+were computed at, and an idle cycle at that same version reuses them,
+with one pass over the busy-until times and no per-link work.  Any other
+cycle is computed link by link; a busy one leaves the idle template in
+place, and an idle one replaces it.
 """
 
 from __future__ import annotations
@@ -50,8 +54,6 @@ from .core import (
     Topology,
     transmission_delay,
 )
-from .runlog import Cycle
-
 logger = logging.getLogger(__name__)
 
 
@@ -205,10 +207,10 @@ class ProbePlan:
         return twin
 
     def estimate(self, probe: _Probe, forward_wait: int, reverse_wait: int,
-                 now: int, cycle_index: int
-                 ) -> tuple[EstimationRecord, EstimationRecord]:
+                 now: int) -> tuple[EstimationRecord, EstimationRecord]:
         """Estimate one link from probes sent at now behind the given
-        egress waits, and remember its two records for those waits."""
+        egress waits, and remember its two records, relative to their
+        cycle, for those waits."""
         link, (near, far), _, inputs = probe
         c2s_near, s2c_far, c2s_far, s2c_near, rtt_near, rtt_far, td = inputs
         forward_travel = forward_wait + link.propagation_delay
@@ -226,8 +228,8 @@ class ProbePlan:
         estimated = estimate_link_delay(obs, raw_mode=self.raw_mode)
         cost = link_cost(td, estimated)
         records = self.estimates[(near, far, forward_wait, reverse_wait)] = (
-            EstimationRecord(cycle_index, near, far, estimated, td, cost, now),
-            EstimationRecord(cycle_index, far, near, estimated, td, cost, now))
+            EstimationRecord(0, near, far, estimated, td, cost, 0),
+            EstimationRecord(0, far, near, estimated, td, cost, 0))
         return records
 
 
@@ -236,10 +238,9 @@ def run_estimation_cycle(
     now: int,
     *,
     egress_free: dict[tuple[SwitchId, SwitchId], int] | None = None,
-    cycle_index: int = 0,
-) -> tuple[CostMatrix, Cycle]:
+) -> tuple[CostMatrix, tuple[EstimationRecord, ...]]:
     """Probe every Up link of the plan's topology; return a fresh cost
-    matrix and the cycle's records as one log part.
+    matrix and the cycle's template, its records relative to the cycle.
 
     Probes ride the links as zero-size control frames: they wait behind any
     queued data traffic on the egress (until its busy-until time in
@@ -254,7 +255,7 @@ def run_estimation_cycle(
     version = plan.topology.version
     if idle and plan.idle is not None and plan.idle[0] == version:
         _, matrix, template = plan.idle
-        return dict(matrix), Cycle(template, cycle_index, now)
+        return dict(matrix), template
 
     matrix: CostMatrix = {}
     records: list[EstimationRecord] = []
@@ -269,11 +270,10 @@ def run_estimation_cycle(
         reverse_wait = max(0, busy_until(reverse, 0) - now)
         logged = estimates.get((near, far, forward_wait, reverse_wait))
         if logged is None:
-            logged = plan.estimate(probe, forward_wait, reverse_wait, now,
-                                   cycle_index)
+            logged = plan.estimate(probe, forward_wait, reverse_wait, now)
         matrix[forward] = matrix[reverse] = logged[0].cost
         records += logged
     template = tuple(records)
     if idle:
         plan.idle = (version, dict(matrix), template)
-    return matrix, Cycle(template, cycle_index, now)
+    return matrix, template

@@ -24,14 +24,8 @@ from .injections import Injection, materialize_injections
 from .kernel import DROP_REASONS, Kernel
 from .resilience import (MechanismVariant, variant_by_name,
                          variants_by_name)
-from .runlog import (
-    Cycle,
-    PacketLog,
-    RunLog,
-    Segment,
-    record_to_dict,
-    templates,
-)
+from .runlog import (Part, PartLog, RunLog, copy_texts, parts_of,
+                     record_to_dict, templates)
 from .scenario import Scenario
 
 
@@ -44,7 +38,7 @@ from .scenario import Scenario
 _NO_SPAN = (None, math.inf, -math.inf)
 
 
-def _score_packets(packets: PacketLog | list, ped_changes: list,
+def _score_packets(packets: PartLog | list, ped_changes: list,
                    ) -> tuple[int, int, float, float]:
     """(packets delivered, bits delivered, success rate, strong success
     rate) in one pass.
@@ -53,29 +47,30 @@ def _score_packets(packets: PacketLog | list, ped_changes: list,
     its pair when it arrived.  Consecutive deliveries of a pair mostly
     fall under one change, so each pair keeps the [lo, hi) span of the
     change it last found and bisects the timeline only for a delivery
-    outside it.  A segment of a PacketLog counts as n times its template
-    where the first and last copies of a template delivery, d + P and
-    d + nP, fall in one span; its other template records are scored copy
-    by copy.
+    outside it.  A stepped part counts n times each template record whose
+    first and last copies' deliveries fall in one span, as every copy's
+    delivery lies between them; its other template records are scored
+    copy by copy.  Packet parts step no other field that is scored.
     """
     timeline = BoundTimeline(ped_changes)
     spans: dict[tuple, tuple] = {}
     delivered = bits = covered = hits = strong_hits = 0
-    # Scored record by record: the simulated parts, and the copies of each
-    # template record whose copies a bound change falls among.
+    # Scored record by record: the parts without steps, and the copies of
+    # each template record whose copies a bound change falls among.
     listed = []
-    parts = packets.parts() if isinstance(packets, PacketLog) else (packets,)
-    for part in parts:
-        if type(part) is not Segment:
+    for part in parts_of(packets):
+        if not part.steps:
             listed.append(part)
             continue
-        n, period = part.n, part.period
+        first, n = part.first, part.n
+        shift = dict(part.steps).get("delivered_at", 0)
         for record in part.template:
             at = record.delivered_at
             if record.covered and at is not None:
-                change, _, hi = timeline.span(*record.pair, at + period)
-                if at + n * period >= hi:  # a bound change among copies
-                    listed.append(Segment((record,), n, period))
+                at += first * shift
+                change, lo, hi = timeline.span(*record.pair, at)
+                if not lo <= at + (n - 1) * shift < hi:
+                    listed.append(Part((record,), first, n, part.steps))
                     continue
                 if change is not None:
                     delay = record.actual_delay
@@ -181,16 +176,16 @@ def verify_conservation(log: RunLog) -> None:
     packet is delivered or dropped, not both: a delivered one's delay is
     its non-negative transit time, a dropped one has a known reason.
     Runs call this unconditionally, keeping the arithmetic honest.  A
-    Segment's or a Cycle's copies differ from their template records only
-    in fields none of these checks reads (seq, times, cycle index), so
-    each template record is checked once.
+    part's copies differ from their template records only in the fields
+    its steps name, which none of these checks reads (seq, times, cycle
+    index), so each template record is checked once.
     """
     for record in templates(log.estimation):
         if record.cost != record.transmission_delay + record.link_delay:
             raise AssertionError(f"cost entry violates additivity: {record}")
         if record.link_delay < 0 or record.transmission_delay <= 0:
             raise AssertionError(f"cost entry out of range: {record}")
-    for route in log.routes:
+    for route in templates(log.routes):
         if route.ed != sum(route.link_costs):
             raise AssertionError(f"route delay is not the cost sum: {route}")
     for record in log.restorations:
@@ -518,18 +513,11 @@ def emit_reports(result: ExperimentResult, out_dir: str) -> list[str]:
         with open(cycles_path, "w", encoding="utf-8") as handle:
             handle.write("cycle,src,dst,link_delay_ns,transmission_delay_ns,"
                          "cost_ns,at_ns\n")
-            rows: dict[int, str] = {}  # id of a Cycle's template -> its rows
+            laid: dict[tuple, tuple] = {}  # see runlog.copy_texts
+            entries: dict[tuple, str] = {}
             for part in result.sample_log.estimation.parts():
-                if type(part) is not Cycle:
-                    for record in part:
-                        handle.write(_cycle_rows((record,)).format(
-                            record.cycle, record.at))
-                    continue
-                text = rows.get(id(part.template))
-                if text is None:
-                    text = rows[id(part.template)] = _cycle_rows(
-                        part.template)
-                handle.write(text.format(part.cycle, part.at))
+                handle.writelines(copy_texts(part, _cycle_row, laid,
+                                             entries))
         written.append(cycles_path)
         events_path = os.path.join(out_dir, "events.jsonl")
         with open(events_path, "w", encoding="utf-8") as handle:
@@ -538,13 +526,14 @@ def emit_reports(result: ExperimentResult, out_dir: str) -> list[str]:
     return written
 
 
-def _cycle_rows(records) -> str:
-    """The llde_cycles.csv rows of records, as a str.format pattern with
-    slot {0} for each row's cycle index and {1} for its time."""
-    rows = []
-    for r in records:
-        fixed = (f"{r.src},{r.dst},{r.link_delay},{r.transmission_delay},"
-                 f"{r.cost}")
-        rows.append("{0},%s,{1}\n"
-                    % fixed.replace("{", "{{").replace("}", "}}"))
-    return "".join(rows)
+_CYCLE_COLUMNS = ("cycle", "src", "dst", "link_delay", "transmission_delay",
+                  "cost", "at")
+
+
+def _cycle_row(record, stepped: dict[str, int]) -> str:
+    """The llde_cycles.csv row of record as a str.format pattern, each
+    field in stepped left as its slot."""
+    return ",".join(
+        "{%d}" % stepped[name] if name in stepped
+        else str(getattr(record, name)).replace("{", "{{").replace("}", "}}")
+        for name in _CYCLE_COLUMNS) + "\n"

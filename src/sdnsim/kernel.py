@@ -49,21 +49,22 @@ The twin gets its own copy of every piece of state a run changes, and
 each owner copies its own: Topology.twin makes new Links in their
 current states, ContractStore.twin new pairs and its list of bound
 changes, and ResilienceManager.twin the controller's cost matrix, routed
-pairs and pending events and a probe plan over the twin's Links.  The kernel copies its
-egress, link-down and forwarding tables with the count of forwarding
-changes, the flows' states, each log stream's list, the packet log's
-open list and the heap.  The heap keeps its order and sequence numbers;
-each action is bound to the twin's kernel or controller, each flow's
-tick to the twin's flow state, and each packet in flight becomes a new
-packet with a copy of its record, in the same place of the twin's open
-list, on a hop plan over the twin's Links (plans refill as packets ask).
+pairs and pending events and a probe plan over the twin's Links.  The
+kernel copies its egress, link-down and forwarding tables with the count
+of forwarding changes, the flows' states, each log stream's list, the
+open lists of the packet and route logs and the heap.  The heap keeps
+its order and sequence numbers; each action is bound to the twin's
+kernel or controller, each flow's tick to the twin's flow state, and
+each packet in flight becomes a new packet with a copy of its record, in
+the same place of the twin's open list, on a hop plan over the twin's
+Links (plans refill as packets ask).
 An argument of any other kind is refused, so that no new kind of heap
 entry is shared by accident.  What no run changes is shared: flows, the
 config and control channel, the variant, estimation records, routes and
 the route memo (keyed by content, see resilience), the fast-forward
-snapshot, the packet log's closed parts (finished records and segments),
-the estimation log's cycle parts with the plan's idle template, and the
-applied injections.  Copies are built by their constructors or by plain
+snapshot, the closed parts of the packet, estimation and route logs
+(runlog.Part) with the plan's idle template, and the applied
+injections.  Copies are built by their constructors or by plain
 attribute assignment, not by copy.deepcopy, whose generic walk of every
 reachable object cost several times a fresh kernel's set-up.
 
@@ -97,16 +98,17 @@ from then on, and egress busy-until times that lie before each period on
 both sides and so delay nothing.  The period from x therefore repeats it
 shifted by P, and so does each whole period that ends by H, as nothing
 but ticks and their packets runs before H.  The kernel logs n such
-periods, stopping short of each flow's last packet, as one segment of
-its packet log (runlog.PacketLog): the last period's records, n and P,
-with no record built.  The segment closes the log's open list: no
-packet is in flight, so every record before the new open list is
-finished, branches share those closed parts as they are, and the
-end-of-run settle reads only the open list.  A fast-forward that goes on
-from the previous one's last copy replaces that segment with a longer
-one; segments are never changed in place, as branches share them.  It
-moves the flows' counters, their ticks, each egress the period used and
-the clock on by nP.  Sequence order is kept without renumbering.  The
+periods, stopping short of each flow's last packet, as one part of its
+packet log (runlog.Part): copies 1 to n of the last period's records,
+seq stepped by 1 and sent_at and delivered_at by P, with no record
+built.  The part closes the log's open list: no packet is in flight, so
+every record before the new open list is finished, branches share those
+closed parts as they are, and the end-of-run settle reads only the open
+list.  A fast-forward that goes on from the previous one's last copy
+closes the next copies of that part's template, which PartLog.close
+merges into one longer part; parts are never changed in place, as
+branches share them.  It moves the flows' counters, their ticks, each
+egress the period used and the clock on by nP.  Sequence order is kept without renumbering.  The
 pending ticks were all scheduled in the last period, so their numbers
 already order them among themselves, and above the entries scheduled
 before it, as the numbers of the ticks they stand for would.  An entry
@@ -147,7 +149,7 @@ from .injections import (
     PedChangeInjection,
 )
 from .resilience import MechanismVariant, ResilienceManager
-from .runlog import PacketLog, PacketRecord, PartLog, RunLog
+from .runlog import Part, PacketRecord, PartLog, RunLog
 
 
 class ScheduleError(ValueError):
@@ -205,10 +207,11 @@ class _Packet:
 # an in-flight packet, a flow's state and an immutable tuple (an E1 delivery).
 _BRANCHED_ARGS = (_Packet, _FlowState, tuple)
 
-# The log streams a branch copies as plain lists: all but the packet and
-# estimation logs, the contract store's changes and the injections.
+# The log streams a branch copies as plain lists: all but the part logs,
+# the contract store's changes and the injections.
 _LISTED_STREAMS = tuple(stream for stream in RunLog.STREAMS if stream not in
-                        ("packets", "estimation", "ped_changes", "injections"))
+                        ("packets", "estimation", "routes", "ped_changes",
+                         "injections"))
 
 
 class Kernel:
@@ -393,7 +396,16 @@ class Kernel:
         if n <= 0:
             return
 
-        packets.replicate(last[3], n, period)
+        # n copies of the last period's records, the open ones from the
+        # snapshot's on, or when open is empty, of the last part's template
+        # from the copy after its last; close lengthens that part.
+        if packets.open:
+            template, first = tuple(packets.open[last[3]:]), 1
+        else:
+            part = packets.closed[-1]
+            template, first = part.template, part.first + part.n
+        packets.close(Part(template, first, n, (
+            ("seq", 1), ("sent_at", period), ("delivered_at", period))))
         span = n * period
         for state in states:
             state.bits_sent += n * state.flow.packet_length
@@ -406,7 +418,7 @@ class Kernel:
             if free >= since:
                 self.egress_free[egress] = free + span
         self.now += span
-        # The last period is now the segment's last copy.
+        # The last period is now the part's last copy.
         self._snapshot = (x + span - period, shape, counts,
                           len(packets.open))
         self._period_at = x + span
@@ -437,10 +449,11 @@ class Kernel:
         twin = Kernel.__new__(Kernel)
         topology = self.topology.twin()
         store = self.store.twin()
-        packets = self.log.packets
+        packets, routes = self.log.packets, self.log.routes
         # The controller only closes cycles into the estimation log.
-        log = RunLog(PacketLog(closed=packets.closed),
+        log = RunLog(PartLog(closed=packets.closed),
                      PartLog(closed=self.log.estimation.closed),
+                     PartLog(list(routes.open), routes.closed),
                      ped_changes=store.ped_changes, injections=applied,
                      **{stream: list(getattr(self.log, stream))
                         for stream in _LISTED_STREAMS})

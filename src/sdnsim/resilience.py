@@ -48,16 +48,20 @@ instant.  Suppose the next cycle finds those four counts and the matrix
 as the idle one left them.  No event is pending then, as a link failure
 is queued only with a version change and a requirement change only with
 a bound change.  The cycle reads the same inputs: link states change
-only with the version, bounds and active kinds only with a bound
-change, forwarding entries only with a forwarding change, and a
-forwarding path answers alike at both instants since no entry becomes
-active between them; routed pairs are only ever added.  So it makes
-the same choices: no weak-to-strong switch and no fault, as the idle
-cycle made none, and the same routes, none installed.  observe, the weak-to-strong switch, _attribute and the
-installs read now, but only on the paths that a switch, a fault or an
-install takes, so now enters the cycle's output only as the at of its
-RouteRecords.  Such a cycle therefore logs the idle cycle's route
-records with at replaced, evaluates nothing and is itself idle.  A
+only with the version, bounds and active kinds only with a bound change,
+forwarding entries only with a forwarding change, and a forwarding path
+answers alike at both instants since no entry becomes active between
+them; routed pairs are only ever added.  So it makes the same choices:
+no weak-to-strong switch and no fault, as the idle cycle made none, and
+the same routes, none installed.  observe, the weak-to-strong switch,
+_attribute and the installs read now, but only on the paths that a
+switch, a fault or an install takes, so now enters the cycle's output
+only as the at of its RouteRecords.  Such a cycle therefore evaluates
+nothing, is itself idle and logs the idle cycle's route records with at
+moved to now: it closes copy k of them as a runlog.Part that steps at by
+the estimation interval, k cycles after the idle one, and builds no
+record.  That is exact, as Kernel.setup runs cycle c at c intervals, and
+PartLog.close makes a run of replays of one idle cycle a single part.  A
 boundary whose matrix differs from the last one forgets the idle cycle.
 """
 
@@ -91,6 +95,7 @@ from .delay_estimation import (
     run_estimation_cycle,
 )
 from .routing import NoPathError, RouteResult, find_path
+from .runlog import Part
 
 logger = logging.getLogger(__name__)
 
@@ -262,9 +267,10 @@ class ResilienceManager:
         # attribution when a proactive-only configuration finds the fault.
         self._pending: list[tuple[int, EventKind, tuple]] = []
         # The last proactive cycle when it was idle (see "Idle cycles"):
-        # the counts it left and the route records it logged; else None.
+        # the counts it left, the route records it logged and its index;
+        # else None.
         self._idle: tuple[tuple[int, int, int, int],
-                          tuple[RouteRecord, ...]] | None = None
+                          tuple[RouteRecord, ...], int] | None = None
 
     def twin(self, kernel, topology: Topology, store: ContractStore,
              log) -> ResilienceManager:
@@ -295,17 +301,18 @@ class ResilienceManager:
     # estimation cycle
 
     def on_cycle_boundary(self, now: int) -> None:
+        """Estimate, then run the proactive cycle.  The cycle's records are
+        logged as copy cycle_index of their template, at cycle_index
+        estimation intervals: Kernel.setup runs cycle c at c intervals."""
         self.cycle_index += 1
-        matrix, cycle = run_estimation_cycle(
-            self._probe_plan, now,
-            egress_free=self.kernel.egress_free,
-            cycle_index=self.cycle_index,
-        )
+        matrix, template = run_estimation_cycle(
+            self._probe_plan, now, egress_free=self.kernel.egress_free)
         if matrix != self.matrix:
             self._picked_at = None
             self._idle = None
         self.matrix = matrix
-        self.log.estimation.close(cycle)
+        self.log.estimation.close(Part(template, self.cycle_index, 1, (
+            ("cycle", 1), ("at", self.config.estimation_interval))))
         if self.variant.proactive:
             self._proactive_cycle(now)
         self._pending.clear()
@@ -316,16 +323,18 @@ class ResilienceManager:
         counts = self._cycle_counts()
         idle = self._idle
         if idle is not None and idle[0] == counts:
-            self.log.routes.extend(
-                RouteRecord(now, r.src, r.dst, r.path, r.ed, r.link_costs,
-                            r.purpose) for r in idle[1])
+            _, template, cycle = idle
+            self.log.routes.close(Part(
+                template, self.cycle_index - cycle, 1,
+                (("at", self.config.estimation_interval),)))
             return
-        faults, routes = len(self.log.faults), len(self.log.routes)
+        faults, routes = len(self.log.faults), len(self.log.routes.open)
         self._evaluate_pairs(now)
         self._idle = None
         if (len(self.log.faults) == faults and self._cycle_counts() == counts
                 and self.kernel.forwarding_settled(now)):
-            self._idle = (counts, tuple(self.log.routes[routes:]))
+            self._idle = (counts, tuple(self.log.routes.open[routes:]),
+                          self.cycle_index)
 
     def _cycle_counts(self) -> tuple[int, int, int, int]:
         """What an idle cycle must find unchanged besides the matrix."""
@@ -574,7 +583,7 @@ class ResilienceManager:
         if memo is None:
             return None
         route, costs = memo
-        self.log.routes.append(RouteRecord(
+        self.log.routes.open.append(RouteRecord(
             at=now, src=key[0], dst=key[1], path=route.path, ed=route.ed,
             link_costs=costs, purpose=purpose))
         return route

@@ -3,23 +3,33 @@
 The log is the single source of truth for metric computation.  In memory
 it holds the typed records the kernel and controller append; on disk it is
 JSON lines.  Parsing a serialized log gives back a RunLog whose records
-carry the same attribute names, so metrics recomputed from it must equal
-the ones computed online.  The packet and estimation streams are
-PartLogs: finished parts, shared as they are by branched logs, then one
-open list.  Each stretch of periods that a kernel fast-forwarded through
-is one finished part of the packet log, a Segment over the last period's
-records, and each estimation cycle one part of the estimation log, a
-Cycle over a template that idle cycles share; the records of both are
-built only when read, and neither log has index access.  A parsed log's
-estimation stream is a plain list.
+carry the same attribute names, each stream a plain list, so metrics
+recomputed from it must equal the ones computed online.
+
+Parts.  The packet, estimation and route streams are PartLogs: closed
+parts, shared as they are by branched logs, then one open list.  Every
+part is one Part, (template, first, n, steps): copy k, for k in [first,
+first + n), adds k * step to each int field that steps names, keeps None
+there and keeps every other field.  The kernel closes each stretch of
+periods it fast-forwarded through as a packet part over the last
+simulated period's records (seq by 1, sent_at and delivered_at by the
+period).  The controller closes each estimation cycle as a part over
+records logged relative to their cycle (cycle by 1, at by the estimation
+interval), and each replayed proactive cycle as a route part over the
+idle cycle's records (at by the interval).  A part that goes on from the
+last closed one lengthens it (PartLog.close), so a run of cycles with one
+template is one part.  Readers follow the one rule: iteration builds a
+stepped part's copies as they are read, the writers lay its template out
+once (copy_texts), and templates() and the count read the template alone.
+No PartLog has index access.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
+from itertools import chain, repeat
 from operator import eq
 from types import SimpleNamespace
 from typing import Any, Iterable
@@ -56,75 +66,51 @@ class PacketRecord:
         return self.delivered_at is not None
 
 
-class Segment:
-    """n copies of one period's finished packet records, template: the k-th
-    copy of a record adds k to its seq and k * period to its send and
-    delivery times, every other field unchanged.  Never changed once made,
-    as branched logs share it."""
+class Part:
+    """n copies of template's records, numbered first to first + n - 1.
+    steps is ((field name, step), ...): copy k of a record adds k * step
+    to each int field steps names, keeps None there and keeps every other
+    field.  A part without steps stands for its template n times over.
+    Never changed once made, as branched logs and later parts share it."""
 
-    __slots__ = ("template", "n", "period")
+    __slots__ = ("template", "first", "n", "steps")
 
-    def __init__(self, template: tuple[PacketRecord, ...], n: int,
-                 period: int) -> None:
-        self.template, self.n, self.period = template, n, period
+    def __init__(self, template, first: int = 0, n: int = 1,
+                 steps: tuple = ()) -> None:
+        self.template, self.first, self.n, self.steps = (
+            template, first, n, steps)
 
     def __len__(self) -> int:
         return self.n * len(self.template)
 
     def __iter__(self):
-        for k in range(1, self.n + 1):
-            yield from [self._copy(record, k) for record in self.template]
+        if not self.steps:
+            return chain.from_iterable(repeat(self.template, self.n))
+        return self._copies()
 
-    def _copy(self, record: PacketRecord, k: int) -> PacketRecord:
-        shift = k * self.period
-        delivered = record.delivered_at
-        return PacketRecord(
-            record.flow_id, record.seq + k, record.pair, record.covered,
-            record.length, record.sent_at + shift, record.path,
-            None if delivered is None else delivered + shift,
-            record.drop_reason, record.actual_delay, record.queue_wait)
-
-
-class Cycle:
-    """One estimation cycle's records: template read with each record's
-    cycle and at replaced by this cycle's index and time, every other
-    field unchanged.  Never changed once made, as branched logs share it
-    and later cycles its template."""
-
-    __slots__ = ("template", "cycle", "at")
-
-    def __init__(self, template: tuple, cycle: int, at: int) -> None:
-        self.template, self.cycle, self.at = template, cycle, at
-
-    def __len__(self) -> int:
-        return len(self.template)
-
-    def __iter__(self):
-        for record in self.template:
-            kind = type(record)
-            copy = kind.__new__(kind)
-            vars(copy).update(vars(record), cycle=self.cycle, at=self.at)
-            yield copy
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (Cycle, list, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"Cycle({list(self)!r})"
+    def _copies(self):
+        steps = self.steps
+        for k in range(self.first, self.first + self.n):
+            for record in self.template:
+                kind = type(record)
+                copy = kind.__new__(kind)
+                fields = vars(copy)
+                fields.update(vars(record))
+                for name, step in steps:
+                    value = fields[name]
+                    if value is not None:
+                        fields[name] = value + k * step
+                yield copy
 
 
 class PartLog:
-    """A stream's records in log order: closed, a tuple of finished parts,
-    each a tuple of records, a Segment or a Cycle, then open, the list of
-    records still appended to.  Branched logs share closed as it is.
-    Sized and iterable, and compared with == as the list of its records;
-    there is no index access.  A record of a Segment or a Cycle is built
-    each time it is read, so it equals the one read before but is another
-    object, and changing it changes nothing in the log."""
+    """A stream's records in log order: closed, a tuple of Parts, then
+    open, the list of records still appended to, which reads as one part
+    without steps.  Branched logs share closed as it is.  Sized and
+    iterable, and compared with == as the list of its records; there is
+    no index access.  A record of a stepped part is built each time it is
+    read, so it equals the one read before but is another object, and
+    changing it changes nothing in the log."""
 
     __slots__ = ("open", "closed")
 
@@ -138,21 +124,32 @@ class PartLog:
     def __iter__(self):
         if not self.closed:
             return iter(self.open)
-        return chain.from_iterable(self.parts())
+        return chain(chain.from_iterable(self.closed), self.open)
 
     def parts(self) -> tuple:
-        """The log in order: the closed parts, then the open list."""
-        return self.closed + (self.open,)
+        """The log in order: the closed parts, then the open list as a
+        part without steps."""
+        return self.closed + (Part(self.open),)
 
-    def close(self, part) -> None:
-        """Log a finished part after every record so far: the open records
-        close first, as one part, and open starts empty."""
-        open = self.open
-        if open:
-            self.closed += (tuple(open), part)
+    def close(self, part: Part) -> None:
+        """Log part after every record so far: the open records close
+        first, as a part of their own, and open starts empty.  A part that
+        continues the last closed one, with its template and steps from
+        the copy after that part's last, replaces it with one longer part
+        instead: parts are never changed, as branched logs share them."""
+        closed = self.closed
+        if self.open:
+            self.closed = closed + (Part(tuple(self.open)), part)
             self.open = []
+            return
+        last = closed[-1] if closed else None
+        if (last is not None and last.template is part.template
+                and last.steps == part.steps
+                and part.first == last.first + last.n):
+            self.closed = closed[:-1] + (Part(
+                last.template, last.first, last.n + part.n, last.steps),)
         else:
-            self.closed += (part,)
+            self.closed = closed + (part,)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (PartLog, list, tuple)):
@@ -165,49 +162,59 @@ class PartLog:
         return f"{type(self).__name__}({list(self)!r})"
 
 
-class PacketLog(PartLog):
-    """A run's packet records: a PartLog whose finished parts are tuples of
-    simulated records and Segments over those same records.  A segment is
-    logged only with no packet in flight, so every record before open is
-    finished."""
-
-    __slots__ = ()
-
-    def replicate(self, start: int, n: int, period: int) -> None:
-        """Log n copies, shifted by 1 to n periods, of one period's records:
-        the open ones from position start on, which then close with the
-        rest of open, or when open is empty, the last copy of the last
-        segment.  That segment is then replaced by a longer one, never
-        changed: branched logs share it."""
-        if self.open:
-            self.close(Segment(tuple(self.open[start:]), n, period))
-        else:
-            last = self.closed[-1]
-            self.closed = self.closed[:-1] + (
-                Segment(last.template, last.n + n, period),)
-
-
-def _parts(records) -> tuple:
+def parts_of(records) -> tuple:
     """A stream's parts in log order: a PartLog's, or a plain list of
-    records, as a parsed log holds, as one part."""
-    return records.parts() if isinstance(records, PartLog) else (records,)
+    records, as the other streams and a parsed log hold, as one part."""
+    return records.parts() if isinstance(records, PartLog) else (
+        Part(records),)
 
 
 def templates(records) -> Iterable:
-    """Each record of a stream once per part it stands for: a Segment's or
-    a Cycle's template records in place of their copies."""
-    return chain.from_iterable(
-        part.template if type(part) in (Segment, Cycle) else part
-        for part in _parts(records))
+    """Each record of a stream once per part it stands for: a part's
+    template records in place of their copies."""
+    return chain.from_iterable(part.template for part in parts_of(records))
+
+
+def copy_texts(part: Part, layout, laid: dict, entries: dict) -> list[str]:
+    """The text of each of part's copies, in order, from its template laid
+    out once as one str.format pattern: its records' layouts joined, with
+    one slot for each distinct (value, step) of a stepped field that holds
+    an int, so that copy k fills the slot of (value, step) with
+    value + k * step.  layout(record, stepped) lays one record out with
+    its stepped fields as slots, stepped mapping field name to slot
+    number.  laid keeps each template's pattern and slots by its id and
+    steps, entries each record's layout by its id and slots, so that
+    templates sharing a record share its layout."""
+    key = (id(part.template), part.steps)
+    found = laid.get(key)
+    if found is None:
+        slots: dict[tuple[int, int], int] = {}
+        texts = []
+        for record in part.template:
+            fields = vars(record)
+            stepped = {name: slots.setdefault((fields[name], step),
+                                              len(slots))
+                       for name, step in part.steps
+                       if fields[name] is not None}
+            entry = (id(record), *stepped.items())
+            text = entries.get(entry)
+            if text is None:
+                text = entries[entry] = layout(record, stepped)
+            texts.append(text)
+        found = laid[key] = ("".join(texts), tuple(slots))
+    text, slots = found
+    first = part.first
+    return [text.format(*[value + k * step for value, step in slots])
+            for k in range(first, first + part.n)]
 
 
 @dataclass
 class RunLog:
     """Append-only record streams produced by one kernel run."""
 
-    packets: PacketLog = field(default_factory=PacketLog)
+    packets: PartLog = field(default_factory=PartLog)
     estimation: PartLog = field(default_factory=PartLog)
-    routes: list = field(default_factory=list)
+    routes: PartLog = field(default_factory=PartLog)
     notifications: list = field(default_factory=list)
     faults: list = field(default_factory=list)
     decisions: list = field(default_factory=list)
@@ -229,30 +236,28 @@ class RunLog:
         shape are laid out once as a str.format pattern; ints, None and
         booleans are written directly, strings and tuples of strings are
         encoded once per call, and everything else (enums as their values)
-        goes through one sort_keys encoder.  A Segment of the packet log
-        and a Cycle of the estimation log are written from their template
-        records' text (see _segment_lines and _cycle_lines).
+        goes through one sort_keys encoder.  A stepped part is written from
+        its template's text, laid out once with a slot for each stepped
+        value (see copy_texts): one format call per copy.
         """
         lines = []
         memo: dict = {}  # str or tuple of str -> its JSON text
         for stream in self.STREAMS:
             patterns: dict[tuple, str] = {}
-            # id of a Cycle's template, and of its records -> their text
-            cycles: dict[int, str] = {}
-            entries: dict[int, str] = {}
-            for part in _parts(getattr(self, stream)):
-                kind = type(part)
-                if kind is Segment:
-                    lines += _segment_lines(part, _pattern(
-                        patterns, stream, _PACKET_FIELDS), memo)
-                    continue
-                if kind is Cycle:
-                    text = cycles.get(id(part.template))
-                    if text is None:
-                        text = cycles[id(part.template)] = _cycle_lines(
-                            part.template, stream, patterns, entries, memo)
-                    if text:
-                        lines.append(text.format(part.cycle, part.at))
+            laid: dict[tuple, tuple] = {}  # see copy_texts
+            entries: dict[tuple, str] = {}
+
+            def layout(record, stepped, stream=stream, patterns=patterns):
+                fields = vars(record)
+                names = tuple(fields)
+                return _slotted(_pattern(patterns, stream, names),
+                                _texts(fields.values(), memo),
+                                {names.index(name): slot
+                                 for name, slot in stepped.items()})
+
+            for part in parts_of(getattr(self, stream)):
+                if part.steps:
+                    lines += copy_texts(part, layout, laid, entries)
                     continue
                 for record in part:
                     fields = vars(record)
@@ -263,7 +268,7 @@ class RunLog:
                                                                   names)
                     lines.append(pattern.format(*_texts(fields.values(),
                                                         memo)))
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(lines)
 
     @staticmethod
     def parse_jsonl(text: str) -> "RunLog":
@@ -271,9 +276,8 @@ class RunLog:
         same field names, enums as their values, tuples as lists.  Blank
         lines are skipped; a line that is not a JSON object of a known
         stream raises ValueError naming its line number."""
-        log = RunLog(estimation=[])
+        log = RunLog(packets=[], estimation=[], routes=[])
         streams = {stream: getattr(log, stream) for stream in RunLog.STREAMS}
-        streams["packets"] = log.packets.open
         raw_decode, decode = _decoder.raw_decode, _decoder.decode
         # Lines end at "\n" alone: str.splitlines would also split inside
         # strings holding a raw U+2028, which JSON allows.
@@ -336,65 +340,16 @@ def _texts(values: Iterable, memo: dict) -> list[str]:
     return texts
 
 
-# A packet record's field names in order, as vars() gives them, and where
-# a replicated copy differs from its template record: the slot of its
-# seq, sent_at and delivered_at, by field index.
-_PACKET_FIELDS = tuple(f.name for f in fields(PacketRecord))
-_SHIFTED = {_PACKET_FIELDS.index(name): slot for slot, name in enumerate(
-    ("seq", "sent_at", "delivered_at"))}
-
-
-def _segment_lines(segment: Segment, pattern: str, memo: dict) -> list[str]:
-    """The lines of a segment's records, in log order.  Each template
-    record's line is laid out once as a str.format pattern with its fixed
-    fields written in and slots for the copy's seq, sent_at and
-    delivered_at, which stays null for a dropped record."""
-    copies = []
-    for record in segment.template:
-        texts = _texts(vars(record).values(), memo)
-        copies.append((_slotted(pattern, texts, {
-            index: slot for index, slot in _SHIFTED.items()
-            if texts[index] != "null"}).format, record.seq,
-            record.sent_at, record.delivered_at or 0))
-    lines = []
-    period = segment.period
-    for k in range(1, segment.n + 1):
-        shift = k * period
-        lines += [line(seq + k, sent + shift, delivered + shift)
-                  for line, seq, sent, delivered in copies]
-    return lines
-
-
-def _cycle_lines(template: tuple, stream: str, patterns: dict,
-                 entries: dict, memo: dict) -> str:
-    """The lines of a cycle over template, joined, as a str.format pattern
-    with slots {0} for the cycle's index and {1} for its time.  Each
-    template record's line is laid out once and kept in entries by the
-    record's id, so templates that share records share their text."""
-    lines = []
-    for record in template:
-        line = entries.get(id(record))
-        if line is None:
-            fields = vars(record)
-            names = tuple(fields)
-            line = entries[id(record)] = _slotted(
-                _pattern(patterns, stream, names),
-                _texts(fields.values(), memo),
-                {names.index("cycle"): 0, names.index("at"): 1})
-        lines.append(line)
-    return "\n".join(lines)
-
-
 def _slotted(pattern: str, texts: list[str], slots: dict[int, int]) -> str:
     """pattern filled in with texts, laid out as a str.format pattern in
-    which field i is left as slot {slots[i]}.  JSON text never holds a raw
-    control character, so chr(slot) marks each slot until the braces of
-    the text are escaped."""
+    which field i is left as slot {slots[i]}.  JSON text is ASCII, the
+    encoder escaping every other character, so chr(0x80 + slot) marks each
+    slot until the braces of the text are escaped."""
     for index, slot in slots.items():
-        texts[index] = chr(slot)
+        texts[index] = chr(0x80 + slot)
     line = pattern.format(*texts).replace("{", "{{").replace("}", "}}")
     for slot in slots.values():
-        line = line.replace(chr(slot), "{%d}" % slot)
+        line = line.replace(chr(0x80 + slot), "{%d}" % slot)
     return line
 
 
@@ -417,14 +372,14 @@ def _memoized(memo: dict, value: str | tuple) -> str:
 
 
 def _line_pattern(stream: str, names: tuple) -> str:
-    """str.format pattern of a line of stream whose record has these field
-    names, in this order: keys sorted, the i-th field's JSON text in slot
-    {i}.  A record field named stream takes the place of the tag, as in
-    {"stream": stream, **row}."""
+    """str.format pattern of a line of stream, newline included, whose
+    record has these field names, in this order: keys sorted, the i-th
+    field's JSON text in slot {i}.  A record field named stream takes the
+    place of the tag, as in {"stream": stream, **row}."""
     def literal(text: str) -> str:
         return text.replace("{", "{{").replace("}", "}}")
 
     slots = {name: "{%d}" % index for index, name in enumerate(names)}
     slots.setdefault("stream", literal(_encode(stream)))
     return "{{" + ", ".join(f"{literal(_encode(key))}: {slots[key]}"
-                            for key in sorted(slots)) + "}}"
+                            for key in sorted(slots)) + "}}\n"

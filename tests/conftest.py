@@ -235,7 +235,7 @@ def reference_compute_route(manager, key, now, purpose):
         return None
     costs = tuple(manager.matrix[hop] for hop in zip(route.path,
                                                       route.path[1:]))
-    manager.log.routes.append(RouteRecord(
+    manager.log.routes.open.append(RouteRecord(
         at=now, src=key[0], dst=key[1], path=route.path, ed=route.ed,
         link_costs=costs, purpose=purpose))
     return route
@@ -268,8 +268,8 @@ def reference_success_rate(packets, ped_changes):
 
 
 def reference_score_packets(packets, ped_changes):
-    """harness._score_packets record by record, each copy of a segment
-    built, with the success rates by bisection."""
+    """harness._score_packets record by record, each copy of a stepped
+    part built, with the success rates by bisection."""
     packets = list(packets)
     delivered = [p for p in packets if p.delivered_at is not None]
     return (len(delivered), sum(p.length for p in delivered),

@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import operator
 import random
 
 import pytest
@@ -199,25 +200,24 @@ class TestEstimationCycle:
 
     def test_records_match_matrix(self, chain10, symmetric_control):
         matrix, records = run_estimation_cycle(
-            ProbePlan(chain10, symmetric_control), 0, cycle_index=3)
+            ProbePlan(chain10, symmetric_control), 3 * SECOND)
         assert len(records) == len(matrix)
         for record in records:
             assert record.cost == matrix[(record.src, record.dst)] == \
                 record.transmission_delay + record.link_delay
-            assert record.cycle == 3
+            assert (record.cycle, record.at) == (0, 0)  # relative
 
 
 class TestProbePlan:
     def test_equal_waits_reuse_the_same_entry(self, chain10, symmetric_control):
         plan = ProbePlan(chain10, symmetric_control)
         first, first_records = run_estimation_cycle(plan, 0)
-        second, records = run_estimation_cycle(plan, 7 * MS, cycle_index=1)
+        second, records = run_estimation_cycle(plan, 7 * MS)
         assert len(plan.estimates) == 9  # one per link
         assert second == first
-        assert [dataclasses.replace(record, cycle=0, at=0)
-                for record in records] == first_records
-        assert {record.at for record in records} == {7 * MS}
-        assert {record.cycle for record in records} == {1}
+        assert len(records) == len(first_records) == 18
+        assert all(map(operator.is_, records, first_records))
+        assert {(record.cycle, record.at) for record in records} == {(0, 0)}
 
     def test_changed_wait_re_estimates(self, chain10, symmetric_control):
         plan = ProbePlan(chain10, symmetric_control)
@@ -248,30 +248,27 @@ class TestProbePlan:
         plan = ProbePlan(chain10, symmetric_control)
         _, first = run_estimation_cycle(plan, 0)
         free = {("S1", "S2"): SECOND, ("S2", "S1"): SECOND - MS}
-        matrix, cycle = run_estimation_cycle(plan, SECOND, egress_free=free,
-                                             cycle_index=1)
-        assert cycle.template is first.template
-        assert {(record.cycle, record.at) for record in cycle} == {(1, SECOND)}
+        matrix, cycle = run_estimation_cycle(plan, SECOND, egress_free=free)
+        assert cycle is first
         fresh_matrix, fresh = run_estimation_cycle(
-            ProbePlan(chain10, symmetric_control), SECOND, egress_free=free,
-            cycle_index=1)
+            ProbePlan(chain10, symmetric_control), SECOND, egress_free=free)
         assert matrix == fresh_matrix
-        assert cycle == fresh and list(cycle) == list(fresh)
+        assert cycle == fresh
 
     def test_busy_cycle_leaves_the_idle_template(self, chain10,
                                                  symmetric_control):
         plan = ProbePlan(chain10, symmetric_control)
         _, first = run_estimation_cycle(plan, 0)
         _, busy = run_estimation_cycle(
-            plan, SECOND, cycle_index=1,
+            plan, SECOND,
             egress_free={("S1", "S2"): SECOND + 300 * MICROSECOND})
-        assert busy.template is not first.template
+        assert busy is not first
         assert entry_of(busy, "S1", "S2").link_delay == \
             MILLISECOND + 150 * MICROSECOND
         matrix, third = run_estimation_cycle(
-            plan, 2 * SECOND, cycle_index=2,
+            plan, 2 * SECOND,
             egress_free={("S1", "S2"): SECOND + 300 * MICROSECOND})
-        assert third.template is first.template
+        assert third is first
         assert matrix == run_estimation_cycle(
             ProbePlan(chain10, symmetric_control), 2 * SECOND)[0]
 
@@ -283,9 +280,9 @@ class TestProbePlan:
         chain10.set_link_state("S3", "S4", LinkState.DOWN)
         chain10.set_link_state("S3", "S4", LinkState.UP)
         assert chain10.version == version + 2
-        matrix, again = run_estimation_cycle(plan, SECOND, cycle_index=1)
-        assert again.template is not first.template
-        assert again.template == first.template
+        matrix, again = run_estimation_cycle(plan, SECOND)
+        assert again is not first
+        assert again == first
         assert matrix == first_matrix and matrix is not first_matrix
 
     def test_twin_reuses_its_parents_template(self, chain10,
@@ -294,16 +291,15 @@ class TestProbePlan:
         first_matrix, first = run_estimation_cycle(plan, 0)
         topology = chain10.twin()
         twin = plan.twin(topology)
-        matrix, cycle = run_estimation_cycle(twin, SECOND, cycle_index=1)
-        assert cycle.template is first.template
+        matrix, cycle = run_estimation_cycle(twin, SECOND)
+        assert cycle is first
         assert matrix == first_matrix
         assert twin.idle[1] is not plan.idle[1]
         # A link flap in the twin's topology leaves the parent's plan alone.
         topology.set_link_state("S3", "S4", LinkState.DOWN)
-        matrix, _ = run_estimation_cycle(twin, 2 * SECOND, cycle_index=2)
+        matrix, _ = run_estimation_cycle(twin, 2 * SECOND)
         assert len(matrix) == 16
-        assert run_estimation_cycle(plan, 2 * SECOND)[1].template \
-            is first.template
+        assert run_estimation_cycle(plan, 2 * SECOND)[1] is first
 
 
 class TestEstimationRecord:

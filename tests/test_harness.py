@@ -28,7 +28,7 @@ from sdnsim.resilience import (
     RestorationRecord,
     variant_by_name,
 )
-from sdnsim.runlog import Cycle, PacketLog, PartLog, RunLog, Segment
+from sdnsim.runlog import Part, PartLog, RunLog
 from sdnsim.scenario import load_scenario, parse_scenario
 
 from conftest import (
@@ -159,7 +159,7 @@ def test_success_rate_equals_a_bisection_per_packet(streams):
 
 
 class TestSegments:
-    """A PacketLog segment scored and checked from its template, against
+    """A stepped packet part scored and checked from its template, against
     the same records in a plain list.  Copies 1 to 4 of the template's
     covered deliveries arrive at 35, 45, 55, 65 (F1) and 39, 49, 59, 69
     (F2)."""
@@ -173,9 +173,11 @@ class TestSegments:
                      "no_route", None, 0),
     )
 
+    STEPS = (("seq", 1), ("sent_at", 10), ("delivered_at", 10))
+
     def segment_log(self):
         template = self.TEMPLATE
-        return PacketLog([], (template, Segment(template, 4, 10)))
+        return PartLog([], (Part(template), Part(template, 1, 4, self.STEPS)))
 
     @pytest.mark.parametrize("at", [30, 35, 40, 65, 66, 69, 70])
     def test_bound_change_among_the_copies(self, at):
@@ -204,7 +206,7 @@ class TestSegments:
     def test_corrupt_template_record_fails_the_check(self, change, message):
         template = ((dataclasses.replace(self.TEMPLATE[0], **change),)
                     + self.TEMPLATE[1:])
-        log = RunLog(packets=PacketLog([], (Segment(template, 4, 10),)))
+        log = RunLog(packets=PartLog([], (Part(template, 1, 4, self.STEPS),)))
         with pytest.raises(AssertionError, match=message):
             verify_conservation(log)
 
@@ -360,7 +362,7 @@ class TestVerifyConservation:
             transmission_delay=transmission_delay,
             cost=link_delay + transmission_delay)
         log.estimation = PartLog(closed=(
-            Cycle(tuple(template), first.cycle, first.at), *rest))
+            Part(tuple(template), first.first, first.n, first.steps), *rest))
         with pytest.raises(AssertionError, match="out of range"):
             verify_conservation(log)
 
@@ -633,8 +635,10 @@ class TestEmitReports:
         with braces in its switch names and a record in its open list."""
         result = run_experiment(ring_scenario.with_flow_count(2), ["RM"], [1])
         record = EstimationRecord(7, "S{0}", "S}", 5, 12, 17, 70)
+        steps = (("cycle", 1), ("at", 10))
         made = RunLog(estimation=PartLog([record], (
-            Cycle((record,), 5, 50), Cycle((), 6, 60))))
+            Part((dataclasses.replace(record, cycle=0, at=0),), 5, 1, steps),
+            Part((), 6, 1, steps))))
         for log in (result.sample_log, made):
             assert len({id(part.template)
                         for part in log.estimation.closed}) > 1

@@ -42,7 +42,7 @@ from sdnsim.resilience import (
     VARIANT_ALIASES,
     variant_by_name,
 )
-from sdnsim.runlog import Cycle, Segment
+from sdnsim.runlog import Part
 from sdnsim.scenario import load_scenario, parse_scenario
 
 from conftest import (
@@ -657,9 +657,9 @@ class TestSegments:
             patch.setattr(runlog, "PacketRecord", built)
             done = run_single(scenario, "SDN-RM", 1)
         packets = done.log.packets
-        assert any(type(part) is Segment for part in packets.closed)
+        assert any(part.steps for part in packets.closed)
         assert len(packets) > 10 * sum(
-            len(part) for part in packets.parts() if type(part) is not Segment)
+            len(part) for part in packets.parts() if not part.steps)
 
     def test_branch_shares_segments_and_both_go_on_as_fresh_runs(self):
         """25 s is a multiple of the 250 ms period inside a steady stretch:
@@ -673,7 +673,7 @@ class TestSegments:
         packets = kernel.log.packets
         at = len(packets.closed) - 1
         last = packets.closed[at]
-        assert type(last) is Segment and packets.open == []
+        assert last.steps and packets.open == []
         twin = kernel.branch(injections)
         assert all(ours is theirs for ours, theirs in zip(
             packets.closed, twin.log.packets.closed, strict=True))
@@ -755,15 +755,15 @@ class TestTwin:
         ours = self.reachable(kernel, opaque)
         theirs = self.reachable(twin, opaque)
         shared = [ours[key] for key in ours.keys() & theirs.keys()]
-        assert any(type(obj) is Segment for obj in shared)
+        assert any(type(obj) is Part and obj.steps for obj in shared)
 
         def may_share(obj) -> bool:
             if type(obj) is PacketRecord:  # finished records only
                 return (obj.delivered_at is not None
                         or obj.drop_reason is not None)
             return (type(obj) in (str, int, float, bool, type(None))
-                    or isinstance(obj, (tuple, frozenset, Enum, Segment,
-                                        Cycle, type, ModuleType, FunctionType,
+                    or isinstance(obj, (tuple, frozenset, Enum, Part,
+                                        type, ModuleType, FunctionType,
                                         BuiltinFunctionType, CodeType))
                     or self.frozen(obj) or id(obj) in opaque)
 

@@ -71,7 +71,6 @@ from sdnsim.injections import (
 from sdnsim.kernel import Kernel, ScheduleError
 from sdnsim.resilience import VARIANT_ALIASES, variant_by_name
 from sdnsim.routing import NoPathError, find_path
-from sdnsim.runlog import Segment
 from sdnsim.scenario import (
     AutoLinkFailures,
     AutoPedChanges,
@@ -358,7 +357,7 @@ def test_segments_read_as_the_records_they_stand_for(network, data):
     verify_conservation(plain)
     assert log.to_jsonl() == plain.to_jsonl()
 
-    segments = [part for part in packets.closed if type(part) is Segment]
+    segments = [part for part in packets.closed if part.steps]
     deliveries = sorted({r.delivered_at for segment in segments
                          for r in segment if r.covered} - {None}) or [0]
     instants = st.sampled_from(deliveries).flatmap(

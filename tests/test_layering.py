@@ -94,7 +94,7 @@ def test_injection_names_have_one_home(module):
 
 def test_harness_reads_the_packet_log_through_its_parts():
     """The packet log's layout is runlog's and the kernel's own: harness
-    takes a PacketLog's parts() and names none of its fields."""
+    takes a PartLog's parts() and names none of its fields."""
     attributes = {node.attr for node in ast.walk(_tree("harness"))
                   if isinstance(node, ast.Attribute)}
     assert "parts" in attributes

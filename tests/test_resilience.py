@@ -390,8 +390,9 @@ class TestRouteMemo:
         assert self.route(kernel).path == ROUTE_0
         assert self.route(kernel).path == ROUTE_0
         assert len(calls) == 1
+        first, second = kernel.log.routes
         assert len(kernel.log.routes) == 2
-        assert kernel.log.routes[0] == kernel.log.routes[1]
+        assert first == second
 
     def test_no_path_is_remembered_too(self, memo):
         kernel, calls = memo
@@ -462,6 +463,36 @@ class TestRouteMemo:
         assert len(calls) == 2
 
 
+class TestEstimationParts:
+    """The controller closes each cycle's relative records as copy c of a
+    part stepping cycle by 1 and at by the interval."""
+
+    def test_cycles_read_as_their_index_and_instant(self):
+        """Idle cycles 0 to 2 share one template and close as one part; a
+        busy cycle 3 starts another, and so does idle cycle 4 after it."""
+        kernel = Kernel(
+            topology=build_topology(ring_with_chords_spec()), flows=[],
+            contract_pairs=[], variant=variant_by_name("SDN-RM"),
+            config=SimConfig(estimation_interval=SECOND),
+            control=ControlChannel())
+        for cycle in range(5):
+            if cycle == 3:
+                kernel.egress_free[("S1", "S10")] = 3 * SECOND + MS
+            kernel.controller.on_cycle_boundary(cycle * SECOND)
+        parts = kernel.log.estimation.closed
+        assert [(part.first, part.n) for part in parts] == [
+            (0, 3), (3, 1), (4, 1)]
+        assert parts[2].template is parts[0].template
+        assert all(part.steps == (("cycle", 1), ("at", SECOND))
+                   for part in parts)
+        records = list(kernel.log.estimation)
+        links = len(ring_with_chords_spec().links)
+        assert len(records) == 5 * 2 * links
+        assert [(r.cycle, r.at) for r in records] == [
+            (cycle, cycle * SECOND) for cycle in range(5)
+            for _ in range(2 * links)]
+
+
 class TestIdleCycles:
     """A proactive cycle that finds what an idle cycle left logs that
     cycle's route records again, at its own instant, and evaluates
@@ -482,7 +513,8 @@ class TestIdleCycles:
         kernel = Kernel(
             topology=build_topology(ring_with_chords_spec()), flows=[],
             contract_pairs=[create_contract_pair("C1", "S1", "S8", 12 * MS)],
-            variant=variant_by_name("SDN-RM"), config=SimConfig(),
+            variant=variant_by_name("SDN-RM"),
+            config=SimConfig(estimation_interval=SECOND),
             control=ControlChannel())
         controller = kernel.controller
         controller.on_cycle_boundary(0)
@@ -507,14 +539,30 @@ class TestIdleCycles:
         monkeypatch.setattr(resilience, "find_path", counted_find_path)
         return kernel, calls
 
-    def test_logs_the_idle_cycle_routes_at_its_own_instant(self, idle):
+    def test_logs_the_idle_cycle_routes_at_its_own_instant(self, idle,
+                                                           monkeypatch):
+        """Two replays build no RouteRecord and close one route part, the
+        idle cycle's records stepped by the interval from copy 1."""
         kernel, calls = idle
         before = list(kernel.log.routes)
         idle_routes = [r for r in before if r.at == SECOND]
         assert [r.purpose for r in idle_routes] == ["reoptimize"]
+        built = []
+        init = resilience.RouteRecord.__init__
+
+        def counted(record, *args, **kwargs):
+            built.append(args or kwargs)
+            init(record, *args, **kwargs)
+
+        monkeypatch.setattr(resilience.RouteRecord, "__init__", counted)
         kernel.controller.on_cycle_boundary(2 * SECOND)
         kernel.controller.on_cycle_boundary(3 * SECOND)
-        assert calls == []
+        assert calls == [] and built == []
+        *_, replayed = closed = kernel.log.routes.closed
+        assert len(closed) == 2 and kernel.log.routes.open == []
+        assert (replayed.first, replayed.n, replayed.steps) == (
+            1, 2, (("at", SECOND),))
+        assert list(map(id, replayed.template)) == list(map(id, idle_routes))
         assert kernel.log.routes == before + [
             dataclasses.replace(r, at=at) for at in (2 * SECOND, 3 * SECOND)
             for r in idle_routes]

@@ -19,12 +19,10 @@ from hypothesis import given, settings, strategies as st
 from sdnsim.delay_estimation import EstimationRecord
 from sdnsim.harness import run_single
 from sdnsim.runlog import (
-    Cycle,
-    PacketLog,
+    Part,
     PacketRecord,
     PartLog,
     RunLog,
-    Segment,
     record_to_dict,
 )
 from sdnsim.scenario import load_scenario
@@ -79,9 +77,36 @@ def records(draw):
     return SimpleNamespace(**fields)
 
 
+# Stepped values and steps: small ones, so that records of one template
+# meet on one (value, step) and one value meets other steps, and any int.
+small_ints = st.integers(-2, 2) | ints
+
+
+@st.composite
+def part_logs(draw):
+    """A PartLog of run-length parts over templates drawn from one pool of
+    records, some shared by several templates and templates shared by
+    several parts, and an open list.  Every record carries the stepped
+    fields, each an int or None."""
+    names = draw(st.lists(st.sampled_from(NAMES), unique=True, max_size=3))
+    pool = draw(st.lists(records(), min_size=1, max_size=4))
+    for record in pool:
+        for name in names:
+            vars(record)[name] = draw(st.none() | small_ints)
+    templates = draw(st.lists(
+        st.lists(st.sampled_from(pool), max_size=4).map(tuple),
+        min_size=1, max_size=3))
+    closed = tuple(Part(draw(st.sampled_from(templates)), draw(small_ints),
+                        draw(st.integers(0, 3)),
+                        tuple((name, draw(small_ints)) for name in names))
+                   for _ in range(draw(st.integers(0, 4))))
+    return PartLog(draw(st.lists(records(), max_size=3)), closed)
+
+
 @st.composite
 def logs(draw):
-    return RunLog(**{stream: draw(st.lists(records(), max_size=4))
+    return RunLog(**{stream: draw(st.lists(records(), max_size=4)
+                                  | part_logs())
                      for stream in draw(st.lists(
                          st.sampled_from(RunLog.STREAMS), unique=True,
                          max_size=3))})
@@ -109,8 +134,9 @@ def test_segment_lines_equal_json_dumps_of_their_records():
                              ("S{1", "{}", "S2}"), 150, None, 50, 7)
     dropped = PacketRecord("F\u2028\"", 4, ("S1", "S2"), False, 8, 110,
                            None, None, "no_route", None, 0)
-    log = RunLog(packets=PacketLog(
-        [dropped], ((delivered,), Segment((delivered, dropped), 3, 1_000))))
+    log = RunLog(packets=PartLog([dropped], (
+        Part((delivered,)), Part((delivered, dropped), 1, 3, (
+            ("seq", 1), ("sent_at", 1_000), ("delivered_at", 1_000))))))
     assert len(log.packets) == 8
     assert log.to_jsonl() == reference_jsonl(log)
 
@@ -123,9 +149,11 @@ def test_cycle_lines_equal_json_dumps_of_their_records():
     reverse = EstimationRecord(0, 'S"2', "S{0}", 5, 12, 17, 0)
     other = EstimationRecord(3, "S\u2028", "S}", 7, 12, 19, 40)
     first, second = (forward, reverse), (forward, other, reverse)
+    steps = (("cycle", 1), ("at", 10))
     log = RunLog(estimation=PartLog([other], (
-        Cycle(first, 0, 0), Cycle(second, 1, 10**12), Cycle((), 2, 20),
-        Cycle(first, 3, 30))))
+        Part(first, 0, 1, steps),
+        Part(second, 1, 1, (("cycle", 1), ("at", 10**12))),
+        Part((), 2, 1, steps), Part(first, 3, 1, steps))))
     assert len(log.estimation) == 8
     text = log.to_jsonl()
     assert text.split("\n")[:-1] == [
@@ -136,6 +164,68 @@ def test_cycle_lines_equal_json_dumps_of_their_records():
     parsed = RunLog.parse_jsonl(text)
     assert type(parsed.estimation) is list
     assert parsed.to_jsonl() == text
+
+
+class TestClose:
+    """PartLog.close lengthens the last closed part with a part that
+    continues it: the same template object and steps, from the copy after
+    its last.  Anything else starts a new part."""
+
+    STEPS = (("seq", 1), ("at", 10))
+    TEMPLATE = (SimpleNamespace(seq=0, at=5, name="a"),
+                SimpleNamespace(seq=1, at=None, name="b"))
+    EQUAL = tuple(SimpleNamespace(**vars(record)) for record in TEMPLATE)
+
+    def closed_log(self):
+        log = PartLog()
+        log.close(Part(self.TEMPLATE, 2, 3, self.STEPS))
+        return log
+
+    def test_a_continuing_part_lengthens_the_last(self):
+        log = self.closed_log()
+        [last] = log.closed
+        log.close(Part(self.TEMPLATE, 5, 2, self.STEPS))
+        [longer] = log.closed
+        assert longer is not last and last.n == 3
+        assert (longer.template, longer.first, longer.n, longer.steps) == (
+            self.TEMPLATE, 2, 5, self.STEPS)
+        assert log == [SimpleNamespace(seq=record.seq + k,
+                                       at=None if record.at is None
+                                       else record.at + 10 * k,
+                                       name=record.name)
+                       for k in range(2, 7) for record in self.TEMPLATE]
+
+    @pytest.mark.parametrize("template, first, steps", [
+        (EQUAL, 5, STEPS),  # an equal template, another object
+        (TEMPLATE, 5, (("seq", 1), ("at", 11))),
+        (TEMPLATE, 5, (("seq", 1),)),
+        (TEMPLATE, 6, STEPS),  # a gap
+        (TEMPLATE, 4, STEPS),  # an overlap
+    ], ids=["template", "step", "names", "gap", "overlap"])
+    def test_anything_else_starts_a_new_part(self, template, first, steps):
+        log = self.closed_log()
+        [last] = log.closed
+        part = Part(template, first, 2, steps)
+        log.close(part)
+        assert log.closed == (last, part)
+        assert len(log) == 10
+
+    def test_open_records_close_first(self):
+        log = self.closed_log()
+        log.open.append(SimpleNamespace(seq=9, at=9, name="c"))
+        part = Part(self.TEMPLATE, 5, 1, self.STEPS)
+        log.close(part)
+        assert len(log.closed) == 3 and log.closed[2] is part
+        assert log.open == [] and len(log) == 9
+
+    def test_a_twin_holding_the_old_parts_reads_them_as_they_were(self):
+        log = self.closed_log()
+        twin = PartLog(closed=log.closed)
+        before = list(twin)
+        log.close(Part(self.TEMPLATE, 5, 4, self.STEPS))
+        assert len(twin) == 6 and len(log) == 14
+        assert list(twin) == before
+        assert list(log)[:6] == before
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.scn")),
