@@ -118,6 +118,35 @@ a later instant, which the period before that instant schedules, and
 replicated it would run after that tick.  So the kernel replicates only
 when every pending entry other than a started flow's tick numbers below
 every such tick.  Entries scheduled later number above all of them.
+
+Boundaries on the period grid.  When the estimation interval is a
+multiple of P, as in the bundled scenarios, each cycle boundary falls on a
+snapshot instant x, where it is the earliest entry other than a tick, so
+the horizon stops at x and the period from x would be simulated again.
+The kernel instead runs the boundary there itself, which extends the
+argument above from handlers that ran in [x - P, x) to one that runs at
+x.  At x the state is the one simulation reaches: the copies end by x,
+and no packet is on the heap, so every egress is free by x (an egress is
+busy only until the arrival of the packet on it, which would still be
+pending) and the estimation cycle reads the idle egress times that
+simulation gives it.  Setup numbers a boundary below every tick, so the
+boundary entries due at x are the ones simulation pops first there; the
+kernel pops and runs those alone, and only when they sort below until.
+It goes on from x only when, after them, the three counts are as they
+were, no entry is left at x and every pending entry other than a tick
+still numbers below every tick: the boundary then moved no link or
+route, started no flow and scheduled nothing a copy could run out of
+order.  Like the handlers in [x - P, x) it changed nothing else
+transport reads (the estimation cycle reads the egress times, and the
+proactive cycle reaches forwarding only through set_forwarding), so the
+period from x - P is a template for the periods from x too.  Simulated,
+the boundary runs before every event of the period from x, so the clock
+after n copies is still the template period's last event plus nP.
+Otherwise the kernel returns with the snapshot it took before the
+boundary and the clock at x, where simulation stands once the boundary
+has run, and simulation goes on from there.  Boundaries off the period
+grid, and those sharing their instant with a flow's start, are
+simulated as before.
 """
 
 from __future__ import annotations
@@ -343,50 +372,68 @@ class Kernel:
                     action(arg, at)
             if not queue or queue[0] >= until:
                 break
-            self._fast_forward(until[0])
+            self._fast_forward(until)
         del self._on_hop, self._bound
 
-    def _fast_forward(self, until: int) -> None:
+    def _fast_forward(self, until: tuple[int, int]) -> None:
         """Snapshot at the last multiple x of the period that the heap's
         head has reached, and replicate the whole periods from x that end
         by until when nothing transport reads changed since the snapshot
-        at x - P (see "Fast-forward")."""
+        at x - P (see "Fast-forward"), running a cycle boundary due at x
+        first when it changes nothing transport reads."""
         queue, period = self._queue, self._period
         head = queue[0][0]
         x = head - head % period
         self._period_at = x + period
-        ticks = []
-        other: float = math.inf
-        latest = -1  # the highest number of a pending non-tick entry
-        unstarted = 0  # pending first ticks
-        for index, (at, seq, _, arg) in enumerate(queue):
-            kind = type(arg)
-            if kind is _Packet:
-                self._snapshot = None
-                return
-            if kind is _FlowState:
-                if arg.started:
-                    ticks.append((at, seq, index))
-                    continue
-                unstarted += 1
-            if at < other:
-                other = at
-            if seq > latest:
-                latest = seq
-        ticks.sort()
-        shape = tuple((at - x, queue[index][3].flow.id)
-                      for at, _, index in ticks)
-        last = self._snapshot
-        packets = self.log.packets
-        counts = (self.topology.version, self.forwarding_changes, unstarted)
-        self._snapshot = (x, shape, counts, len(packets.open))
+        last, packets = self._snapshot, self.log.packets
         since = x - period
-        applied = self._applied
-        if (not shape or last is None or last[:3] != (since, shape, counts)
-                or applied and self.log.injections[applied - 1].at >= since
-                or min(seq for _, seq, _ in ticks) < latest):
-            return
-        horizon = min(other, until, *(
+        now = self.now  # the last event of the period that copies repeat
+        boundary = self.controller.on_cycle_boundary
+        snapshot = None
+        while True:
+            ticks = []
+            other: float = math.inf
+            latest = -1  # the highest number of a pending non-tick entry
+            unstarted = 0  # pending first ticks
+            for index, (at, seq, _, arg) in enumerate(queue):
+                kind = type(arg)
+                if kind is _Packet:
+                    self._snapshot = None
+                    return
+                if kind is _FlowState:
+                    if arg.started:
+                        ticks.append((at, seq, index))
+                        continue
+                    unstarted += 1
+                if at < other:
+                    other = at
+                if seq > latest:
+                    latest = seq
+            ticks.sort()
+            shape = tuple((at - x, queue[index][3].flow.id)
+                          for at, _, index in ticks)
+            counts = (self.topology.version, self.forwarding_changes,
+                      unstarted)
+            if snapshot is None:  # before any entry at x runs
+                snapshot = self._snapshot = (x, shape, counts,
+                                             len(packets.open))
+            applied = self._applied
+            if (not shape or last is None
+                    or last[:3] != (since, shape, counts)
+                    or applied and self.log.injections[applied - 1].at >= since
+                    or min(seq for _, seq, _ in ticks) < latest):
+                return
+            if other != x:
+                break
+            # Run a cycle boundary due at x, then look again (see
+            # "Boundaries on the period grid").
+            entry = queue[0]
+            if entry[2] != boundary or entry[:2] >= until:
+                return
+            heapq.heappop(queue)
+            self.now = x
+            boundary(x)
+        horizon = min(other, until[0], *(
             active_at for entries in self._forwarding.values()
             for active_at, _ in entries if active_at >= since))
         states = [queue[index][3] for _, _, index in ticks]
@@ -417,7 +464,7 @@ class Kernel:
         for egress, free in self.egress_free.items():
             if free >= since:
                 self.egress_free[egress] = free + span
-        self.now += span
+        self.now = now + span
         # The last period is now the part's last copy.
         self._snapshot = (x + span - period, shape, counts,
                           len(packets.open))

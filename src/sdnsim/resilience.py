@@ -303,16 +303,21 @@ class ResilienceManager:
     def on_cycle_boundary(self, now: int) -> None:
         """Estimate, then run the proactive cycle.  The cycle's records are
         logged as copy cycle_index of their template, at cycle_index
-        estimation intervals: Kernel.setup runs cycle c at c intervals."""
-        self.cycle_index += 1
+        estimation intervals: Kernel.setup runs cycle c at c intervals,
+        and a cycle run at any other instant is refused."""
+        cycle, interval = self.cycle_index + 1, self.config.estimation_interval
+        if now != cycle * interval:
+            raise ValueError(f"cycle {cycle} runs at {cycle * interval}, "
+                             f"not at {now}")
+        self.cycle_index = cycle
         matrix, template = run_estimation_cycle(
             self._probe_plan, now, egress_free=self.kernel.egress_free)
         if matrix != self.matrix:
             self._picked_at = None
             self._idle = None
         self.matrix = matrix
-        self.log.estimation.close(Part(template, self.cycle_index, 1, (
-            ("cycle", 1), ("at", self.config.estimation_interval))))
+        self.log.estimation.close(Part(template, cycle, 1, (
+            ("cycle", 1), ("at", interval))))
         if self.variant.proactive:
             self._proactive_cycle(now)
         self._pending.clear()

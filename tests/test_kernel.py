@@ -68,8 +68,8 @@ def two_hop_spec(capacity=GBPS):
 
 
 def make_kernel(spec, flows, contracts=(), variant="SDN-woRM",
-                config=None, control=None):
-    return Kernel(
+                config=None, control=None, kind=Kernel):
+    return kind(
         topology=build_topology(spec),
         flows=list(flows),
         contract_pairs=list(contracts),
@@ -366,16 +366,25 @@ class TestFastForward:
 
     @staticmethod
     def exact(spec, flows, injections=(), contracts=(), horizon=4 * SECOND,
-              **kwargs):
-        def run():
+              reference=False, **kwargs):
+        """The fast-forward counts and the kernel of a run that equals the
+        run simulated in full and, with reference, ReferenceKernel's run
+        with every period simulated."""
+        def run(kind=Kernel):
             # The contract store changes pairs in place: copy them per run.
             kernel = make_kernel(spec, flows,
                                  [replace(pair) for pair in contracts],
-                                 **kwargs)
+                                 kind=kind, **kwargs)
             kernel.setup(horizon, list(injections))
             kernel.run_until(horizon)
             return kernel
-        return assert_fast_forward_exact(run), run()
+        counts, kernel = assert_fast_forward_exact(run), run()
+        if reference:
+            with no_fast_forward():
+                simulated = run(ReferenceKernel)
+            assert (kernel.log, kernel.egress_free, kernel.now) == (
+                simulated.log, simulated.egress_free, simulated.now)
+        return counts, kernel
 
     def test_flows_of_coprime_gaps_never_fast_forward(self):
         counts, _ = self.exact(two_hop_spec(), [
@@ -494,11 +503,103 @@ class TestFastForward:
         events = (1 + 1 + 2) * len(kernel.log.packets) + boundaries
         assert counts.calls <= events < horizon // US
 
+    def test_idle_boundary_on_the_grid_is_replicated_through(self):
+        """F1 sends every 10 ms from 1 s to 3.99 s and the 1 s cycle puts
+        boundaries on its period instants.  The boundary at 1 s shares its
+        instant with F1's start, and each later one finds every egress
+        free and installs nothing, so only the periods from 1 s and 1.01
+        s and F1's last packet are simulated (the periods from 2 s and 3
+        s too when such boundaries were not run through)."""
+        counts, kernel = self.exact(
+            two_hop_spec(), [periodic_flow(count=300)], variant="SDN-RM",
+            config=SimConfig(estimation_interval=SECOND), reference=True)
+        assert len(kernel.log.packets) - counts.packets == 3
+        assert [r.at for r in kernel.log.estimation][::4] == [
+            cycle * SECOND for cycle in range(5)]
+
+    def test_boundary_that_installs_a_route_stops_replication(self):
+        """Under SDN-pRM the boundary at 2 s reroutes F1 around S1-S3,
+        down since 1.5 s, and the one at 3 s back onto it, up again since
+        2.5 s: both are simulated."""
+        pair = create_contract_pair("C1", "S1", "S3", 5 * MS)
+        counts, kernel = self.exact(
+            triangle_spec(), [periodic_flow(count=300)], [
+                LinkDownInjection(at=1_500 * MS, a="S1", b="S3"),
+                LinkUpInjection(at=2_500 * MS, a="S1", b="S3")],
+            contracts=[pair], variant="SDN-pRM",
+            config=SimConfig(estimation_interval=SECOND), reference=True)
+        assert [(at // SECOND, path) for at, path
+                in kernel._forwarding[("S1", "S3")]] == [
+            (1, ("S1", "S3")), (2, ("S1", "S2", "S3")), (3, ("S1", "S3"))]
+        assert len(kernel.log.packets) - counts.packets == 11
+
+    def test_interval_off_the_period_grid_is_simulated_as_before(self):
+        """A 1.003 s cycle puts no boundary on a 10 ms period instant: the
+        five periods that follow F1's start and the boundaries are
+        simulated, as they were before boundaries on the grid were run
+        through."""
+        counts, kernel = self.exact(
+            two_hop_spec(), [periodic_flow(count=300)], variant="SDN-RM",
+            config=SimConfig(estimation_interval=1_003 * MS),
+            reference=True)
+        assert len(kernel.log.packets) - counts.packets == 5
+
+    def test_injection_at_the_boundary_instant(self):
+        """A bound no path meets arrives at 2 s, after the boundary there:
+        the kernel runs that boundary, stops at the injection, which the
+        reactive controller answers, and runs the boundary at 3 s through
+        (six periods simulated when it did not)."""
+        pair = create_contract_pair("C1", "S1", "S3", 5 * MS)
+        counts, kernel = self.exact(
+            two_hop_spec(), [periodic_flow(count=300)],
+            [PedChangeInjection(at=2 * SECOND, pair_id="C1", new_ped=1)],
+            contracts=[pair], variant="SDN-RM",
+            config=SimConfig(estimation_interval=SECOND), reference=True)
+        assert [fault.detected_at for fault in kernel.log.faults] == [
+            2 * SECOND]
+        assert len(kernel.log.packets) - counts.packets == 5
+
+    def test_branch_between_boundaries_replicated_through(self):
+        """A twin branched at 2.5 s, between the boundaries at 2 s and 3 s
+        that its trunk runs through, and the trunk each equal
+        ReferenceKernel's run of their injections with every period
+        simulated."""
+        down = LinkDownInjection(at=3_500 * MS, a="S2", b="S3")
+
+        def kernel(injections, kind=Kernel):
+            built = make_kernel(two_hop_spec(), [periodic_flow(count=300)],
+                                variant="SDN-RM", kind=kind,
+                                config=SimConfig(estimation_interval=SECOND))
+            built.setup(4 * SECOND, injections)
+            return built
+
+        trunk = kernel([])
+        with counted_fast_forward() as counts:
+            trunk.advance(2_500 * MS)
+        assert len(trunk.log.packets) - counts.packets == 2
+        twin = trunk.branch([down])
+        simulated = []
+        for done in (twin, trunk):
+            before = len(done.log.packets)
+            with counted_fast_forward() as counts:
+                done.run_until(4 * SECOND)
+            simulated.append(len(done.log.packets) - before - counts.packets)
+        # The twin simulates the two periods from its injection and F1's
+        # last packet; the trunk only that packet.
+        assert simulated == [3, 1]
+        for done, injections in ((trunk, []), (twin, [down])):
+            with no_fast_forward():
+                simulated = kernel(injections, ReferenceKernel)
+                simulated.run_until(4 * SECOND)
+            assert (done.log, done.egress_free, done.now) == (
+                simulated.log, simulated.egress_free, simulated.now)
+        assert len([r for r in twin.log.packets if not r.delivered]) == 50
+
     def test_replicates_most_bundled_ring_traffic(self):
         scenario = load_scenario(SCENARIOS / "industrial_ring_e1.scn")
         with counted_fast_forward() as counts:
             done = run_single(scenario, "SDN-RM", 1)
-        assert len(done.log.packets) - counts.packets == 330
+        assert len(done.log.packets) - counts.packets == 200
 
     def test_flows_of_other_gaps_are_simulated_in_full(self):
         scenario = load_scenario(SCENARIOS / "linear_chain.scn")

@@ -18,10 +18,12 @@ state:
 - every run of an experiment, whose runs share kernel work, equals a
   fresh run_single, log and metrics alike;
 - every experiment, with all its shortcuts, equals the naive oracle in
-  conftest in its reports, report files, sample log and run logs, also
-  when packets ask for routes just after the runs' failures, and, as an
-  extra case, when a link flap or an unmet bound falls between proactive
-  cycles;
+  conftest in its reports, report files, sample log and run logs, each
+  log as written and as read record by record, also when packets ask
+  for routes just after the runs' failures, and, as extra cases, when a
+  link flap or an unmet bound falls between proactive cycles, or when
+  flows share a gap that puts the cycle boundaries on the period grid
+  and a link on a flow's route fails between two boundaries;
 - every run whose flows share one gap, so that the kernel fast-forwards
   through repeated periods, equals the same run simulated in full, also
   when handlers schedule reroutes and link toggles, and injections and
@@ -428,6 +430,7 @@ def test_every_route_equals_a_fresh_find_path(network, data):
     spec = network[0]
     kernel = network_kernel(network)
     controller, topology = kernel.controller, kernel.topology
+    interval = kernel.config.estimation_interval
     pairs = [(a, b) for a in spec.switches for b in spec.switches]
     now = 0
     for _ in range(data.draw(st.integers(1, 30))):
@@ -438,7 +441,8 @@ def test_every_route_equals_a_fresh_find_path(network, data):
             topology.set_link_state(link.a, link.b, LinkState.DOWN
                                     if state is LinkState.UP else LinkState.UP)
         elif step == "cycle":
-            now += SECOND
+            # Cycle c runs at c estimation intervals, as Kernel.setup puts it.
+            now = (controller.cycle_index + 1) * interval
             if data.draw(st.booleans()):
                 for link in spec.links:
                     for egress in ((link.a, link.b), (link.b, link.a)):
@@ -575,6 +579,22 @@ def test_every_shared_run_equals_a_fresh_run(scenario, data):
           else "branches, idle egresses" if queued else "no branch")
 
 
+def idle_matrix(scenario):
+    """The costs an estimation cycle finds in scenario's idle network."""
+    topology = build_topology(scenario.topology_spec)
+    matrix, _ = resilience.run_estimation_cycle(ProbePlan(
+        topology, scenario.control, scenario.config.probe_length_bits,
+        scenario.config.eq1_raw_mode), 0)
+    return matrix
+
+
+def crosses(part, instant):
+    """Whether a replicated packet part sends both before and after
+    instant."""
+    sent = [record.sent_at for record in part]
+    return min(sent) < instant < max(sent)
+
+
 def report_files(result) -> dict[str, bytes]:
     """emit_reports' files for result, by name."""
     with tempfile.TemporaryDirectory() as out:
@@ -594,7 +614,7 @@ def test_every_experiment_equals_the_naive_oracle(scenario, data):
     memo, the diary memo, scoring by bound spans and the slotted log
     writer together: the same reports, report bytes, sample log and run
     logs as naive_experiment, with each log written by json.dumps per
-    record."""
+    record, and each of ours also written by its own writer."""
     variants = data.draw(st.lists(st.sampled_from(sorted(VARIANT_ALIASES)),
                                   min_size=1, max_size=4, unique=True))
     seeds = [1, 2, 3]
@@ -614,20 +634,17 @@ def test_every_experiment_equals_the_naive_oracle(scenario, data):
     # no path meets, which the following cycles must each find.
     spec, first = scenario.topology_spec, scenario.flows[0]
     latency = scenario.control.default_c2s
-    explicit, probes = list(scenario.explicit_injections), ()
+    flows, explicit, probes = (scenario.flows,
+                               list(scenario.explicit_injections), ())
     auto = scenario.auto_link_failures
-    extra = data.draw(st.booleans())
+    extra, grid = data.draw(st.booleans()), False
     if extra and len(spec.links) == len(spec.switches):  # a ring
         after = 2 * SECOND + 4 * latency
         if not {"RM", "sRM"} & set(variants):
             variants.append("RM")  # a reactive variant answers the flap
-        topology = build_topology(spec)
-        idle, _ = resilience.run_estimation_cycle(ProbePlan(
-            topology, scenario.control, scenario.config.probe_length_bits,
-            scenario.config.eq1_raw_mode), 0)
         hosts = dict(spec.hosts)
-        a, b = find_path(topology, idle, hosts[first.src_host],
-                         hosts[first.dst_host]).path[:2]
+        a, b = find_path(build_topology(spec), idle_matrix(scenario),
+                         hosts[first.src_host], hosts[first.dst_host]).path[:2]
         explicit = [inj for inj in explicit if inj.at >= after] + [
             LinkDownInjection(at=SECOND - 2 * latency + 1, a=a, b=b),
             LinkUpInjection(at=SECOND - 1, a=a, b=b)]
@@ -642,12 +659,44 @@ def test_every_experiment_equals_the_naive_oracle(scenario, data):
         explicit.append(PedChangeInjection(
             at=data.draw(st.integers(SECOND + 1, HORIZON - 1)),
             pair_id="C1", new_ped=1))
+    elif grid := data.draw(st.booleans()):
+        # Boundaries on the period grid, as another extra case: every flow
+        # sends with one gap that divides the 1 s interval, and a flow on
+        # the first flow's pair reversed, which no contract covers, sends
+        # until the horizon, so that runs replicate up to the boundaries
+        # at 1 s and 2 s and through them.  The first link of its idle
+        # route goes down between the two and stays down: replicated
+        # periods hold its dropped packets, and on a ring the proactive
+        # cycle at 2 s reroutes it (SDN-pRM, added if missing, reacts no
+        # sooner).  Every other injection comes after 2.25 s, so that none
+        # cuts the detour or stops replication next to 2 s.
+        gap = data.draw(st.sampled_from((10 * MS, 20 * MS, 25 * MS,
+                                         50 * MS)))
+        if "pRM" not in variants:
+            variants.append("pRM")
+        hosts = dict(spec.hosts)
+        a, b = find_path(build_topology(spec), idle_matrix(scenario),
+                         hosts[first.dst_host], hosts[first.src_host]).path[:2]
+        start = data.draw(st.integers(0, SECOND))
+        flows = tuple(dataclasses.replace(flow, inter_packet_gap=gap)
+                      for flow in flows)
+        probes = (dataclasses.replace(
+            first, id="G", src_host=first.dst_host, dst_host=first.src_host,
+            start_time=start, inter_packet_gap=gap,
+            total_volume=(HORIZON - start) // gap * first.packet_length),)
+        after = 2 * SECOND + SECOND // 4
+        explicit = [inj for inj in explicit if inj.at >= after] + [
+            LinkDownInjection(at=data.draw(st.integers(
+                SECOND + 2 * gap, 2 * SECOND - 4 * gap)), a=a, b=b)]
+        auto = AutoLinkFailures(
+            count=auto.count if auto else data.draw(st.integers(1, 3)),
+            window=(after, HORIZON))
     # Only an auto spec fails different links under different seeds.
     if auto is None:
         auto = AutoLinkFailures(count=data.draw(st.integers(1, 3)),
                                 window=(0, HORIZON))
     scenario = dataclasses.replace(
-        scenario, flows=scenario.flows + probes,
+        scenario, flows=flows + probes,
         explicit_injections=tuple(explicit), auto_link_failures=auto)
     # A packet sent just after each failure of any run asks for a route
     # where runs may stand at one topology version with other links down.
@@ -677,4 +726,14 @@ def test_every_experiment_equals_the_naive_oracle(scenario, data):
             for swept, variant, seed, done in naive_runs]
     assert len(runs) == len(logs)
     for swept, variant, seed, done in runs:
-        assert (variant, seed, swept, done.log.to_jsonl()) in logs
+        # Each log as written and as read record by record, so that every
+        # copy of a replicated part is built.
+        for text in (done.log.to_jsonl(), reference_jsonl(done.log)):
+            assert (variant, seed, swept, text) in logs
+        if any(record.delivered_at is None for part in done.log.packets.closed
+               if part.steps for record in part.template):
+            event("a replicated packet part holds a dropped packet")
+        if grid and any(
+                crosses(part, SECOND) or crosses(part, 2 * SECOND)
+                for part in done.log.packets.closed if part.steps):
+            event("replicated through a boundary on the period grid")

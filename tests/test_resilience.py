@@ -493,6 +493,26 @@ class TestEstimationParts:
             for _ in range(2 * links)]
 
 
+    def test_a_cycle_off_its_instant_is_refused(self):
+        """Cycle c is logged at c intervals, so it must run there: a cycle
+        at another instant raises and leaves the controller as it was."""
+        kernel = Kernel(
+            topology=build_topology(ring_with_chords_spec()), flows=[],
+            contract_pairs=[], variant=variant_by_name("SDN-RM"),
+            config=SimConfig(estimation_interval=SECOND),
+            control=ControlChannel())
+        controller = kernel.controller
+        with pytest.raises(ValueError, match="cycle 0 runs at 0, not at"):
+            controller.on_cycle_boundary(SECOND)
+        controller.on_cycle_boundary(0)
+        with pytest.raises(ValueError, match="cycle 1 runs at 1000000000,"):
+            controller.on_cycle_boundary(2 * SECOND)
+        assert controller.cycle_index == 0
+        assert {r.cycle for r in kernel.log.estimation} == {0}
+        controller.on_cycle_boundary(SECOND)
+        assert controller.cycle_index == 1
+
+
 class TestIdleCycles:
     """A proactive cycle that finds what an idle cycle left logs that
     cycle's route records again, at its own instant, and evaluates
