@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from bisect import bisect_right
 from contextlib import contextmanager
 from itertools import zip_longest
@@ -120,6 +121,20 @@ class ReferenceKernel(Kernel):
         record = packet.record
         record.delivered_at = at + self.config.host_link_delay
         record.actual_delay = record.delivered_at - record.sent_at
+
+
+def queued_probes_chain() -> str:
+    """scenarios/linear_chain.scn as the golden digests' queued-probes
+    case edits it: F2 sends 2,000 packets 13.5 us apart from 9.99 s, each
+    over 9 ms in flight, so the burst fills the chain."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "scenarios", "linear_chain.scn")
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
+    flow = next(line for line in text.splitlines()
+                if line.startswith("flow F1 "))
+    return text.replace(flow, flow + "\nflow F2 H1 H10 packet=1500B "
+                        "volume=24Mb start=9990ms gap=13500ns")
 
 
 @pytest.fixture

@@ -22,7 +22,7 @@ from sdnsim.harness import (
     verify_conservation,
 )
 from sdnsim.injections import materialize_injections
-from sdnsim.kernel import Kernel, PacketRecord
+from sdnsim.kernel import Kernel, PacketRecord, _Packet
 from sdnsim.resilience import (
     RestorationOutcome,
     RestorationRecord,
@@ -34,6 +34,7 @@ from sdnsim.scenario import load_scenario, parse_scenario
 from conftest import (
     assert_runs_match_fresh_runs,
     experiment_runs,
+    queued_probes_chain,
     reference_success_rate,
 )
 
@@ -449,6 +450,33 @@ class TestSharedKernels:
         first = runs[0][3].log
         assert any(route.path == ("S1", "S10", "S9", "S8")
                    and route.at < 20 * SECOND for route in first.routes)
+        assert_runs_match_fresh_runs(runs)
+
+    def test_branch_inside_a_replicated_pipeline_equals_fresh_runs(self):
+        """A bound change at 10.012 s, inside F2's burst on the chain:
+        events=1 runs on a kernel that has replicated the burst's periods
+        up to there, and events=0 goes on from a twin branched then, with
+        every packet in flight open in the log."""
+        text = queued_probes_chain().replace(
+            "[run]", "[injections]\nat 10012ms scale_ped C1 0.9\n\n[run]")
+        branched = []
+        branch = Kernel.branch
+
+        def observed(kernel, injections):
+            packets = kernel.log.packets
+            in_flight = {id(arg.record) for _, _, _, arg in kernel._queue
+                         if type(arg) is _Packet}
+            branched.append((any(part.steps for part in packets.closed),
+                             len(in_flight),
+                             in_flight == set(map(id, packets.open))))
+            return branch(kernel, injections)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Kernel, "branch", observed)
+            runs = experiment_runs(parse_scenario(text), ["woRM", "RM"], [1],
+                                   ("events", [0, 1]))
+        assert len(runs) == 4
+        assert branched == [(True, 675, True)] * 2
         assert_runs_match_fresh_runs(runs)
 
     def test_seeds_without_injections_reuse_one_kernel(self, ring_scenario):

@@ -52,6 +52,7 @@ from conftest import (
     assert_fast_forward_exact,
     counted_fast_forward,
     no_fast_forward,
+    queued_probes_chain,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -386,11 +387,13 @@ class TestFastForward:
                 simulated.log, simulated.egress_free, simulated.now)
         return counts, kernel
 
-    def test_flows_of_coprime_gaps_never_fast_forward(self):
+    def test_flows_of_coprime_gaps_replicate_nothing(self):
+        """F2's 5 ms gap puts a send in one of any two 3 ms periods in a
+        row, so no period is a template."""
         counts, _ = self.exact(two_hop_spec(), [
             periodic_flow("F1", count=300, gap=3 * MS),
             periodic_flow("F2", count=300, gap=5 * MS)])
-        assert counts.calls == 0 and counts.packets == 0
+        assert (counts.calls, counts.packets) == (302, 0)
 
     def test_flow_whose_last_packet_falls_inside_a_window(self):
         counts, kernel = self.exact(two_hop_spec(), [
@@ -455,11 +458,39 @@ class TestFastForward:
 
     def test_packets_in_flight_at_every_period_instant(self):
         """A 1 ms gap on a path of over 2 ms: some packet is always in
-        flight at a period instant, so nothing is replicated."""
+        flight at a period instant, and the periods are replicated with
+        those packets in flight (see "Pipelined periods")."""
         counts, kernel = self.exact(
             two_hop_spec(), [periodic_flow(count=300, gap=MS)])
         assert all(record.delivered for record in kernel.log.packets)
-        assert counts.calls > 0 and counts.packets == 0
+        assert (counts.calls, counts.packets) == (8, 295)
+
+    def test_link_flap_under_packets_in_flight(self):
+        """F1 sends every 0.1 ms, so ten packets are on S2-S3 when it goes
+        down and up at 1.10005 s: they are lost on arrival, and a period
+        that loses one is no template for the packets behind them, which
+        entered the link after it came back."""
+        counts, kernel = self.exact(
+            two_hop_spec(), [periodic_flow(count=2_000, gap=100 * US)], [
+                LinkDownInjection(at=1_100_050 * US, a="S2", b="S3"),
+                LinkUpInjection(at=1_100_050 * US, a="S2", b="S3")])
+        lost = [record.sent_at for record in kernel.log.packets
+                if not record.delivered]
+        assert lost == [1_098_100 * US + k * 100 * US for k in range(10)]
+        assert counts.packets > 1_500
+
+    def test_leading_flows_in_flight_for_different_periods(self):
+        """F1 crosses two links and F2 one, each sending every 0.1 ms: at
+        the end of the open list F2's finished records interleave with
+        F1's records in flight, and such periods are simulated."""
+        spec = TopologySpec(
+            ("S1", "S2", "S3"), (("H1", "S1"), ("H2", "S2"), ("H3", "S3")),
+            (LinkSpec("S1", "S2", GBPS, MS), LinkSpec("S2", "S3", GBPS, MS)))
+        counts, _ = self.exact(spec, [
+            periodic_flow("F1", count=2_000, gap=100 * US),
+            replace(periodic_flow("F2", count=2_000, gap=100 * US,
+                                  start=SECOND + 50 * US), dst_host="H2")])
+        assert counts.packets == 0
 
     def test_advance_leaves_the_clock_where_simulation_would(self):
         def advanced():
@@ -601,13 +632,26 @@ class TestFastForward:
             done = run_single(scenario, "SDN-RM", 1)
         assert len(done.log.packets) - counts.packets == 200
 
+    def test_replicates_pipelined_chain_traffic(self):
+        """F2's burst fills the chain, so its steady periods are replicated
+        with some 670 packets in flight.  F1's packet at 10 s, sent with
+        the cycle boundary there, delays the F2 packets behind it, and the
+        periods repeat again only once those have arrived, 9 ms later: of
+        F2's 2,000 packets, 1,456 are simulated."""
+        with counted_fast_forward() as counts:
+            done = run_single(parse_scenario(queued_probes_chain()),
+                              "SDN-RM", 1)
+        sent = [record for record in done.log.packets
+                if record.flow_id == "F2"]
+        assert len(sent) - counts.packets == 1_456
+
     def test_flows_of_other_gaps_are_simulated_in_full(self):
         scenario = load_scenario(SCENARIOS / "linear_chain.scn")
         [flow] = scenario.flows
         other = replace(flow, id="F2", inter_packet_gap=200 * MS)
         with counted_fast_forward() as counts:
             run_single(replace(scenario, flows=(flow, other)), "SDN-RM", 1)
-        assert counts.calls == 0 and counts.packets == 0
+        assert (counts.calls, counts.packets) == (297, 0)
 
 
 class TestComparedPeriod:
@@ -656,6 +700,21 @@ class TestComparedPeriod:
                  for record in run().log.packets]
         assert (2_000 * MS, ("S1", "S3")) in paths
         assert (2_010 * MS, self.detour) in paths
+        assert counts.packets > 100
+
+    def test_last_send_of_a_flow_of_another_gap_inside_the_period(self):
+        """F2, of a 35 ms gap, sends its last packet at 2.005 s, after F1's
+        tick at 2 s, back along the path: the pending entries F1 replicates
+        at 2 s and at 2.01 s are alike, yet the period from 2 s logged a
+        record that the next one does not."""
+        counts, kernel = TestFastForward.exact(two_hop_spec(), [
+            periodic_flow("F1", count=300),
+            Flow(id="F2", src_host="H3", dst_host="H1", packet_length=12_000,
+                 total_volume=3 * 12_000, start_time=1_935 * MS,
+                 inter_packet_gap=35 * MS)])
+        assert [record.sent_at for record in kernel.log.packets
+                if record.flow_id == "F2"] == [1_935 * MS, 1_970 * MS,
+                                               2_005 * MS]
         assert counts.packets > 100
 
     def test_flow_that_starts_and_ends_inside_the_compared_period(self):
