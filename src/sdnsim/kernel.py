@@ -151,7 +151,11 @@ went down and came back up before x - P still drops, on arrival, a packet
 that entered it before it went down (_last_down), while the packet in
 its place at x entered P later, perhaps after; so the kernel replicates
 only when every packet in flight at x - P entered its hop after the last
-instant a link went down, and no link goes down before H.  An egress busy
+instant a link went down, and no link goes down before H.  A packet on
+its way to its ingress switch is on no link yet: its entered is the
+instant it reaches the switch, its arrival time, so it is described
+alike at both instants and, pending at x - P, comes after every
+link-down, as no injection is due in [x - P, x).  An egress busy
 after x - P was used in [x - P, x): a use sets its time past x - P, as
 every packet takes a positive transmission delay (the kernel does not
 fast-forward otherwise), and a time set earlier and still past x - P
@@ -254,7 +258,6 @@ class _FlowState:
     flow: Flow
     pair: tuple[SwitchId, SwitchId]  # (ingress switch, egress switch)
     covered: bool                    # pair is governed by a contract pair
-    lead: bool                       # its gap is the fast-forward period
     bits_sent: int = 0
     next_seq: int = 0
     started: bool = False
@@ -275,15 +278,17 @@ _NO_ARG = object()
 
 class _Packet:
     """A packet in flight: its record, hop plan, the index of its next hop
-    and the time it entered the hop it is on."""
+    and the time it entered the hop it is on, or, before its first hop,
+    the time it reaches its ingress switch."""
 
     __slots__ = ("record", "hops", "hop", "entered")
 
-    def __init__(self, record: PacketRecord, hops: tuple[_Hop, ...]) -> None:
+    def __init__(self, record: PacketRecord, hops: tuple[_Hop, ...],
+                 entered: int) -> None:
         self.record = record
         self.hops = hops
         self.hop = 0
-        self.entered = 0
+        self.entered = entered
 
 
 # The kinds of heap entry argument a branch maps to its twin's or shares:
@@ -361,9 +366,7 @@ class Kernel:
         for flow in flows:
             key = (topology.attachment(flow.src_host),
                    topology.attachment(flow.dst_host))
-            self._flows[flow.id] = _FlowState(
-                flow, key, key in covered,
-                flow.inter_packet_gap == self._period)
+            self._flows[flow.id] = _FlowState(flow, key, key in covered)
         self.controller = ResilienceManager(
             variant, topology, control, self.store, self, config, self.log,
             routes)
@@ -488,13 +491,14 @@ class Kernel:
                         record.seq - base, record.path)))
                     continue
                 if kind is _FlowState:
+                    lead = arg.flow.inter_packet_gap == period
                     if arg.started:
-                        if arg.lead:
+                        if lead:
                             ticks.append((at, seq, index, arg.flow.id))
                             continue
                     else:
                         unstarted += 1
-                        if arg.lead and at < start:
+                        if lead and at < start:
                             start = at
                 if at < other:
                     other = at
@@ -637,7 +641,6 @@ class Kernel:
                      **{stream: list(getattr(self.log, stream))
                         for stream in _LISTED_STREAMS})
         flows = {flow_id: _FlowState(state.flow, state.pair, state.covered,
-                                     state.lead,
                                      state.bits_sent, state.next_seq,
                                      state.started)
                  for flow_id, state in self._flows.items()}
@@ -692,8 +695,9 @@ class Kernel:
                     record.delivered_at, record.drop_reason,
                     record.actual_delay, record.queue_wait)
                 packet = _Packet(copied, twin._hop_plan(record.path,
-                                                        record.length))
-                packet.hop, packet.entered = arg.hop, arg.entered
+                                                        record.length),
+                                 arg.entered)
+                packet.hop = arg.hop
                 arg = packet
             elif kind is _FlowState:
                 arg = flows[arg.flow.id]
@@ -766,8 +770,9 @@ class Kernel:
         if path is None:
             record.drop_reason = "no_route"
         else:
-            ingress = (at + self._host_delay, next(self._seq), self._on_hop,
-                       _Packet(record, self._hop_plan(path, length)))
+            reach = at + self._host_delay
+            ingress = (reach, next(self._seq), self._on_hop,
+                       _Packet(record, self._hop_plan(path, length), reach))
         state.next_seq += 1
         queue = self._queue
         # Flow guarantees a positive gap whenever another packet fits.

@@ -84,8 +84,9 @@ class ReferenceKernel(Kernel):
         if path is None:
             record.drop_reason = "no_route"
             return
-        packet = _Packet(record, self._hop_plan(path, flow.packet_length))
         ingress_at = at + self.config.host_link_delay
+        packet = _Packet(record, self._hop_plan(path, flow.packet_length),
+                         ingress_at)
         self.schedule_call(ingress_at, self._start_hop, packet)
 
     def _start_hop(self, packet, at):

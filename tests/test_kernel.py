@@ -465,6 +465,19 @@ class TestFastForward:
         assert all(record.delivered for record in kernel.log.packets)
         assert (counts.calls, counts.packets) == (8, 295)
 
+    def test_packets_on_a_host_link_at_every_period_instant(self):
+        """A 1.5 ms host link delay puts a packet on its way to S1 at
+        every period instant; a link that went down and came back up
+        before the flow starts leaves it nothing to drop, and the periods
+        are replicated as without the delay: 294 of 300 packets."""
+        counts, kernel = self.exact(
+            two_hop_spec(), [periodic_flow(count=300, gap=MS)], [
+                LinkDownInjection(at=500 * MS, a="S2", b="S3"),
+                LinkUpInjection(at=500 * MS, a="S2", b="S3")],
+            config=SimConfig(host_link_delay=1_500 * US), reference=True)
+        assert all(record.delivered for record in kernel.log.packets)
+        assert (counts.calls, counts.packets) == (9, 294)
+
     def test_link_flap_under_packets_in_flight(self):
         """F1 sends every 0.1 ms, so ten packets are on S2-S3 when it goes
         down and up at 1.10005 s: they are lost on arrival, and a period

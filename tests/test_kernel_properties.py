@@ -675,8 +675,7 @@ def test_every_experiment_equals_the_naive_oracle(scenario, data):
         explicit.append(PedChangeInjection(
             at=data.draw(st.integers(SECOND + 1, HORIZON - 1)),
             pair_id="C1", new_ped=1))
-    elif data.draw(st.booleans()):
-        grid = True
+    elif grid := data.draw(st.booleans()):
         # Boundaries on the period grid, as another extra case: every flow
         # sends with one gap that divides the 1 s interval, and a flow on
         # the first flow's pair reversed, which no contract covers, sends
@@ -708,8 +707,8 @@ def test_every_experiment_equals_the_naive_oracle(scenario, data):
         auto = AutoLinkFailures(
             count=auto.count if auto else data.draw(st.integers(1, 3)),
             window=(after, HORIZON))
-    else:
-        # Pipelined periods, as the last extra case: a burst B on the first
+    elif pipelined := data.draw(st.booleans()):
+        # Pipelined periods, as a third extra case: a burst B on the first
         # flow's pair whose gap is below its path latency, so that packets
         # are in flight at every period instant once it has filled the
         # path, and whose sends straddle the boundary at 1 s, mostly off
@@ -720,7 +719,6 @@ def test_every_experiment_equals_the_naive_oracle(scenario, data):
         # loses the packets on it then, and nothing behind them shows the
         # loss), a link of it fails or the bound changes, inside the
         # burst.  Every other injection comes after the burst.
-        pipelined = True
         hosts = dict(spec.hosts)
         path = find_path(build_topology(spec), idle_matrix(scenario),
                          hosts[first.src_host], hosts[first.dst_host]).path
