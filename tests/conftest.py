@@ -1,5 +1,4 @@
 import json
-import math
 import os
 from bisect import bisect_right
 from contextlib import contextmanager
@@ -21,6 +20,7 @@ from sdnsim.core import (
 from sdnsim.delay_estimation import ProbePlan
 from sdnsim.injections import materialize_injections
 from sdnsim.kernel import Kernel, PacketRecord, _Packet
+from sdnsim.replicate import Replicator
 from sdnsim.resilience import ResilienceManager, RouteRecord, variants_by_name
 from sdnsim.routing import NoPathError, find_path
 from sdnsim.runlog import RunLog, record_to_dict
@@ -200,30 +200,27 @@ def assert_runs_match_fresh_runs(runs):
 
 @contextmanager
 def counted_fast_forward():
-    """Count Kernel._fast_forward's calls and the packets it replicates."""
+    """Count Replicator.fast_forward's calls and the packets it replicates."""
     counts = SimpleNamespace(calls=0, packets=0)
-    fast_forward = Kernel._fast_forward
+    fast_forward = Replicator.fast_forward
 
-    def counted(kernel, until):
+    def counted(replicator, kernel, until):
         before = len(kernel.log.packets)
-        fast_forward(kernel, until)
+        fast_forward(replicator, kernel, until)
         counts.calls += 1
         counts.packets += len(kernel.log.packets) - before
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Kernel, "_fast_forward", counted)
+        patch.setattr(Replicator, "fast_forward", counted)
         yield counts
 
 
 @contextmanager
 def no_fast_forward():
-    """Kernel._fast_forward patched to a no-op: the kernel simulates every
-    period (the no-op also stops the loop from asking again)."""
-    def off(kernel, until):
-        kernel._period_at = math.inf
-
+    """Kernels built inside get no replicator, so they simulate every
+    period."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Kernel, "_fast_forward", off)
+        patch.setattr(Replicator, "of", staticmethod(lambda *args: None))
         yield
 
 

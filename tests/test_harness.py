@@ -33,7 +33,9 @@ from sdnsim.scenario import load_scenario, parse_scenario
 
 from conftest import (
     assert_runs_match_fresh_runs,
+    counted_fast_forward,
     experiment_runs,
+    no_fast_forward,
     queued_probes_chain,
     reference_success_rate,
 )
@@ -312,6 +314,21 @@ class TestRunSingle:
         finally:
             gc.enable()
         assert alive == []
+
+    def test_one_switch_without_links(self):
+        """Hosts on one switch: no link to cross, yet the run neither
+        fails nor differs from the run simulated in full."""
+        scenario = parse_scenario(
+            "[topology]\nswitches S1\nhost H1 S1\nhost H2 S1\n[flows]\n"
+            "flow F1 H1 H2 packet=1500B volume=1200kb start=1s gap=10ms\n"
+            "[run]\nemulation_time 3s\nestimation_interval 1s\n")
+        with counted_fast_forward() as counts:
+            run = run_single(scenario, "RM", 1)
+        with no_fast_forward():
+            simulated = run_single(scenario, "RM", 1)
+        assert run.log.to_jsonl() == simulated.log.to_jsonl()
+        assert run.metrics.packets_delivered == 100
+        assert counts.packets > 0
 
     def test_variant_and_seed_recorded(self, ring_scenario):
         run = run_single(ring_scenario.with_flow_count(2), "woRM", 9)

@@ -37,6 +37,7 @@ from sdnsim.kernel import (
 from sdnsim.contracts import create_contract_pair
 from sdnsim import harness, runlog
 from sdnsim.harness import run_single
+from sdnsim.replicate import Replicator
 from sdnsim.resilience import (
     ResilienceManager,
     VARIANT_ALIASES,
@@ -362,8 +363,8 @@ def triangle_spec():
 
 
 class TestFastForward:
-    """Each run equals the same run with Kernel._fast_forward patched to a
-    no-op, so that every period is simulated."""
+    """Each run equals the same run built without a replicator, so that
+    every period is simulated."""
 
     @staticmethod
     def exact(spec, flows, injections=(), contracts=(), horizon=4 * SECOND,
@@ -761,16 +762,16 @@ class TestRunOn:
     def stepped(spec, flows, injections, steps, interval=10 * SECOND):
         """Per kernel kind: its heap states and its serialized log."""
         runs = []
+        fast_forward = Replicator.fast_forward
         for kind in (Kernel, ReferenceKernel):
             states = []
-            fast_forward = kind._fast_forward
 
-            def snapshot(kernel, until):
+            def snapshot(replicator, kernel, until):
                 states.append(("snapshot", kernel.now, heap_state(kernel)))
-                fast_forward(kernel, until)
+                fast_forward(replicator, kernel, until)
 
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(kind, "_fast_forward", snapshot)
+                patch.setattr(Replicator, "fast_forward", snapshot)
                 kernel = kind(build_topology(spec), list(flows), [],
                               variant_by_name("SDN-woRM"),
                               SimConfig(estimation_interval=interval),
@@ -923,8 +924,8 @@ class TestTwin:
         # the route memo, which caches a pure function of its key.
         memos = kernel.controller._route_memos
         assert twin.controller._route_memos is memos
-        opaque = {id(kernel.config), id(kernel.control), id(_NO_ARG),
-                  id(memos), *map(id, memos.values())}
+        opaque = {id(kernel.config), id(kernel.controller.control),
+                  id(_NO_ARG), id(memos), *map(id, memos.values())}
         ours = self.reachable(kernel, opaque)
         theirs = self.reachable(twin, opaque)
         shared = [ours[key] for key in ours.keys() & theirs.keys()]

@@ -312,7 +312,7 @@ def test_every_run_equals_the_run_simulated_in_full():
     """Flows of one gap, links that flap, reroutes and queue overflows, and
     entries that a handler schedules onto the flows' tick instants: the
     kernel fast-forwards some runs, some with entries among them, and
-    each equals the run with Kernel._fast_forward patched to a no-op."""
+    each equals the run built without a replicator."""
     fired = []
 
     shared = networks(max_packets=200, max_gap=10 * MS, shared_gap=True)
@@ -476,7 +476,7 @@ def test_every_cycle_equals_a_cycle_with_a_fresh_plan(network):
     def compared(plan, now, **kwargs):
         assert plan is kernel.controller._probe_plan
         matrix, records = planned(plan, now, **kwargs)
-        fresh = ProbePlan(kernel.topology, kernel.control,
+        fresh = ProbePlan(kernel.topology, kernel.controller.control,
                           kernel.config.probe_length_bits,
                           kernel.config.eq1_raw_mode)
         fresh_matrix, fresh_records = planned(fresh, now, **kwargs)

@@ -9,7 +9,8 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sdnsim"
 
 # Each module may import only modules listed before it.
 LAYERS = ("core", "runlog", "contracts", "delay_estimation", "routing",
-          "injections", "resilience", "kernel", "scenario", "harness", "cli")
+          "injections", "resilience", "replicate", "kernel", "scenario",
+          "harness", "cli")
 
 # The E1/E2 event model: defined in the injections module alone.
 INJECTION_NAMES = {
@@ -62,6 +63,13 @@ def test_imports_point_only_to_earlier_layers(module):
 def _tree(module: str) -> ast.Module:
     path = PACKAGE / f"{module}.py"
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_replicate_reads_only_transport():
+    """Fast-forward takes its kernel as an argument: it imports only the
+    topology and record types."""
+    imported = {name for _, name in _imported_modules(_tree("replicate"))}
+    assert imported <= {"core", "runlog"}
 
 
 def test_scenario_is_only_the_grammar():
