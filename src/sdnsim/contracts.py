@@ -124,7 +124,8 @@ class ContractStore:
         self._by_endpoints: dict[tuple[SwitchId, SwitchId], ContractPair] = {}
         self.ped_changes: list[PedChange] = []
 
-    def add(self, pair: ContractPair, now: int = 0) -> None:
+    def add(self, pair: ContractPair) -> None:
+        """Hold pair, whose bounds are logged as in force from 0."""
         if pair.id in self._pairs:
             raise ContractError(f"duplicate contract pair {pair.id!r}")
         key = (pair.src, pair.dst)
@@ -132,7 +133,7 @@ class ContractStore:
             raise ContractError(f"duplicate contract for endpoints {key}")
         self._pairs[pair.id] = pair
         self._by_endpoints[key] = pair
-        self._record(pair, now)
+        self._record(pair, 0)
 
     def twin(self) -> ContractStore:
         """A copy holding a new ContractPair for every pair, with the same

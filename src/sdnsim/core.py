@@ -94,13 +94,15 @@ class Topology:
     building, only set_link_state changes the graph.  Iteration orders
     follow declaration order so that downstream consumers stay
     deterministic.  version counts the link state changes so far, so a
-    caller can tell whether any link moved since it last looked.
+    caller can tell whether any link moved since it last looked, and down
+    is the frozenset of the keys of the links that are Down.
     """
 
     def __init__(self) -> None:
         self.switches: list[SwitchId] = []
         self.hosts: dict[HostId, SwitchId] = {}
         self.version = 0
+        self.down: frozenset[tuple[SwitchId, SwitchId]] = frozenset()
         self._links: dict[tuple[SwitchId, SwitchId], Link] = {}
         self._adjacency: dict[SwitchId, tuple[tuple[SwitchId, Link], ...]] = {}
 
@@ -168,6 +170,7 @@ class Topology:
         if link.state is not state:
             link.state = state
             self.version += 1
+            self.down ^= {link.key}
 
     def twin(self) -> Topology:
         """A copy with a new Link, in its current state, for every link;
@@ -176,6 +179,7 @@ class Topology:
         twin.switches = list(self.switches)
         twin.hosts = dict(self.hosts)
         twin.version = self.version
+        twin.down = self.down
         twin._links = links = {
             key: Link(link.a, link.b, link.capacity_bps,
                       link.propagation_delay, link.state)

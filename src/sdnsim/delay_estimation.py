@@ -14,16 +14,17 @@ Probe plans.  Everything a probe measures except the egress waits is fixed
 for a run: a Topology changes only through set_link_state, so each link's
 endpoints, propagation delay and capacity stay as built, and the control
 channel never changes.  A ProbePlan therefore resolves, once per run, each
-link's control latencies, echo RTTs and probe transmission delay, and holds
-the live Link so a cycle still sees its current state; the plan, with its
-probe length and raw mode, is a cycle's only source of fixed inputs.  The
-send time cancels out of every difference the estimator takes, so an
-estimate is a pure function of (near, far, forward wait, reverse wait);
-the plan keeps the two records it logged for each such input and builds
-the ProbeObservation and calls estimate_link_delay only for an input it
-has not seen.  A negative-residual warning would thus be logged once per
-distinct input, not once per cycle; none arises here, since every term of
-the residual is non-negative.
+link's control latencies, echo RTTs, propagation delay and probe
+transmission delay, in topology.links() order, and holds no Link: a cycle
+reads link states from the topology it is given.  The send time cancels
+out of every difference the estimator takes, so an estimate is a pure
+function of (near, far, forward wait, reverse wait).  Nearly every probe
+waits behind no data, so the plan builds each link's two zero-wait
+records with itself; a link with a wait is estimated afresh, as such an
+input is rarely met twice.  A plan is never changed, so a kernel's twins
+share it.  An unwaited probe is estimated once per plan, so it would log
+a negative-residual warning once, not once per cycle; none arises here,
+since every term of the residual is non-negative.
 
 Idle templates.  A cycle's records are logged relative to it, with cycle
 and at 0, and the controller closes them into the log as copy c of a
@@ -32,13 +33,14 @@ That is exact, as Kernel.setup puts cycle c at c times the interval.  So
 a record does not depend on the cycle that logged it, and any cycle may
 reuse the records and templates of another.  In a cycle at which every
 egress busy-until time is at or before now, every wait is 0, so its
-matrix and template depend only on which links are Up.  set_link_state,
-the only mutator of link state, moves Topology.version.  So the plan
-keeps the last idle cycle's template and matrix with the version they
-were computed at, and an idle cycle at that same version reuses them,
-with one pass over the busy-until times and no per-link work.  Any other
-cycle is computed link by link; a busy one leaves the idle template in
-place, and an idle one replaces it.
+matrix and template depend only on the plan and on which links are Up.
+A caller whose plans all have the same inputs, as every kernel of one
+run_experiment call has, may pass one memo to all its cycles: an idle
+cycle is looked up, and stored, under the frozenset of Down links
+(Topology.down), so it costs one pass over the busy-until times and no
+per-link work once any cycle has met its Down links.  A busy cycle is
+computed link by link and never stored.  The memo's matrices and
+templates are shared by every cycle that finds them, and never changed.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from dataclasses import dataclass
 
 from .core import (
     ControlChannel,
-    Link,
     LINK_UP,
     SwitchId,
     Topology,
@@ -153,127 +154,104 @@ class EstimationRecord:
     noise_clamped: bool = False
 
 
-# One link's probe inputs: (link, (near, far), (far, near), (c2s(near),
-# s2c(far), c2s(far), s2c(near), echo RTT of near, echo RTT of far, probe
-# transmission delay)).
-_Probe = tuple[Link, tuple[SwitchId, SwitchId], tuple[SwitchId, SwitchId],
-               tuple[int, int, int, int, int, int, int]]
+# One link's probe: (near, far), (far, near), its fixed inputs (c2s(near),
+# s2c(far), c2s(far), s2c(near), echo RTT of near, echo RTT of far,
+# propagation delay, probe transmission delay) and the two records, forward
+# then reverse, that it logs when neither probe waits.
+_Probe = tuple[tuple[SwitchId, SwitchId], tuple[SwitchId, SwitchId],
+               tuple[int, int, int, int, int, int, int, int],
+               tuple[EstimationRecord, EstimationRecord]]
 
 
+def _probe_records(near: SwitchId, far: SwitchId,
+                   inputs: tuple[int, ...], forward_wait: int,
+                   reverse_wait: int, raw_mode: bool,
+                   ) -> tuple[EstimationRecord, EstimationRecord]:
+    """The two records, relative to their cycle, of one link whose probes
+    leave at 0 and wait the given times at the two egresses."""
+    c2s_near, s2c_far, c2s_far, s2c_near, rtt_near, rtt_far, prop, td = inputs
+    obs = ProbeObservation(
+        near=near,
+        far=far,
+        lldp_send_time=0,
+        lldp_return_time=c2s_near + forward_wait + prop + s2c_far,
+        reverse_lldp_send_time=0,
+        reverse_lldp_return_time=c2s_far + reverse_wait + prop + s2c_near,
+        rtt_near=rtt_near,
+        rtt_far=rtt_far,
+    )
+    estimated = estimate_link_delay(obs, raw_mode=raw_mode)
+    cost = link_cost(td, estimated)
+    return (EstimationRecord(0, near, far, estimated, td, cost, 0),
+            EstimationRecord(0, far, near, estimated, td, cost, 0))
+
+
+@dataclass(frozen=True, init=False)
 class ProbePlan:
-    """Every link's fixed probe inputs, the records logged so far and the
-    last idle cycle's template.
+    """Every link's fixed probe inputs and zero-wait records, in
+    topology.links() order (see "Probe plans" above)."""
 
-    probes follows topology.links() order.  estimates maps (near, far,
-    forward wait, reverse wait) to the records logged for it, forward
-    then reverse; idle is the last idle cycle's (topology version,
-    matrix, template), or None.  See "Probe plans" and "Idle templates"
-    above.
-    """
+    raw_mode: bool
+    probes: tuple[_Probe, ...]
 
     def __init__(self, topology: Topology, control: ControlChannel,
                  probe_length_bits: int = 12_000,
                  raw_mode: bool = False) -> None:
-        self.topology = topology
-        self.raw_mode = raw_mode
         probes = []
         for link in topology.links():
             near, far = link.key
-            probes.append((link, (near, far), (far, near), (
-                control.c2s(near), control.s2c(far),
-                control.c2s(far), control.s2c(near),
-                control.echo_rtt(near), control.echo_rtt(far),
-                transmission_delay(probe_length_bits, link.capacity_bps))))
-        self.probes: tuple[_Probe, ...] = tuple(probes)
-        self.estimates: dict[tuple[SwitchId, SwitchId, int, int],
-                             tuple[EstimationRecord, EstimationRecord]] = {}
-        self.idle: tuple[int, CostMatrix,
-                         tuple[EstimationRecord, ...]] | None = None
-
-    def twin(self, topology: Topology) -> ProbePlan:
-        """This plan over topology's Links, a copy of this plan's topology,
-        with the records logged so far and the idle template, which are
-        frozen and so shared, and a copy of the idle matrix."""
-        twin = ProbePlan.__new__(ProbePlan)
-        twin.topology = topology
-        twin.raw_mode = self.raw_mode
-        twin.probes = tuple((topology.link_between(*forward), forward, reverse,
-                             inputs)
-                            for _, forward, reverse, inputs in self.probes)
-        twin.estimates = dict(self.estimates)
-        idle = self.idle
-        twin.idle = None if idle is None else (idle[0], dict(idle[1]),
-                                               idle[2])
-        return twin
-
-    def estimate(self, probe: _Probe, forward_wait: int, reverse_wait: int,
-                 now: int) -> tuple[EstimationRecord, EstimationRecord]:
-        """Estimate one link from probes sent at now behind the given
-        egress waits, and remember its two records, relative to their
-        cycle, for those waits."""
-        link, (near, far), _, inputs = probe
-        c2s_near, s2c_far, c2s_far, s2c_near, rtt_near, rtt_far, td = inputs
-        forward_travel = forward_wait + link.propagation_delay
-        reverse_travel = reverse_wait + link.propagation_delay
-        obs = ProbeObservation(
-            near=near,
-            far=far,
-            lldp_send_time=now,
-            lldp_return_time=now + c2s_near + forward_travel + s2c_far,
-            reverse_lldp_send_time=now,
-            reverse_lldp_return_time=now + c2s_far + reverse_travel + s2c_near,
-            rtt_near=rtt_near,
-            rtt_far=rtt_far,
-        )
-        estimated = estimate_link_delay(obs, raw_mode=self.raw_mode)
-        cost = link_cost(td, estimated)
-        records = self.estimates[(near, far, forward_wait, reverse_wait)] = (
-            EstimationRecord(0, near, far, estimated, td, cost, 0),
-            EstimationRecord(0, far, near, estimated, td, cost, 0))
-        return records
+            inputs = (control.c2s(near), control.s2c(far),
+                      control.c2s(far), control.s2c(near),
+                      control.echo_rtt(near), control.echo_rtt(far),
+                      link.propagation_delay,
+                      transmission_delay(probe_length_bits, link.capacity_bps))
+            probes.append(((near, far), (far, near), inputs,
+                           _probe_records(near, far, inputs, 0, 0, raw_mode)))
+        object.__setattr__(self, "raw_mode", raw_mode)
+        object.__setattr__(self, "probes", tuple(probes))
 
 
 def run_estimation_cycle(
     plan: ProbePlan,
+    topology: Topology,
     now: int,
     *,
     egress_free: dict[tuple[SwitchId, SwitchId], int] | None = None,
+    memo: dict | None = None,
 ) -> tuple[CostMatrix, tuple[EstimationRecord, ...]]:
-    """Probe every Up link of the plan's topology; return a fresh cost
-    matrix and the cycle's template, its records relative to the cycle.
+    """Probe every Up link of topology, which plan was built over; return
+    the cost matrix and the cycle's template, its records relative to the
+    cycle.  Neither is ever changed, so callers may share them.
 
     Probes ride the links as zero-size control frames: they wait behind any
     queued data traffic on the egress (until its busy-until time in
     egress_free, in ns) and then cross in one propagation delay, so on an
     idle network the estimate equals the configured link delay exactly.
     Down links get no entry.  The sender transmission delay uses the
-    plan's probe length over the egress link capacity.  A caller that runs
-    many cycles passes one plan to all of them; an idle cycle then reuses
-    the plan's idle template (see "Idle templates").
+    plan's probe length over the egress link capacity.  An idle cycle is
+    looked up in memo, and stored there, under topology.down (see "Idle
+    templates").
     """
     idle = not egress_free or max(egress_free.values()) <= now
-    version = plan.topology.version
-    if idle and plan.idle is not None and plan.idle[0] == version:
-        _, matrix, template = plan.idle
-        return dict(matrix), template
-
+    if idle and memo is not None:
+        cycle = memo.get(topology.down)
+        if cycle is not None:
+            return cycle
     matrix: CostMatrix = {}
     records: list[EstimationRecord] = []
     busy_until = (egress_free or {}).get
-    estimates = plan.estimates
-    for probe in plan.probes:
-        link, forward, reverse, _ = probe
+    for (forward, reverse, inputs, logged), link in zip(plan.probes,
+                                                        topology.links()):
         if link.state is not LINK_UP:
             continue
-        near, far = forward
         forward_wait = max(0, busy_until(forward, 0) - now)
         reverse_wait = max(0, busy_until(reverse, 0) - now)
-        logged = estimates.get((near, far, forward_wait, reverse_wait))
-        if logged is None:
-            logged = plan.estimate(probe, forward_wait, reverse_wait, now)
+        if forward_wait or reverse_wait:
+            logged = _probe_records(*forward, inputs, forward_wait,
+                                    reverse_wait, plan.raw_mode)
         matrix[forward] = matrix[reverse] = logged[0].cost
         records += logged
-    template = tuple(records)
-    if idle:
-        plan.idle = (version, dict(matrix), template)
-    return matrix, template
+    cycle = matrix, tuple(records)
+    if idle and memo is not None:
+        memo[topology.down] = cycle
+    return cycle

@@ -212,9 +212,9 @@ def verify_conservation(log: RunLog) -> None:
 
 def _start_kernel(scenario: Scenario, variant: MechanismVariant,
                   injections: list[Injection],
-                  routes: dict | None = None) -> Kernel:
-    """A kernel for scenario under variant, set up but not yet run; routes
-    is the route memo it shares with its siblings, if any."""
+                  memo: dict | None = None) -> Kernel:
+    """A kernel for scenario under variant, set up but not yet run; memo
+    is the network-state memo it shares with its siblings, if any."""
     control = ControlChannel(
         default_c2s=scenario.control.default_c2s,
         default_s2c=scenario.control.default_s2c,
@@ -226,7 +226,7 @@ def _start_kernel(scenario: Scenario, variant: MechanismVariant,
         variant=variant,
         config=scenario.config,
         control=control,
-        routes=routes)
+        memo=memo)
     kernel.setup(scenario.emulation_time, injections)
     return kernel
 
@@ -343,9 +343,10 @@ def run_experiment(scenario: Scenario, variants: list[str], seeds: list[int],
     list reuses it.  The others are grouped by the time their list first
     differs from the kernel's; in time order, the kernel advances to each
     such time and the group goes on the same way from a branch.  A route
-    depends only on the Down links, the costs and its ends, so every kernel
-    of the call, of any variant, seed or sweep value, shares one route
-    memo.  Each run's output is the same as a fresh run_single's.
+    depends only on the Down links, the costs and its ends, and an idle
+    estimation cycle only on the Down links, so every kernel of the call,
+    of any variant, seed or sweep value, shares one memo of both.  Each
+    run's output is the same as a fresh run_single's.
     """
     if not variants or not seeds:
         raise ValueError("an experiment needs a variant and a seed")
@@ -364,7 +365,7 @@ def run_experiment(scenario: Scenario, variants: list[str], seeds: list[int],
     swept = {value: _swept_scenario(scenario, sweep_param, value)
              for value in sweep_values}
     diaries: dict = {}  # each master failure diary, drawn once per sweep
-    routes: dict = {}  # every kernel's route memo (resilience, "Route memo")
+    memo: dict = {}  # every kernel's; see "Network-state memo" in resilience
     injections = {(value, seed): materialize_injections(swept[value], seed,
                                                         diaries)
                   for value in sweep_values for seed in seeds}
@@ -388,7 +389,7 @@ def run_experiment(scenario: Scenario, variants: list[str], seeds: list[int],
         own = max(cells, key=lambda cell: len(injections[cell]))
         ours = injections[own]
         kernel = (_start_kernel(swept[own[0]], variant_by_name(variant), ours,
-                                routes)
+                                memo)
                   if parent is None else parent.branch(ours))
         apart: dict[int, list] = {}
         for cell in cells:

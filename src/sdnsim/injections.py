@@ -114,7 +114,7 @@ def first_events(injections: tuple[Injection, ...],
 
 def _idle_matrix(topology, probe_bits: int):
     matrix, _ = run_estimation_cycle(
-        ProbePlan(topology, ControlChannel(), probe_bits), 0)
+        ProbePlan(topology, ControlChannel(), probe_bits), topology, 0)
     return matrix
 
 

@@ -48,25 +48,25 @@ t, so runs whose lists agree up to t compute their common history once.
 The twin gets its own copy of every piece of state a run changes, and each
 owner copies its own: Topology.twin makes new Links in their current
 states, ContractStore.twin new pairs and its list of bound changes,
-ResilienceManager.twin the controller's cost matrix, routed pairs and
-pending events and a probe plan over the twin's Links, and Replicator.twin
-a replicator that shares the immutable snapshot.  The kernel copies its
-egress, link-down and forwarding tables with the count of forwarding
-changes, the flows' states, each log stream's list, the open lists of the
-packet and route logs and the heap.  The heap keeps its order and sequence
-numbers; each action is bound to the twin's kernel or controller, each
-flow's tick to the twin's flow state, and each packet in flight becomes a
-new packet with a copy of its record, in the same place of the twin's open
-list, on a hop plan over the twin's Links (plans refill as packets ask).
+ResilienceManager.twin the controller's routed pairs and pending events,
+and Replicator.twin a replicator that shares the immutable snapshot.  The
+kernel copies its egress, link-down and forwarding tables with the count
+of forwarding changes, the flows' states, each log stream's list, the open
+lists of the packet and route logs and the heap.  The heap keeps its order
+and sequence numbers; each action is bound to the twin's kernel or
+controller, each flow's tick to the twin's flow state, and each packet in
+flight becomes a new packet with a copy of its record, in the same place
+of the twin's open list, on a hop plan over the twin's Links (plans refill
+as packets ask).
 An argument of any other kind is refused, so that no new kind of heap
 entry is shared by accident.  What no run changes is shared: flows, the
-config and control channel, the variant, estimation records, routes and
-the route memo (keyed by content, see resilience), the closed parts of the
-packet, estimation and route logs (runlog.Part) with the plan's idle
-template, and the applied injections.  Copies are built by their
-constructors or by plain attribute assignment, not by copy.deepcopy, whose
-generic walk of every reachable object cost several times a fresh kernel's
-set-up.
+config and control channel, the variant, estimation records, routes, the
+controller's probe plan and cost matrix, the network-state memo of routes
+and idle cycles (keyed by content, see resilience), the closed parts of
+the packet, estimation and route logs (runlog.Part) and the applied
+injections.  Copies are built by their constructors or by plain attribute
+assignment, not by copy.deepcopy, whose generic walk of every reachable
+object cost several times a fresh kernel's set-up.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ class Kernel:
     def __init__(self, topology: Topology, flows: list[Flow],
                  contract_pairs: list[ContractPair],
                  variant: MechanismVariant, config: SimConfig,
-                 control: ControlChannel, routes: dict | None = None) -> None:
+                 control: ControlChannel, memo: dict | None = None) -> None:
         self.topology = topology
         self.config = config
         self.log = RunLog()
@@ -168,7 +168,7 @@ class Kernel:
         # caller's pairs stay as given for the next kernel built from them.
         self.store = ContractStore()
         for pair in contract_pairs:
-            self.store.add(replace(pair), now=0)
+            self.store.add(replace(pair))
         self.log.ped_changes = self.store.ped_changes
 
         covered = {(p.src, p.dst) for p in contract_pairs}
@@ -179,7 +179,7 @@ class Kernel:
             self._flows[flow.id] = _FlowState(flow, key, key in covered)
         self.controller = ResilienceManager(
             variant, topology, control, self.store, self, config, self.log,
-            routes)
+            memo)
 
     def setup(self, t_end: int, injections: list[Injection]) -> None:
         """Schedule cycle boundaries and flow starts; take the injections."""

@@ -20,27 +20,32 @@ back to the weak contract (RS2), or issue a warning when even the weak
 requirement is out of reach (RS3).  A warning does not touch forwarding
 state; rules persist as last installed.
 
-Route memo.  find_path reads only the Up links, the cost matrix, src and
-dst.  Capacities, propagation delays and the switch and link sets are
-fixed by the topology spec, and one run_experiment call sweeps a single
-spec, so within a call a route is a function of the set of Down links,
-the matrix's content, src and dst alone.  The memo is keyed by that
-content: for each (Down links, matrix items) state met so far, the answer
-per (src, dst), "no path" included.  run_experiment hands one such dict
-to every kernel it starts, so sibling variants, seeds and sweep values,
-and their twins, solve each path once; run_single's kernel keeps its
-own.  Topology.version is never part of the key, as twins and siblings
-reach one version with different links down; the manager only looks the
-state up again when the version moves (set_link_state is the only
-mutator of link state) or a cycle's costs differ from the previous
-cycle's, so a request stays one (src, dst) lookup.  Each request still
-logs its own RouteRecord, so a run's log is the same with the memo as
+Network-state memo.  find_path reads only the Up links, the cost
+matrix, src and dst.  Capacities, propagation delays and the switch and
+link sets are fixed by the topology spec, and one run_experiment call
+sweeps a single spec, control channel and config, so within a call a
+route is a function of the set of Down links, the matrix's content, src
+and dst alone, and an idle estimation cycle of the Down links alone (see
+"Idle templates" in delay_estimation).  One dict holds both, keyed by
+that content: under (Down links, matrix items), the answer per (src,
+dst) met so far, "no path" included; under the Down links, the idle
+cycle's matrix and template.  run_experiment hands one such memo to
+every kernel it starts, so sibling variants, seeds and sweep values, and
+their twins, solve each path and estimate each idle state once;
+run_single's kernel keeps its own.  Topology.version is never part of a
+key, as twins and siblings reach one version with different links down.
+Topology.down, the Down links, is rebuilt only when the version moves
+(set_link_state is the only mutator of link state), and the manager
+looks its routes up again only then or when a cycle's matrix has other
+costs than the previous cycle's, so a request stays one (src, dst)
+lookup.  Each request still logs its own RouteRecord and each cycle its
+own estimation part, so a run's log is the same with the memo as
 without.
 
 Idle cycles.  A proactive cycle reads the placed pairs, each pair's
 bounds and active kind, its forwarding path at now with the states of
-that path's links, the cost matrix and the route memo's answers, which
-are a function of the Down links and the matrix.  Call a cycle idle when
+that path's links, the cost matrix and the memo's routes, which are a
+function of the Down links and the matrix.  Call a cycle idle when
 it logged no fault and left the topology version, the kernel's count of
 forwarding changes, the count of bound changes and the count of routed
 pairs as it found them, with every forwarding entry active by its
@@ -238,7 +243,7 @@ class ResilienceManager:
 
     def __init__(self, variant: MechanismVariant, topology: Topology,
                  control: ControlChannel, store: ContractStore,
-                 kernel, config, log, routes: dict | None = None) -> None:
+                 kernel, config, log, memo: dict | None = None) -> None:
         self.variant = variant
         self.topology = topology
         self.control = control
@@ -252,12 +257,12 @@ class ResilienceManager:
         self._probe_plan = ProbePlan(topology, control,
                                      config.probe_length_bits,
                                      config.eq1_raw_mode)
-        # Route memo (see "Route memo"): routes maps each state to its memo,
-        # (src, dst) -> (route, its link costs), or None when unreachable.
-        # self._routes is the memo of the state at topology version
+        # See "Network-state memo": memo maps each (Down links, matrix
+        # items) to its routes, (src, dst) -> (route, its link costs) or
+        # None when unreachable, and each Down links to its idle cycle.
+        # self._routes is the routes of the state at topology version
         # self._picked_at; None there makes the next request pick again.
-        self._route_memos: dict[tuple[frozenset, frozenset], dict] = (
-            {} if routes is None else routes)
+        self._memo: dict = {} if memo is None else memo
         self._routes: dict[tuple[SwitchId, SwitchId],
                            tuple[RouteResult, tuple[int, ...]] | None] = {}
         self._picked_at: int | None = None
@@ -275,9 +280,10 @@ class ResilienceManager:
     def twin(self, kernel, topology: Topology, store: ContractStore,
              log) -> ResilienceManager:
         """A copy of this manager for kernel, a twin of this one's kernel
-        with its topology, store and log: the same pending events, its own
-        containers and a probe plan over topology.  The route memo, which
-        caches a pure function of its key, is shared."""
+        with its topology, store and log: the same pending events and its
+        own containers.  The probe plan, the cost matrix and the memo,
+        which are never changed or cache a pure function of their key,
+        are shared."""
         twin = ResilienceManager.__new__(ResilienceManager)
         twin.variant = self.variant
         twin.topology = topology
@@ -286,9 +292,9 @@ class ResilienceManager:
         twin.kernel = weakref.proxy(kernel)
         twin.config = self.config
         twin.log = log
-        twin.matrix = dict(self.matrix)
-        twin._probe_plan = self._probe_plan.twin(topology)
-        twin._route_memos = self._route_memos
+        twin.matrix = self.matrix
+        twin._probe_plan = self._probe_plan
+        twin._memo = self._memo
         twin._routes = self._routes
         twin._picked_at = self._picked_at
         twin.cycle_index = self.cycle_index
@@ -311,8 +317,9 @@ class ResilienceManager:
                              f"not at {now}")
         self.cycle_index = cycle
         matrix, template = run_estimation_cycle(
-            self._probe_plan, now, egress_free=self.kernel.egress_free)
-        if matrix != self.matrix:
+            self._probe_plan, self.topology, now,
+            egress_free=self.kernel.egress_free, memo=self._memo)
+        if matrix is not self.matrix and matrix != self.matrix:
             self._picked_at = None
             self._idle = None
         self.matrix = matrix
@@ -594,12 +601,10 @@ class ResilienceManager:
         return route
 
     def _pick_routes(self) -> None:
-        """Point self._routes at the memo of the current Down links and
+        """Point self._routes at the routes of the current Down links and
         costs, shared with every kernel that has met the same state."""
-        down = frozenset(link.key for link in self.topology.links()
-                         if link.state is not LINK_UP)
-        state = (down, frozenset(self.matrix.items()))
-        self._routes = self._route_memos.setdefault(state, {})
+        state = (self.topology.down, frozenset(self.matrix.items()))
+        self._routes = self._memo.setdefault(state, {})
         self._picked_at = self.topology.version
 
     def _reassignment_delay(self, path: tuple[SwitchId, ...]) -> int:

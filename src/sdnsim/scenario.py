@@ -35,8 +35,9 @@ rather than code::
 
 [topology] comes before every section but [run], and a switch, host or
 contract is declared before a line names it.  Times accept ns/us/ms/s
-suffixes, rates bps/Kbps/Mbps/Gbps, sizes b/Kb/Mb/Gb (bits) or B/KB/MB
-(bytes); decimal values are parsed exactly.  The injection types, and how
+suffixes, rates bps/Kbps/Mbps/Gbps, sizes b/Kb/Mb/Gb (bits) or B/KB/MB/GB
+(bytes); a unit with a capital B must be one of these byte spellings.
+Decimal values are parsed exactly.  The injection types, and how
 auto_* lines expand into injections for a seed, live in the injections
 module.
 """
@@ -99,22 +100,24 @@ def parse_time(text: str) -> int:
 
 
 def parse_rate(text: str) -> int:
+    """'1.5Mbps' -> 1_500_000 bits per second; the unit's case is free but
+    for a capital B, which would read bytes as bits."""
     m = _NUMBER_RE.match(text.strip())
-    if not m or m.group(3).lower() not in _RATE_UNITS:
-        raise ScenarioError(f"bad rate value {text!r} (use bps/Kbps/Mbps/Gbps)")
+    if not m or "B" in m.group(3) or m.group(3).lower() not in _RATE_UNITS:
+        raise ScenarioError(f"bad rate value {text!r} (use bps, Kbps, Mbps "
+                            "or Gbps, in bits per second)")
     return _scaled_int(m.group(1), m.group(2), _RATE_UNITS[m.group(3).lower()])
 
 
 def parse_size(text: str) -> int:
+    """'1500B' -> 12_000 bits.  A unit with a capital B is bytes and must be
+    spelled exactly; any other spelling is read in lowercase as bits."""
     m = _NUMBER_RE.match(text.strip())
-    if not m:
-        raise ScenarioError(f"bad size value {text!r} (use b/Kb/Mb/Gb or B/KB/MB)")
-    unit = m.group(3)
-    factor = _SIZE_UNITS.get(unit)
+    unit = m.group(3) if m else ""
+    factor = _SIZE_UNITS.get(unit if "B" in unit else unit.lower())
     if factor is None:
-        factor = _SIZE_UNITS.get(unit.lower())  # lowercase forms mean bits
-    if factor is None:
-        raise ScenarioError(f"bad size unit in {text!r}")
+        raise ScenarioError(f"bad size value {text!r} (use b, Kb, Mb or Gb "
+                            "for bits, B, KB, MB or GB for bytes)")
     return _scaled_int(m.group(1), m.group(2), factor)
 
 

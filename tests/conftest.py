@@ -292,10 +292,11 @@ def reference_score_packets(packets, ped_changes):
 def naive_experiment(scenario, variants, seeds, sweep=None):
     """recorded_experiment by the plainest pipeline: per cell, freshly
     materialized injections and a fresh ReferenceKernel that simulates
-    every period, estimates each cycle with a fresh ProbePlan, evaluates
-    every proactive cycle in full and solves every route request, so no
-    kernel work, diary, estimate, cycle or route is shared and nothing is
-    fast-forwarded; packets are scored by bisection, one by one."""
+    every period, estimates each cycle with a fresh ProbePlan and no memo,
+    evaluates every proactive cycle in full and solves every route
+    request, so no kernel work, diary, estimate, cycle or route is shared
+    and nothing is fast-forwarded; packets are scored by bisection, one by
+    one."""
     sweep_param, sweep_values = (None, (None,)) if sweep is None else (
         sweep[0], tuple(sweep[1]))
     names = tuple(variant.name for variant in variants_by_name(variants))
@@ -316,11 +317,13 @@ def naive_experiment(scenario, variants, seeds, sweep=None):
         for value in sweep_values:
             swept = harness._swept_scenario(scenario, sweep_param, value)
 
-            def afresh(plan, now, swept=swept, **kwargs):
+            def afresh(plan, topology, now, *, egress_free, memo,
+                       swept=swept):
+                """The cycle from a fresh plan, without memo."""
                 return cycle(ProbePlan(
-                    plan.topology, swept.control,
+                    topology, swept.control,
                     swept.config.probe_length_bits, plan.raw_mode),
-                    now, **kwargs)
+                    topology, now, egress_free=egress_free)
 
             patch.setattr(resilience, "run_estimation_cycle", afresh)
             for variant in names:

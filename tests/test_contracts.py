@@ -17,7 +17,7 @@ MS = MILLISECOND
 
 def store_with(pair):
     store = ContractStore()
-    store.add(pair, now=0)
+    store.add(pair)
     return store
 
 

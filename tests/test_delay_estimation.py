@@ -8,11 +8,13 @@ from hypothesis import given, strategies as st
 
 from sdnsim.core import (
     ControlChannel,
+    Link,
     LinkSpec,
     LinkState,
     MICROSECOND,
     MILLISECOND,
     SECOND,
+    Topology,
     TopologySpec,
     build_topology,
     transmission_delay,
@@ -116,7 +118,8 @@ class TestEstimatePathDelay:
 class TestEstimationCycle:
     def test_idle_network_estimates_configured_delay_exactly(
             self, chain10, symmetric_control):
-        matrix, records = run_estimation_cycle(ProbePlan(chain10, symmetric_control), 0)
+        matrix, records = run_estimation_cycle(
+            ProbePlan(chain10, symmetric_control), chain10, 0)
         assert len(matrix) == len(records) == 18  # 9 links, both directions
         for record in records:
             assert record.link_delay == MILLISECOND
@@ -136,7 +139,8 @@ class TestEstimationCycle:
                 "S1": (rng.randrange(0, MS),) * 2,
                 "S2": (rng.randrange(0, MS),) * 2,
             })
-            _, records = run_estimation_cycle(ProbePlan(topology, control), 0)
+            _, records = run_estimation_cycle(ProbePlan(topology, control),
+                                              topology, 0)
             assert entry_of(records, "S1", "S2").link_delay == propagation
 
     def test_asymmetric_control_channel_cancels_exactly(self):
@@ -150,12 +154,14 @@ class TestEstimationCycle:
             "S1": (100 * MICROSECOND, 900 * MICROSECOND),
             "S2": (50 * MICROSECOND, 450 * MICROSECOND),
         })
-        _, records = run_estimation_cycle(ProbePlan(topology, control), 0)
+        _, records = run_estimation_cycle(ProbePlan(topology, control),
+                                          topology, 0)
         assert entry_of(records, "S1", "S2").link_delay == 7 * MS
 
     def test_down_link_has_no_entry(self, chain10, symmetric_control):
         chain10.set_link_state("S3", "S4", LinkState.DOWN)
-        matrix, _ = run_estimation_cycle(ProbePlan(chain10, symmetric_control), 0)
+        matrix, _ = run_estimation_cycle(
+            ProbePlan(chain10, symmetric_control), chain10, 0)
         assert len(matrix) == 16
         assert ("S3", "S4") not in matrix
         assert ("S4", "S3") not in matrix
@@ -166,9 +172,9 @@ class TestEstimationCycle:
         slow = build_topology(linear_chain_spec(capacity=MBPS))
         fast = build_topology(linear_chain_spec(capacity=GBPS))
         _, slow_records = run_estimation_cycle(
-            ProbePlan(slow, symmetric_control), 0)
+            ProbePlan(slow, symmetric_control), slow, 0)
         _, fast_records = run_estimation_cycle(
-            ProbePlan(fast, symmetric_control), 0)
+            ProbePlan(fast, symmetric_control), fast, 0)
         slow_entry = entry_of(slow_records, "S1", "S2")
         fast_entry = entry_of(fast_records, "S1", "S2")
         assert slow_entry.transmission_delay == 12 * MS
@@ -178,7 +184,7 @@ class TestEstimationCycle:
 
     def test_queued_egress_inflates_estimate(self, chain10, symmetric_control):
         _, records = run_estimation_cycle(
-            ProbePlan(chain10, symmetric_control), 0,
+            ProbePlan(chain10, symmetric_control), chain10, 0,
             egress_free={("S1", "S2"): 300 * MICROSECOND})
         # The probe averages the two directions' waits.
         assert entry_of(records, "S1", "S2").link_delay == \
@@ -188,19 +194,19 @@ class TestEstimationCycle:
     def test_egress_free_before_now_is_no_wait(self, chain10,
                                                symmetric_control):
         _, records = run_estimation_cycle(
-            ProbePlan(chain10, symmetric_control), SECOND,
+            ProbePlan(chain10, symmetric_control), chain10, SECOND,
             egress_free={("S1", "S2"): SECOND - MS, ("S2", "S3"): SECOND})
         assert entry_of(records, "S1", "S2").link_delay == MILLISECOND
         assert entry_of(records, "S2", "S3").link_delay == MILLISECOND
 
     def test_raw_mode_doubles_symmetric_estimate(self, chain10, symmetric_control):
         _, records = run_estimation_cycle(
-            ProbePlan(chain10, symmetric_control, raw_mode=True), 0)
+            ProbePlan(chain10, symmetric_control, raw_mode=True), chain10, 0)
         assert entry_of(records, "S1", "S2").link_delay == 2 * MILLISECOND
 
     def test_records_match_matrix(self, chain10, symmetric_control):
         matrix, records = run_estimation_cycle(
-            ProbePlan(chain10, symmetric_control), 3 * SECOND)
+            ProbePlan(chain10, symmetric_control), chain10, 3 * SECOND)
         assert len(records) == len(matrix)
         for record in records:
             assert record.cost == matrix[(record.src, record.dst)] == \
@@ -209,97 +215,116 @@ class TestEstimationCycle:
 
 
 class TestProbePlan:
+    """A plan holds each link's fixed inputs and zero-wait records and is
+    never changed; idle cycles are memoized by their Down links."""
+
+    BUSY = {("S1", "S2"): SECOND + 300 * MICROSECOND}
+
     def test_equal_waits_reuse_the_same_entry(self, chain10, symmetric_control):
+        """Zero waits: every idle cycle logs the plan's own records."""
         plan = ProbePlan(chain10, symmetric_control)
-        first, first_records = run_estimation_cycle(plan, 0)
-        second, records = run_estimation_cycle(plan, 7 * MS)
-        assert len(plan.estimates) == 9  # one per link
+        first, first_records = run_estimation_cycle(plan, chain10, 0)
+        second, records = run_estimation_cycle(plan, chain10, 7 * MS)
         assert second == first
         assert len(records) == len(first_records) == 18
         assert all(map(operator.is_, records, first_records))
+        assert all(map(operator.is_, records, (
+            record for *_, logged in plan.probes for record in logged)))
         assert {(record.cycle, record.at) for record in records} == {(0, 0)}
+
+    def test_is_frozen_and_holds_no_link(self, chain10, symmetric_control):
+        plan = ProbePlan(chain10, symmetric_control)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.probes = ()
+        held = list(dataclasses.astuple(plan))
+        while held:
+            value = held.pop()
+            assert not isinstance(value, (Link, Topology, dict, list))
+            if isinstance(value, tuple):
+                held.extend(value)
 
     def test_changed_wait_re_estimates(self, chain10, symmetric_control):
         plan = ProbePlan(chain10, symmetric_control)
-        _, idle = run_estimation_cycle(plan, 0)
+        _, idle = run_estimation_cycle(plan, chain10, 0)
         _, queued = run_estimation_cycle(
-            plan, SECOND, egress_free={("S2", "S1"): SECOND + 300 * MICROSECOND})
-        assert len(plan.estimates) == 10
+            plan, chain10, SECOND,
+            egress_free={("S2", "S1"): SECOND + 300 * MICROSECOND})
         assert entry_of(queued, "S1", "S2").link_delay == \
             MILLISECOND + 150 * MICROSECOND
         assert entry_of(idle, "S1", "S2").link_delay == MILLISECOND
-        assert entry_of(queued, "S2", "S3").link_delay == \
-            entry_of(idle, "S2", "S3").link_delay
+        assert entry_of(queued, "S2", "S3") is entry_of(idle, "S2", "S3")
 
     def test_down_link_gets_no_entry(self, chain10, symmetric_control):
         plan = ProbePlan(chain10, symmetric_control)
-        run_estimation_cycle(plan, 0)
+        run_estimation_cycle(plan, chain10, 0)
         chain10.set_link_state("S3", "S4", LinkState.DOWN)
-        matrix, records = run_estimation_cycle(plan, SECOND)
+        matrix, records = run_estimation_cycle(plan, chain10, SECOND)
         assert ("S3", "S4") not in matrix and ("S4", "S3") not in matrix
         assert len(matrix) == len(records) == 16
         chain10.set_link_state("S3", "S4", LinkState.UP)
-        _, records = run_estimation_cycle(plan, 2 * SECOND)
+        _, records = run_estimation_cycle(plan, chain10, 2 * SECOND)
         assert entry_of(records, "S3", "S4").link_delay == MILLISECOND
-
 
     def test_egress_freeing_at_now_reuses_the_idle_template(
             self, chain10, symmetric_control):
-        plan = ProbePlan(chain10, symmetric_control)
-        _, first = run_estimation_cycle(plan, 0)
+        plan, memo = ProbePlan(chain10, symmetric_control), {}
+        first = run_estimation_cycle(plan, chain10, 0, memo=memo)
         free = {("S1", "S2"): SECOND, ("S2", "S1"): SECOND - MS}
-        matrix, cycle = run_estimation_cycle(plan, SECOND, egress_free=free)
+        cycle = run_estimation_cycle(plan, chain10, SECOND, egress_free=free,
+                                     memo=memo)
         assert cycle is first
-        fresh_matrix, fresh = run_estimation_cycle(
-            ProbePlan(chain10, symmetric_control), SECOND, egress_free=free)
-        assert matrix == fresh_matrix
-        assert cycle == fresh
+        assert cycle == run_estimation_cycle(
+            ProbePlan(chain10, symmetric_control), chain10, SECOND,
+            egress_free=free)
+
+    def test_a_siblings_idle_cycle_at_a_seen_down_set_is_shared(
+            self, chain10, symmetric_control):
+        """Another kernel's topology and plan, one Down set: the memo hands
+        it the same matrix and template."""
+        memo = {}
+        sibling = build_topology(linear_chain_spec())
+        chain10.set_link_state("S3", "S4", LinkState.DOWN)
+        ours = run_estimation_cycle(ProbePlan(chain10, symmetric_control),
+                                    chain10, SECOND, memo=memo)
+        sibling.set_link_state("S4", "S3", LinkState.DOWN)
+        sibling.set_link_state("S1", "S2", LinkState.DOWN)
+        sibling.set_link_state("S1", "S2", LinkState.UP)
+        assert sibling.version != chain10.version
+        theirs = run_estimation_cycle(ProbePlan(sibling, symmetric_control),
+                                      sibling, 2 * SECOND, memo=memo)
+        assert theirs is ours
+        assert list(memo) == [frozenset({("S3", "S4")})]
+
+    def test_a_link_flap_back_reuses_the_first_template(
+            self, chain10, symmetric_control):
+        plan, memo = ProbePlan(chain10, symmetric_control), {}
+        first_matrix, first = run_estimation_cycle(plan, chain10, 0,
+                                                   memo=memo)
+        chain10.set_link_state("S3", "S4", LinkState.DOWN)
+        matrix, down = run_estimation_cycle(plan, chain10, SECOND, memo=memo)
+        assert len(matrix) == 16
+        chain10.set_link_state("S3", "S4", LinkState.UP)
+        matrix, again = run_estimation_cycle(plan, chain10, 2 * SECOND,
+                                             memo=memo)
+        assert again is first and matrix is first_matrix
+        assert len(memo) == 2
 
     def test_busy_cycle_leaves_the_idle_template(self, chain10,
                                                  symmetric_control):
-        plan = ProbePlan(chain10, symmetric_control)
-        _, first = run_estimation_cycle(plan, 0)
-        _, busy = run_estimation_cycle(
-            plan, SECOND,
-            egress_free={("S1", "S2"): SECOND + 300 * MICROSECOND})
-        assert busy is not first
+        """A busy cycle is computed and not stored."""
+        plan, memo = ProbePlan(chain10, symmetric_control), {}
+        _, busy = run_estimation_cycle(plan, chain10, SECOND,
+                                       egress_free=self.BUSY, memo=memo)
+        assert memo == {}
         assert entry_of(busy, "S1", "S2").link_delay == \
             MILLISECOND + 150 * MICROSECOND
-        matrix, third = run_estimation_cycle(
-            plan, 2 * SECOND,
-            egress_free={("S1", "S2"): SECOND + 300 * MICROSECOND})
-        assert third is first
-        assert matrix == run_estimation_cycle(
-            ProbePlan(chain10, symmetric_control), 2 * SECOND)[0]
-
-    def test_link_flap_moves_the_version_and_rebuilds_the_template(
-            self, chain10, symmetric_control):
-        plan = ProbePlan(chain10, symmetric_control)
-        first_matrix, first = run_estimation_cycle(plan, 0)
-        version = chain10.version
-        chain10.set_link_state("S3", "S4", LinkState.DOWN)
-        chain10.set_link_state("S3", "S4", LinkState.UP)
-        assert chain10.version == version + 2
-        matrix, again = run_estimation_cycle(plan, SECOND)
-        assert again is not first
-        assert again == first
-        assert matrix == first_matrix and matrix is not first_matrix
-
-    def test_twin_reuses_its_parents_template(self, chain10,
-                                              symmetric_control):
-        plan = ProbePlan(chain10, symmetric_control)
-        first_matrix, first = run_estimation_cycle(plan, 0)
-        topology = chain10.twin()
-        twin = plan.twin(topology)
-        matrix, cycle = run_estimation_cycle(twin, SECOND)
-        assert cycle is first
-        assert matrix == first_matrix
-        assert twin.idle[1] is not plan.idle[1]
-        # A link flap in the twin's topology leaves the parent's plan alone.
-        topology.set_link_state("S3", "S4", LinkState.DOWN)
-        matrix, _ = run_estimation_cycle(twin, 2 * SECOND)
-        assert len(matrix) == 16
-        assert run_estimation_cycle(plan, 2 * SECOND)[1] is first
+        matrix, idle = run_estimation_cycle(
+            plan, chain10, 2 * SECOND, egress_free=self.BUSY, memo=memo)
+        assert entry_of(idle, "S1", "S2").link_delay == MILLISECOND
+        assert memo == {frozenset(): (matrix, idle)}
+        _, again = run_estimation_cycle(plan, chain10, 3 * SECOND,
+                                        egress_free=self.BUSY, memo=memo)
+        assert again is idle
 
 
 class TestEstimationRecord:

@@ -274,6 +274,24 @@ class TestRunSingle:
             streams, run.variant, run.seed, ring_scenario.emulation_time)
         assert replayed == online
 
+    def test_one_estimation_call_per_cycle_boundary(self, monkeypatch):
+        """bench/instrument.py times the estimation layer by wrapping
+        resilience.run_estimation_cycle, so every cycle boundary, whether
+        its cycle is idle, busy or found in the memo, calls it once."""
+        scenario = load_scenario("scenarios/industrial_ring_mixed.scn")
+        instants = []
+        cycle = resilience.run_estimation_cycle
+
+        def counted(plan, topology, now, **kwargs):
+            instants.append(now)
+            return cycle(plan, topology, now, **kwargs)
+
+        monkeypatch.setattr(resilience, "run_estimation_cycle", counted)
+        run_single(scenario, "RM", 1)
+        interval = scenario.config.estimation_interval
+        assert instants == list(range(0, scenario.emulation_time + 1,
+                                      interval))
+
     def test_serialized_log_round_trips_byte_for_byte(self):
         # Link failures and bound changes together: every enum-bearing
         # stream (notifications, faults, decisions, restorations,

@@ -920,12 +920,16 @@ class TestTwin:
                    for _, _, action, _ in kernel._queue)
 
         twin = kernel.branch(self.branched)
-        # The run's inputs, which nothing changes, the kernel's marker, and
-        # the route memo, which caches a pure function of its key.
-        memos = kernel.controller._route_memos
-        assert twin.controller._route_memos is memos
-        opaque = {id(kernel.config), id(kernel.controller.control),
-                  id(_NO_ARG), id(memos), *map(id, memos.values())}
+        # The run's inputs, which nothing changes, the kernel's marker, the
+        # network-state memo, which caches a pure function of its key, and
+        # the cost matrix, which is never changed and may be a memo value.
+        controller = kernel.controller
+        memo, matrix = controller._memo, controller.matrix
+        assert twin.controller._memo is memo
+        assert twin.controller.matrix is matrix
+        assert twin.controller._probe_plan is controller._probe_plan
+        opaque = {id(kernel.config), id(controller.control), id(_NO_ARG),
+                  id(memo), id(matrix), *map(id, memo.values())}
         ours = self.reachable(kernel, opaque)
         theirs = self.reachable(twin, opaque)
         shared = [ours[key] for key in ours.keys() & theirs.keys()]

@@ -467,19 +467,23 @@ def test_every_route_equals_a_fresh_find_path(network, data):
 @given(networks(max_packets=400, max_gap=5 * MS, interval=10 * MS))
 def test_every_cycle_equals_a_cycle_with_a_fresh_plan(network):
     """Dense flows and a 10 ms cycle leave egresses queued at many cycle
-    boundaries while links flap, so the plan's estimates are reused,
-    re-estimated and skipped."""
+    boundaries while links flap, so idle cycles are found in the memo or
+    stored there, busy ones estimated link by link and Down links skipped;
+    each equals the cycle from a fresh plan without a memo."""
     kernel = network_kernel(network)
     planned = resilience.run_estimation_cycle
     queued = []
 
-    def compared(plan, now, **kwargs):
+    def compared(plan, topology, now, *, egress_free, memo):
         assert plan is kernel.controller._probe_plan
-        matrix, records = planned(plan, now, **kwargs)
-        fresh = ProbePlan(kernel.topology, kernel.controller.control,
+        assert topology is kernel.topology
+        matrix, records = planned(plan, topology, now,
+                                  egress_free=egress_free, memo=memo)
+        fresh = ProbePlan(topology, kernel.controller.control,
                           kernel.config.probe_length_bits,
                           kernel.config.eq1_raw_mode)
-        fresh_matrix, fresh_records = planned(fresh, now, **kwargs)
+        fresh_matrix, fresh_records = planned(fresh, topology, now,
+                                              egress_free=egress_free)
         assert matrix == fresh_matrix
         assert records == fresh_records
         queued.extend(key for key, free in kernel.egress_free.items()
@@ -588,7 +592,7 @@ def idle_matrix(scenario):
     topology = build_topology(scenario.topology_spec)
     matrix, _ = resilience.run_estimation_cycle(ProbePlan(
         topology, scenario.control, scenario.config.probe_length_bits,
-        scenario.config.eq1_raw_mode), 0)
+        scenario.config.eq1_raw_mode), topology, 0)
     return matrix
 
 

@@ -360,12 +360,12 @@ class TestRouteMemo:
     PAIR = ("S1", "S8")
 
     @staticmethod
-    def idle_kernel(routes=None):
-        """An idle ring kernel after cycle 0, on the route memo routes."""
+    def idle_kernel(memo=None):
+        """An idle ring kernel after cycle 0, on the network-state memo."""
         kernel = Kernel(
             topology=build_topology(ring_with_chords_spec()), flows=[],
             contract_pairs=[], variant=variant_by_name("SDN-RM"),
-            config=SimConfig(), control=ControlChannel(), routes=routes)
+            config=SimConfig(), control=ControlChannel(), memo=memo)
         kernel.controller.on_cycle_boundary(0)
         return kernel
 
@@ -418,7 +418,7 @@ class TestRouteMemo:
         """Two kernels on one memo, each one link state change in, so at
         the same Topology.version, with different links down."""
         kernel, calls = memo
-        sibling = self.idle_kernel(kernel.controller._route_memos)
+        sibling = self.idle_kernel(kernel.controller._memo)
         kernel.topology.set_link_state("S9", "S10", LinkState.DOWN)
         sibling.topology.set_link_state("S3", "S8", LinkState.DOWN)
         assert kernel.topology.version == sibling.topology.version
@@ -430,9 +430,10 @@ class TestRouteMemo:
             self, memo):
         kernel, calls = memo
         self.route(kernel)
-        sibling = self.idle_kernel(kernel.controller._route_memos)
+        sibling = self.idle_kernel(kernel.controller._memo)
+        # Both idle cycles at one Down set: the memo's matrix, shared.
         ours, theirs = kernel.controller.matrix, sibling.controller.matrix
-        assert theirs == ours and theirs is not ours
+        assert theirs is ours
         assert self.route(sibling).path == ROUTE_0
         assert len(calls) == 1
         # A queued probe makes the next cycle estimate link S1-S10, both

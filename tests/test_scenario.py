@@ -70,6 +70,22 @@ class TestUnits:
         assert parse_size("1500B") == 12_000
         assert parse_size("100Mb") == 100_000_000
         assert parse_size("12000b") == 12_000
+        assert parse_size("1.5KB") == 12_000
+        assert parse_size("1.5kb") == parse_size("1.5Kb") == 1_500
+
+    @pytest.mark.parametrize("text", ["1.5kB", "1mB", "1gB", "1Bb", "1kbB"])
+    def test_byte_unit_with_a_lowercase_letter_rejected(self, text):
+        """Read in lowercase, these would be bits: 8 times too few."""
+        with pytest.raises(ScenarioError, match=r"B, KB, MB or GB for bytes"):
+            parse_size(text)
+
+    @pytest.mark.parametrize("text", ["1GBps", "1Bps", "1.5KBps", "1mBps"])
+    def test_rate_in_bytes_rejected(self, text):
+        """Read in lowercase, these would be bits per second: 8 times too
+        slow."""
+        with pytest.raises(ScenarioError,
+                           match=r"bps, Kbps, Mbps or Gbps, in bits"):
+            parse_rate(text)
 
     def test_fraction(self):
         assert parse_fraction_ppm("0.7") == 700_000
@@ -260,6 +276,17 @@ class TestStrictInput:
                 + f"{entry}\n")
         with pytest.raises(ScenarioError,
                            match=f"line {line_of(text, entry)}: second"):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize("old, new", [
+        ("capacity=1Gbps", "capacity=1GBps"),
+        ("volume=1Mb", "volume=1mB"),
+    ])
+    def test_byte_spelling_carries_its_line(self, old, new):
+        text = MINIMAL.replace(old, new)
+        bad = next(line for line in text.splitlines() if new in line)
+        with pytest.raises(ScenarioError,
+                           match=f"^line {line_of(text, bad)}: bad "):
             parse_scenario(text)
 
     @pytest.mark.parametrize("old, new", [
