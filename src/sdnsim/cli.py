@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -98,6 +99,12 @@ def main(argv: list[str] | None = None) -> int:
         scenario = replace(scenario, config=replace(scenario.config,
                                                     eq1_raw_mode=True))
     seeds = list(range(scenario.seed, scenario.seed + args.seeds))
+    if args.out:
+        # Before the run, so that an unusable --out fails at once.
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            return _error(args, exc, 2)
     try:
         result = run_experiment(scenario, args.variants, seeds,
                                 sweep=args.sweep)
@@ -105,11 +112,15 @@ def main(argv: list[str] | None = None) -> int:
         return _error(args, exc, 2)
     except Exception as exc:  # surface run failures as nonzero exit
         return _error(args, exc, 1)
-    if args.out:
-        for path in emit_reports(result, args.out):
-            print(path)
-    else:
+    if not args.out:
         _print_table(result)
+        return 0
+    try:
+        written = emit_reports(result, args.out)
+    except OSError as exc:
+        return _error(args, exc, 1)
+    for path in written:
+        print(path)
     return 0
 
 

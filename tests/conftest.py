@@ -144,11 +144,6 @@ def chain10():
 
 
 @pytest.fixture
-def ring10():
-    return build_topology(ring_with_chords_spec())
-
-
-@pytest.fixture
 def symmetric_control():
     return ControlChannel(default_c2s=250 * MICROSECOND,
                           default_s2c=250 * MICROSECOND)

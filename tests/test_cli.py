@@ -121,3 +121,35 @@ def test_variant_named_twice_rejected_by_parser(capsys):
               "woRM,SDN-woRM", "--seeds", "1"])
     assert exited.value.code == 2
     assert "variant SDN-woRM named twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_unusable_out_fails_before_the_run(under, tmp_path, capsys,
+                                           monkeypatch):
+    """--out naming a file, or a path under one, is an error before any
+    run, and re-raised under --debug."""
+    def fail(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken / "reports" if under else taken
+    args = ["run", "scenarios/linear_chain.scn", "--variants", "RM",
+            "--seeds", "1", "--out", str(out)]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(NotADirectoryError if under else FileExistsError):
+        main(args + ["--debug"])
+
+
+def test_report_write_failure_is_a_run_error(tmp_path, capsys):
+    """A report file that cannot be written exits 1 with one line, and is
+    re-raised under --debug."""
+    (tmp_path / "summary.json").mkdir()
+    args = ["run", "scenarios/linear_chain.scn", "--variants", "RM",
+            "--seeds", "1", "--out", str(tmp_path)]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(IsADirectoryError):
+        main(args + ["--debug"])

@@ -6,6 +6,7 @@ module when none is named.
 """
 
 import ast
+import functools
 import re
 from pathlib import Path
 
@@ -45,3 +46,30 @@ def test_every_reference_names_a_paragraph(source):
 @pytest.mark.parametrize("source", ["README.md", "src/sdnsim/kernel.py"])
 def test_references_are_found(source):
     assert REFERENCE.search((ROOT / source).read_text(encoding="utf-8"))
+
+
+# A test named in prose: test_x or TestX, not followed by "." (a file name
+# such as test_docs.py).
+NAMED_TEST = re.compile(r"\b(test_\w+|Test[A-Z]\w*)\b(?!\.)")
+NAMING = [ROOT / "README.md", ROOT / "ROADMAP.md",
+          *sorted(PACKAGE.glob("*.py"))]
+
+
+@functools.cache
+def _defined_tests() -> frozenset[str]:
+    """Every test_ function and Test class defined under tests/ or bench/."""
+    names = set()
+    for path in [*ROOT.glob("tests/*.py"), *ROOT.glob("bench/*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+    return frozenset(names)
+
+
+@pytest.mark.parametrize("source", NAMING, ids=lambda path: path.name)
+def test_every_named_test_exists(source):
+    defined = _defined_tests()
+    text = source.read_text(encoding="utf-8")
+    missing = sorted({match[1] for match in NAMED_TEST.finditer(text)}
+                     - defined)
+    assert missing == []

@@ -355,7 +355,10 @@ class TestPhaseSum:
 
 class TestRouteMemo:
     """A pair's route is computed once per Down links and cycle costs, in
-    every kernel on one memo."""
+    every kernel on one memo.  The naive oracle checks the routes, not how
+    often find_path ran: these cases count the calls, and only
+    test_no_path_is_remembered_too fails when the memo forgets a pair that
+    has no path."""
 
     PAIR = ("S1", "S8")
 
@@ -414,18 +417,6 @@ class TestRouteMemo:
         assert self.route(kernel).path == ROUTE_0
         assert len(calls) == 2
 
-    def test_one_version_with_other_links_down_is_another_state(self, memo):
-        """Two kernels on one memo, each one link state change in, so at
-        the same Topology.version, with different links down."""
-        kernel, calls = memo
-        sibling = self.idle_kernel(kernel.controller._memo)
-        kernel.topology.set_link_state("S9", "S10", LinkState.DOWN)
-        sibling.topology.set_link_state("S3", "S8", LinkState.DOWN)
-        assert kernel.topology.version == sibling.topology.version
-        assert self.route(kernel).path == ROUTE_1
-        assert self.route(sibling).path == ROUTE_0
-        assert len(calls) == 2
-
     def test_equal_costs_of_another_kernel_hit_and_a_changed_cost_misses(
             self, memo):
         kernel, calls = memo
@@ -452,16 +443,6 @@ class TestRouteMemo:
         kernel.controller.on_cycle_boundary(10 * SECOND)
         assert self.route(kernel, 10 * SECOND).path == ROUTE_0
         assert len(calls) == 1
-
-    def test_changed_cycle_costs_clear_the_memo(self, memo):
-        kernel, calls = memo
-        self.route(kernel)
-        # Data queued on S1->S10 at the next boundary delays its probe, so
-        # that cycle estimates S1-S10 slower and ROUTE_1 becomes cheapest.
-        kernel.egress_free[("S1", "S10")] = 10 * SECOND + MS
-        kernel.controller.on_cycle_boundary(10 * SECOND)
-        assert self.route(kernel, 10 * SECOND).path == ROUTE_1
-        assert len(calls) == 2
 
 
 class TestEstimationParts:
