@@ -16,18 +16,25 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from sdnsim import (
     ControlChannel,
     Flow,
+    LinkSpec,
     SimConfig,
+    TopologySpec,
     transmission_delay,
 )
 from sdnsim.harness import run_single
 from sdnsim.scenario import Scenario
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
-from conftest import linear_chain_spec  # noqa: E402
-
 MS = 1_000_000
 SECOND = 1_000_000_000
 PACKET_BITS = 12_000  # 1500 bytes
+
+
+def chain_spec(capacity_bps: int) -> TopologySpec:
+    """S1-S2-...-S10, 1 ms per link, with H1 at S1 and H10 at S10."""
+    switches = tuple(f"S{i}" for i in range(1, 11))
+    links = tuple(LinkSpec(a, b, capacity_bps, MS)
+                  for a, b in zip(switches, switches[1:]))
+    return TopologySpec(switches, (("H1", "S1"), ("H10", "S10")), links)
 
 
 def chain_scenario(capacity_bps: int) -> Scenario:
@@ -45,7 +52,7 @@ def chain_scenario(capacity_bps: int) -> Scenario:
     )
     return Scenario(
         name=f"chain@{capacity_bps}", control=ControlChannel(),
-        topology_spec=linear_chain_spec(capacity=capacity_bps),
+        topology_spec=chain_spec(capacity_bps),
         flows=flows, contracts=(), explicit_injections=(),
         auto_link_failures=None, auto_ped_changes=None,
         emulation_time=12 * SECOND,

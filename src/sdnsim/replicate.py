@@ -7,18 +7,19 @@ runs: the replicated entries, that is the leading flows' pending ticks and
 the packets in flight, relative to x and in heap order (see "Pipelined
 periods"), the egresses busy after x with their busy-until times less x,
 the topology's version (its count of link state changes), the kernel's
-count of forwarding changes (set_forwarding is the one mutator), the
-number of flows yet to start, and the length of the open packet log.
-Transport reads these, the forwarding entries' activation times and the
-instant each link last went down.  Replication from x needs the snapshot
-at x - P to equal the one at x (so no link state change, forwarding change
-or flow start in [x - P, x)), one record logged in [x - P, x) per pending
-leading tick (no flow of another gap sent then), and no injection due in
-[x - P, x): advance applies an injection before the snapshot of its
-instant, so a link taken down at x - P leaves both versions alike, yet
-drops a packet of that period and none of the next.  Let the horizon H be
-the earliest of the other heap entries (cycle boundaries, controller
-events, the ticks of flows of other gaps or yet to start), the forwarding
+count of forwarding changes (set_forwarding is the one mutator) and the
+length of the open packet log.  Transport reads these, the forwarding
+entries' activation times and the instant each link last went down.
+Replication from x needs the snapshot at x - P to equal the one at x (so
+no link state change or forwarding change in [x - P, x)), one record
+logged in [x - P, x) per pending leading tick (no flow of another gap sent
+and no flow started then: a flow's first tick logs a record that no tick
+pending at x - P accounts for), and no injection due in [x - P, x):
+advance applies an injection before the snapshot of its instant, so a
+link taken down at x - P leaves both versions alike, yet drops a packet
+of that period and none of the next.  Let the horizon H be the earliest
+of the other heap entries (cycle boundaries, controller events, the
+ticks of flows of other gaps or yet to start), the forwarding
 activations from x - P on and the advance target, which never passes the
 next injection; no forwarding entry becomes active and no link goes down
 in [x - P, H).  Other handlers that ran in [x - P, x), a cycle boundary's
@@ -102,12 +103,12 @@ in flight and the egress times are where simulation leaves them, so the
 estimation cycle reads what simulation gives it.  Setup numbers a boundary
 below every tick and packet, so the boundary entries due at x pop first
 there; the kernel pops and runs those alone, and only when they sort below
-until.  It goes on from x only when, after them, the three counts are as
+until.  It goes on from x only when, after them, the two counts are as
 they were, no other entry is left at x and every pending other entry still
 numbers below every replicated one: the boundary then moved no link or
-route, started no flow and scheduled nothing a copy could run out of
-order.  Like the handlers in [x - P, x) it changed nothing else transport
-reads (the estimation cycle reads the egress times, and the proactive
+route and scheduled nothing a copy could run out of order.  Like the
+handlers in [x - P, x) it changed nothing else transport reads (the
+estimation cycle reads the egress times, and the proactive
 cycle reaches forwarding only through set_forwarding), so the period from
 x - P is a template for the periods from x too.  Simulated, the boundary
 runs before every event of the period from x, so the clock after n copies
@@ -166,9 +167,9 @@ class _Packet:
 class Replicator:
     """A kernel's fast-forward state: P, the number of leading flows, the
     next instant to look at, the last snapshot as (instant, replicated
-    entries, busy egresses, (link state changes, forwarding changes, flows
-    yet to start), open packets), the last multiple of P crossed as
-    (instant, heap size, open packets) and the periods to wait."""
+    entries, busy egresses, (link state changes, forwarding changes), open
+    packets), the last multiple of P crossed as (instant, heap size, open
+    packets) and the periods to wait."""
 
     def __init__(self, period: int, leads: int) -> None:
         self.period = period
@@ -230,7 +231,6 @@ class Replicator:
             ticks, flying = [], []
             other: float = math.inf
             latest = -1  # the highest number of a pending other entry
-            unstarted = 0  # pending first ticks
             start: float = math.inf  # a leading flow's first tick
             for index, (at, seq, _, arg) in enumerate(queue):
                 kind = type(arg)
@@ -241,16 +241,13 @@ class Replicator:
                         record.sent_at - x, record.queue_wait,
                         record.seq - base, record.path)))
                     continue
-                if kind is _FlowState:
-                    lead = arg.flow.inter_packet_gap == period
+                if (kind is _FlowState
+                        and arg.flow.inter_packet_gap == period):
                     if arg.started:
-                        if lead:
-                            ticks.append((at, seq, index, arg.flow.id))
-                            continue
-                    else:
-                        unstarted += 1
-                        if lead and at < start:
-                            start = at
+                        ticks.append((at, seq, index, arg.flow.id))
+                        continue
+                    if at < start:
+                        start = at
                 if at < other:
                     other = at
                 if seq > latest:
@@ -267,8 +264,7 @@ class Replicator:
             busy = tuple((egress, free - x) for egress, free
                          in kernel.egress_free.items() if free > x) if (
                 flying) else ()
-            counts = (kernel.topology.version, kernel.forwarding_changes,
-                      unstarted)
+            counts = (kernel.topology.version, kernel.forwarding_changes)
             if snapshot is None:  # before any entry at x runs
                 snapshot = self._snapshot = (x, shape, busy, counts, logged)
             if last is None or last[0] != since:

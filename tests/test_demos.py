@@ -6,8 +6,9 @@ the digest of that text is compared with the value pinned in
 accuracy per bandwidth tier, a fault-handling timeline, the four variants
 side by side, a contract's life under requirement changes), so a change
 that alters any number they print fails here.  The four demos take about
-7 s together on a 2-core host, most of it ``variant_comparison`` and
-``delay_estimation_accuracy``.
+0.4 s together inside a full run on a 2-core host, and this file
+1.2-1.7 s alone, most of it ``delay_estimation_accuracy`` and
+``variant_comparison``.
 
 A change that alters a demo's output on purpose re-pins it from
 ``python3 demos/<name>.py | sha256sum`` and says why.
@@ -43,7 +44,7 @@ def test_every_demo_is_pinned():
 
 @pytest.mark.parametrize("name", sorted(STDOUT_SHA256))
 def test_demo_prints_its_pinned_output(name, monkeypatch):
-    # The demos put src/ and tests/ at the front of sys.path; undo that.
+    # The demos put src/ at the front of sys.path; undo that.
     monkeypatch.setattr(sys, "path", list(sys.path))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

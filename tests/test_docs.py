@@ -1,4 +1,5 @@
-"""Cross-references to docstring paragraphs resolve.
+"""Cross-references to docstring paragraphs resolve, and names of tests
+and test helpers point at code that exists and is used.
 
 A reference reads `see "X"` or `see "X" in <module>`: X is the start of a
 paragraph of that module's docstring, or of the referring file's own
@@ -73,3 +74,18 @@ def test_every_named_test_exists(source):
     missing = sorted({match[1] for match in NAMED_TEST.finditer(text)}
                      - defined)
     assert missing == []
+
+
+def test_every_test_helper_is_named_again():
+    """A module-level function, class or fixture under tests/ that is no
+    test is named somewhere besides its definition, so that retiring a
+    test leaves none of its helpers behind."""
+    texts = [path.read_text(encoding="utf-8")
+             for path in sorted(ROOT.glob("tests/*.py"))]
+    helpers = {node.name for text in texts for node in ast.parse(text).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith(("test_", "Test"))}
+    orphans = sorted(name for name in helpers
+                     if sum(len(re.findall(rf"\b{name}\b", text))
+                            for text in texts) < 2)
+    assert orphans == []

@@ -1,6 +1,5 @@
 import dataclasses
 import gc
-from contextlib import nullcontext
 from dataclasses import replace
 from enum import Enum
 from pathlib import Path
@@ -38,11 +37,7 @@ from sdnsim.contracts import create_contract_pair
 from sdnsim import harness, runlog
 from sdnsim.harness import run_single
 from sdnsim.replicate import Replicator
-from sdnsim.resilience import (
-    ResilienceManager,
-    VARIANT_ALIASES,
-    variant_by_name,
-)
+from sdnsim.resilience import ResilienceManager, variant_by_name
 from sdnsim.runlog import Part
 from sdnsim.scenario import load_scenario, parse_scenario
 
@@ -415,7 +410,10 @@ class TestFastForward:
 
     def test_reroute_that_activates_mid_window(self):
         """The E1 reroute installs the detour 333 ms after its delivery,
-        4 ms into a 10 ms period; the packets sent until then are lost."""
+        4 ms into a 10 ms period; the packets sent until then are lost.
+        Only this test fails when the horizon leaves out forwarding
+        activations: the naive oracle's control latencies are at most
+        1 ms, and this detour becomes active 33 periods after it is set."""
         pair = create_contract_pair("C1", "S1", "S3", 5 * MS)
         counts, kernel = self.exact(
             triangle_spec(), [periodic_flow(count=300)], [
@@ -446,7 +444,8 @@ class TestFastForward:
         """An entry scheduled at 2.005 s takes S2-S3 down with no
         injection: the period before it is no template for the next.  No
         scenario takes a link down but by injection, so the naive oracle
-        cannot show fast-forward that ignores the topology version."""
+        cannot show fast-forward that ignores the topology version: only
+        this test fails then."""
         def run():
             kernel = make_kernel(two_hop_spec(), [periodic_flow(count=300)])
             kernel.setup(4 * SECOND, [])
@@ -693,7 +692,9 @@ class TestComparedPeriod:
         """At 2.005 s a handler schedules a reroute for 2.5 s, an instant
         F1 sends at.  Simulated, that entry numbers below the tick of 2.5
         s, which the tick of 2.49 s schedules, so the packet sent at 2.5 s
-        is the first on the detour."""
+        is the first on the detour.  Only this test fails when fast-forward
+        drops the rule that every pending other entry numbers below every
+        replicated one: no scenario of the naive oracle shows it."""
         def reroute(kernel, at):
             kernel.set_forwarding(("S1", "S3"), self.detour, at)
 
@@ -810,7 +811,9 @@ class TestRunOn:
     def test_arrival_at_a_fast_forward_period_instant(self):
         """F1 sends every 10 ms from 5 ms, and each packet reaches S2 5 ms
         later, at a multiple of the period: each snapshot sees that packet
-        in flight, before its arrival runs."""
+        in flight, before its arrival runs.  Only this test fails when an
+        inline hop draws one extra sequence number, which moves heap
+        numbers alone and so no report."""
         spec = TopologySpec(
             ("S1", "S2", "S3"), (("H1", "S1"), ("H3", "S3")),
             (LinkSpec("S1", "S2", GBPS, 5 * MS - 12 * US),
@@ -962,25 +965,3 @@ class TestTwin:
         kernel.schedule_call(SECOND, kernel.forwarding_path, ["S1", "S3"])
         with pytest.raises(TypeError, match="cannot branch a heap entry"):
             kernel.branch([])
-
-
-@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.scn")),
-                         ids=lambda path: path.stem)
-def test_bundled_runs_equal_the_reference_transport(path):
-    """Every variant, fast-forwarded and simulated in full: the same log
-    and metrics, and as many heap entries, as with the reference."""
-    scenario = load_scenario(path)
-    injections = materialize_injections(scenario, scenario.seed)
-    for variant in sorted(VARIANT_ALIASES):
-        for mode in (nullcontext, no_fast_forward):
-            runs = []
-            for kind in (Kernel, ReferenceKernel):
-                with pytest.MonkeyPatch.context() as patch, mode():
-                    patch.setattr(harness, "Kernel", kind)
-                    kernel = harness._start_kernel(
-                        scenario, variant_by_name(variant), injections)
-                    done = run_single(scenario, variant,
-                                      injections=injections, kernel=kernel)
-                runs.append((done.log.to_jsonl(), done.metrics,
-                             next(kernel._seq)))
-            assert runs[0] == runs[1], (variant, mode)

@@ -22,11 +22,7 @@ state:
   that grid beside one other flow, which sends with a longer gap while
   the route's last link flaps inside the burst, or with the burst's gap
   to a host on its route, with a link failure or a bound change inside
-  the burst in some examples;
-- every run whose flows share one gap, so that the kernel fast-forwards
-  through repeated periods, equals the same run simulated in full, also
-  when handlers schedule reroutes and link toggles, and injections and
-  flow starts fall, on or next to the flows' ticks;
+  the burst in some examples.
 """
 
 import dataclasses
@@ -43,7 +39,6 @@ from sdnsim.core import (
     ControlChannel,
     Flow,
     LinkSpec,
-    LinkState,
     MICROSECOND,
     MILLISECOND,
     SECOND,
@@ -71,7 +66,6 @@ from sdnsim.scenario import (
 )
 
 from conftest import (
-    assert_fast_forward_exact,
     naive_experiment,
     recorded_experiment,
     reference_jsonl,
@@ -222,109 +216,6 @@ def test_packets_delivered_xor_dropped_no_faster_than_their_path(
         assert record.actual_delay == record.delivered_at - record.sent_at
         assert record.actual_delay >= path_floor(
             spec, record.path, record.length, config.host_link_delay)
-
-
-def simple_paths(spec, src, dst):
-    """Every loop-free switch path from src to dst over spec's links."""
-    neighbors = {}
-    for link in spec.links:
-        neighbors.setdefault(link.a, []).append(link.b)
-        neighbors.setdefault(link.b, []).append(link.a)
-    paths, stack = [], [(src,)]
-    while stack:
-        path = stack.pop()
-        if path[-1] == dst:
-            paths.append(path)
-            continue
-        stack.extend(path + (neighbor,) for neighbor in neighbors[path[-1]]
-                     if neighbor not in path)
-    return sorted(paths)
-
-
-@st.composite
-def controller_entries(draw, network):
-    """(at, later, kind, args) entries like a controller's: each runs up to
-    a gap after one of a flow's ticks and schedules, for a later tick of
-    that flow or an instant between two of them, a reroute of the flow's
-    pair onto another of its paths (active from then or from an instant
-    drawn before it) or a toggle of a link's state."""
-    spec, flows = network[:2]
-    attached = dict(spec.hosts)
-    entries = []
-    for _ in range(draw(st.integers(0, 5))):
-        flow = draw(st.sampled_from(flows))
-        gap = flow.inter_packet_gap
-        tick = flow.start_time + gap * draw(st.integers(
-            0, flow.total_volume // flow.packet_length - 1))
-        at = tick + draw(st.integers(1, gap))
-        later = tick + gap * draw(st.integers(1, 30)) + draw(
-            st.just(0) | st.integers(0, gap - 1))
-        if draw(st.booleans()):
-            pair = (attached[flow.src_host], attached[flow.dst_host])
-            active = draw(st.one_of(st.just(later), st.integers(0, later),
-                                    st.integers(later, later + 2 * gap)))
-            entries.append((at, later, "reroute",
-                            (pair, simple_paths(spec, *pair), active)))
-        else:
-            link = draw(st.sampled_from(spec.links))
-            entries.append((at, later, "toggle", (link.a, link.b)))
-    return entries
-
-
-def schedule_entries(kernel, entries):
-    """Schedule each entry's first call; it schedules the second."""
-    def reroute(args, at):
-        pair, paths, active = args
-        current = kernel.forwarding_path(pair, at)
-        path = next((path for path in paths if path != current), current)
-        kernel.set_forwarding(pair, path, active)
-
-    def toggle(ends, at):
-        up = kernel.topology.link_between(*ends).is_up
-        kernel.topology.set_link_state(
-            *ends, LinkState.DOWN if up else LinkState.UP)
-
-    actions = {"reroute": reroute, "toggle": toggle}
-    for at, later, kind, args in entries:
-        kernel.schedule_call(at, lambda now, later=later, action=actions[kind],
-                             args=args: kernel.schedule_call(
-                                 later, action, args))
-
-
-def test_every_run_equals_the_run_simulated_in_full():
-    """Flows of one gap, links that flap, reroutes and queue overflows, and
-    entries that a handler schedules onto the flows' tick instants: the
-    kernel fast-forwards some runs, some with entries among them, and
-    each equals the run built without a replicator.  Beside the naive
-    oracle: a link state change by a handler, which no scenario makes, is
-    the one way to show fast-forward that ignores the topology version."""
-    fired = []
-
-    shared = networks(max_packets=200, max_gap=10 * MS, shared_gap=True)
-    # Rings are drawn more often: only there has a pair a second path.
-    rings = shared.filter(
-        lambda network: len(network[0].links) == len(network[0].switches))
-
-    @settings(max_examples=200, deadline=None)
-    @given(shared | rings, st.data())
-    def check(network, data):
-        entries = data.draw(controller_entries(network))
-
-        def run():
-            kernel = network_kernel(network)
-            schedule_entries(kernel, entries)
-            kernel.run_until(HORIZON)
-            return kernel
-        counts = assert_fast_forward_exact(run)
-        fired.append((bool(entries), counts.packets > 0))
-        if entries:
-            event("controller entries")
-        if counts.packets:
-            event("fast-forwarded" + (" with controller entries"
-                                      if entries else ""))
-
-    check()
-    assert (False, True) in fired and (True, True) in fired
 
 
 def network_kernel(network):

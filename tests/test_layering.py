@@ -1,11 +1,13 @@
 """Imports inside the package flow one way, from lower layers to higher."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sdnsim"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "sdnsim"
 
 # Each module may import only modules listed before it.
 LAYERS = ("core", "runlog", "contracts", "delay_estimation", "routing",
@@ -121,3 +123,22 @@ def test_resilience_reads_the_kernel_through_named_services():
                and isinstance(node.value.value, ast.Name)
                and node.value.value.id == "self"]
     assert private == []
+
+
+def test_demos_import_only_the_package_and_the_standard_library():
+    """The demos run where sdnsim is installed without its test extra, so
+    none imports from tests/ (whose conftest imports pytest)."""
+    foreign = []
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        for node in ast.walk(ast.parse(demo.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = ["." * node.level + (node.module or "")]
+            else:
+                continue
+            foreign.extend((demo.name, name) for name in names
+                           if name.split(".")[0] != "sdnsim"
+                           and name.split(".")[0]
+                           not in sys.stdlib_module_names)
+    assert foreign == []
